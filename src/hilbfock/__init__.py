@@ -9,8 +9,7 @@ from .orbifold import OrbifoldParam, orbifold_engine, theta_map
 from .partitions import GenPartition, PartitionFunction
 from .rational import Q
 from .ring import FHRing, LehnEngine, RingEngine, StructureTable
-from .surface import (BasisElement, GradedClass, KunnethTensor, SurfaceModel,
-                      validate_model)
+from .surface import BasisElement, GradedClass, SurfaceModel, validate_model
 from .vertex import (OperatorExpression, SparsePolynomial, apply_operator,
                      chern_class, chern_operator, lehn_apply, orbifold_operator,
                      phi_map)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisElement", "EliminationError", "EngineError", "FHRing", "FockSpace",
-    "FockVector", "GenPartition", "GradedClass", "KunnethTensor", "LehnEngine",
+    "FockVector", "GenPartition", "GradedClass", "LehnEngine",
     "ModelError", "OperatorExpression", "OrbifoldParam", "PartitionFunction",
     "Q", "RingEngine", "SparsePolynomial", "StructureTable", "SurfaceModel",
     "UnknownCoefficientsError", "WeightError", "apply_operator",

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
@@ -30,22 +29,19 @@ from .surface import validate_model
 from .vertex import (SparsePolynomial, lehn_apply, verify_lemma_ks,
                      verify_nonsense1)
 
-VERIFIERS = (
-    "heisenberg", "lemma-ks", "nonsense1", "ideal", "ideal-generators",
-    "n-independence", "mod-h4-independence", "polynomiality", "fh-ring",
-    "c2-quotient", "a-homomorphism", "ring-isom", "orb-n-independence",
-)
-
 
 def parse_range(text):
-    """'a..b' inclusive, or a single integer."""
+    """'a..b' inclusive, or a single integer; levels are nonnegative."""
     if ".." in text:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError("empty level range")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    if lo < 0:
+        raise ValueError(f"level {lo} is negative")
+    return list(range(lo, hi + 1))
 
 
 def _load_json_arg(text):
@@ -76,8 +72,6 @@ def build_parser():
             p.add_argument("--s", default="-1",
                            help="deformation parameter t^{1/3} as p/q")
         p.add_argument("--out", help="also write the report/table to this path")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap for parallelizable rows")
 
     p = add_parser("validate", help="check the model invariants")
     common(p, levels=False)
@@ -109,8 +103,6 @@ def build_parser():
     p.add_argument("--model", required=True, help="model file or built-in name")
     p.add_argument("--n", help="level or inclusive range a..b (per-verifier)")
     p.add_argument("--out", help="also write the report to this path")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap for parallelizable rows")
     p.add_argument("--s", default="-1", help="deformation parameter t^{1/3}")
     p.add_argument("--triple", help="polynomiality: JSON {rho, sigma, nu} or @file")
     p.add_argument("--bound-max", type=int, default=4)
@@ -121,10 +113,9 @@ def build_parser():
 
 
 def _emit(report, args, table=None):
-    payload = table if table is not None else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload if payload is not None
+            json.dump(table if table is not None
                       else report.to_json(with_timing=args.timing),
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -207,115 +198,125 @@ def cmd_lehn(args):
                      details={"image": out}), out
 
 
-def _run_levels(levels, fn, jobs):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, levels))
-    return [fn(n) for n in levels]
+# -- verifiers: each maps (model, levels, args) to (ok, witnesses, details) -----
 
 
-NEEDS_LEVELS = {"ideal", "ideal-generators", "n-independence",
-                "mod-h4-independence", "polynomiality", "c2-quotient",
-                "a-homomorphism", "ring-isom", "orb-n-independence"}
+def _merged(reps):
+    return all(r["ok"] for r in reps), [w for r in reps for w in r["witnesses"]]
+
+
+def _instances(rep):
+    return rep["ok"], rep["witnesses"], {"instances_checked": rep["instances_checked"]}
+
+
+def _triples(rep, **extra):
+    return rep["ok"], rep["witnesses"], {"triples_checked": rep["triples_checked"],
+                                         **extra}
+
+
+def _heisenberg(model, levels, args):
+    wit = heisenberg_witnesses(FockSpace(model), max_weight=args.max_weight,
+                               max_index=args.max_index)
+    return not wit, wit, {}
+
+
+def _ideal_suite(parts):
+    def run(model, levels, args):
+        reps = [verify_ideal_suite(model, n, parts) for n in levels]
+        return (*_merged(reps), {
+            "levels": levels,
+            "exact_generators": all(r["exact_generators"] for r in reps)})
+    return run
+
+
+def _n_independence(model, levels, args):
+    if not model.has_ideal:
+        raise ModelError("level-independence needs a model with an ideal; "
+                         "use mod-h4-independence for projective models")
+    return _triples(verify_n_independence(RingEngine(model), levels))
+
+
+def _polynomiality(model, levels, args):
+    if args.triple:
+        spec = _load_json_arg(args.triple)
+        if not isinstance(spec, dict):
+            raise ValueError("--triple must be a JSON object {rho, sigma, nu}")
+        engine = RingEngine(model)
+        rho, sigma, nu = (PartitionFunction.from_json(model, spec[k])
+                          for k in ("rho", "sigma", "nu"))
+        rep = fit_polynomial_in_n(engine, rho, sigma, nu, levels)
+        return rep["ok"], rep["witnesses"], rep
+    rep = verify_polynomiality(model, levels, bound_max=args.bound_max)
+    if not rep["triples_fitted"]:
+        raise ValueError(f"no triple has enough levels in {levels[0]}..{levels[-1]} "
+                         "for a checked fit; widen --n")
+    return rep["ok"], rep["witnesses"], {"triples_fitted": rep["triples_fitted"]}
+
+
+def _fh_ring(model, levels, args):
+    rep = verify_fh_ring(model, norm_bound=args.norm_bound,
+                         cost_bound=min(args.norm_bound, 5))
+    return rep["ok"], rep["witnesses"], {
+        k: rep[k] for k in ("monomials_checked", "independent", "generation_window")}
+
+
+def _c2_quotient(model, levels, args):
+    return (*_merged([verify_affine_plane_quotient(model, n) for n in levels]),
+            {"levels": levels})
+
+
+def _a_homomorphism(model, levels, args):
+    engine = RingEngine(model)
+    return (*_merged([verify_a_homomorphism(engine, n) for n in levels]),
+            {"levels": levels})
+
+
+def _ring_isom(model, levels, args):
+    ok, witnesses = _merged([verify_ring_isomorphism(model, n) for n in levels])
+    details = {"levels": levels}
+    if model.has_ideal:
+        marker = verify_marker_vanishing(model, min(levels))
+        ok = ok and marker["ok"]
+        witnesses += marker["witnesses"]
+        details["marker_terms_checked"] = marker["terms_checked"]
+    return ok, witnesses, details
+
+
+# verifier id -> (least number of levels --n must give, run)
+REGISTRY = {
+    "heisenberg": (0, _heisenberg),
+    "lemma-ks": (0, lambda model, levels, args: _instances(
+        verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))),
+    "nonsense1": (0, lambda model, levels, args: _instances(verify_nonsense1(model))),
+    "ideal": (1, _ideal_suite(("absorb", "contains"))),
+    "ideal-generators": (1, _ideal_suite(("generate",))),
+    "n-independence": (2, _n_independence),
+    "mod-h4-independence": (2, lambda model, levels, args: _triples(
+        verify_mod_h4_independence(model, levels))),
+    "polynomiality": (1, _polynomiality),
+    "fh-ring": (0, _fh_ring),
+    "c2-quotient": (1, _c2_quotient),
+    "a-homomorphism": (1, _a_homomorphism),
+    "ring-isom": (1, _ring_isom),
+    "orb-n-independence": (2, lambda model, levels, args: _triples(
+        verify_orb_n_independence(model, levels, parse_q(args.s)), s=args.s)),
+}
+VERIFIERS = tuple(REGISTRY)
+NEEDS_LEVELS = {vid for vid, (least, _) in REGISTRY.items() if least}
 
 
 def cmd_verify(args):
     model = load_model(args.model)
     vid = args.id
-    if vid in NEEDS_LEVELS and not args.n:
-        raise ValueError(f"verifier {vid!r} needs --n")
+    least, run = REGISTRY[vid]
     levels = parse_range(args.n) if args.n else None
-    params = {"id": vid, "n": args.n}
-    details = {}
-    witnesses = []
-
-    if vid == "heisenberg":
-        wit = heisenberg_witnesses(FockSpace(model), max_weight=args.max_weight,
-                                   max_index=args.max_index)
-        ok = not wit
-        witnesses = wit
-    elif vid == "lemma-ks":
-        rep = verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight)
-        ok, witnesses, details = rep["ok"], rep["witnesses"], {
-            "instances_checked": rep["instances_checked"]}
-    elif vid == "nonsense1":
-        rep = verify_nonsense1(model)
-        ok, witnesses, details = rep["ok"], rep["witnesses"], {
-            "instances_checked": rep["instances_checked"]}
-    elif vid in ("ideal", "ideal-generators"):
-        parts = ("absorb", "contains") if vid == "ideal" else ("generate",)
-        reps = _run_levels(levels, lambda n: verify_ideal_suite(model, n, parts),
-                           args.jobs)
-        ok = all(r["ok"] for r in reps)
-        witnesses = [w for r in reps for w in r["witnesses"]]
-        details = {"levels": levels,
-                   "exact_generators": all(r["exact_generators"] for r in reps)}
-    elif vid == "n-independence":
-        if not model.has_ideal:
-            raise ModelError("level-independence needs a model with an ideal; "
-                             "use mod-h4-independence for projective models")
-        rep = verify_n_independence(RingEngine(model), levels)
-        ok, witnesses = rep["ok"], rep["witnesses"]
-        details = {"triples_checked": rep["triples_checked"]}
-    elif vid == "mod-h4-independence":
-        rep = verify_mod_h4_independence(model, levels)
-        ok, witnesses = rep["ok"], rep["witnesses"]
-        details = {"triples_checked": rep["triples_checked"]}
-    elif vid == "polynomiality":
-        if args.triple:
-            spec = _load_json_arg(args.triple)
-            engine = RingEngine(model)
-            rep = fit_polynomial_in_n(
-                engine,
-                PartitionFunction.from_json(model, spec["rho"]),
-                PartitionFunction.from_json(model, spec["sigma"]),
-                PartitionFunction.from_json(model, spec["nu"]),
-                levels)
-            ok, witnesses, details = rep["ok"], rep["witnesses"], rep
-        else:
-            rep = verify_polynomiality(model, levels, bound_max=args.bound_max)
-            ok, witnesses = rep["ok"], rep["witnesses"]
-            details = {"triples_fitted": rep["triples_fitted"]}
-    elif vid == "fh-ring":
-        rep = verify_fh_ring(model, norm_bound=args.norm_bound,
-                             cost_bound=min(args.norm_bound, 5))
-        ok, witnesses = rep["ok"], rep["witnesses"]
-        details = {k: rep[k] for k in
-                   ("monomials_checked", "independent", "generation_window")}
-    elif vid == "c2-quotient":
-        reps = _run_levels(levels, lambda n: verify_affine_plane_quotient(model, n),
-                           args.jobs)
-        ok = all(r["ok"] for r in reps)
-        witnesses = [w for r in reps for w in r["witnesses"]]
-        details = {"levels": levels}
-    elif vid == "a-homomorphism":
-        engine = RingEngine(model)
-        reps = _run_levels(levels, lambda n: verify_a_homomorphism(engine, n),
-                           args.jobs)
-        ok = all(r["ok"] for r in reps)
-        witnesses = [w for r in reps for w in r["witnesses"]]
-        details = {"levels": levels}
-    elif vid == "ring-isom":
-        reps = _run_levels(levels, lambda n: verify_ring_isomorphism(model, n),
-                           args.jobs)
-        marker = verify_marker_vanishing(model, min(levels)) \
-            if model.has_ideal else None
-        ok = all(r["ok"] for r in reps) and (marker is None or marker["ok"])
-        witnesses = [w for r in reps for w in r["witnesses"]]
-        if marker is not None:
-            witnesses += marker["witnesses"]
-            details["marker_terms_checked"] = marker["terms_checked"]
-        details["levels"] = levels
-    elif vid == "orb-n-independence":
-        rep = verify_orb_n_independence(model, levels, parse_q(args.s))
-        ok, witnesses = rep["ok"], rep["witnesses"]
-        details = {"triples_checked": rep["triples_checked"], "s": args.s}
-    else:  # pragma: no cover
-        raise ModelError(f"unknown verifier {vid!r}")
-
-    status = "pass" if ok else "fail"
-    return RunReport("verify", model.content_hash, params, status,
-                     witnesses=witnesses, details=details), None
+    if least and len(levels or ()) < least:
+        raise ValueError(f"verifier {vid!r} needs --n" +
+                         (f" with at least {least} levels" if least > 1 else ""))
+    ok, witnesses, details = run(model, levels, args)
+    return RunReport("verify", model.content_hash, {"id": vid, "n": args.n},
+                     "pass" if ok else "fail", witnesses=witnesses,
+                     details=details), None
 
 
 def main(argv=None):

@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .errors import EngineError, ModelError, WeightError
+from .linalg import LinearCombination, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
 from .rational import ONE, Q, parse_q, qstr
@@ -27,60 +28,18 @@ def mono_weight(mono):
     return sum(n for n, _ in mono)
 
 
-class FockVector:
+class FockVector(LinearCombination):
     """Sparse map from canonical creation monomials to rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: v for m, v in (terms or {}).items() if v}
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls):
         return cls({(): ONE})
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def monomial(cls, mono, coeff=ONE):
         return cls({tuple(mono): Q(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def scaled(self, s):
-        s = Q(s)
-        if not s:
-            return FockVector.zero()
-        return FockVector({m: v * s for m, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = v
-            else:
-                cur = cur + v
-                if cur:
-                    out[m] = cur
-                else:
-                    del out[m]
-        return FockVector(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted((m, qstr(v)) for m, v in self.terms.items())))
@@ -108,7 +67,7 @@ class FockVector:
         terms = {}
         for item in obj:
             mono = tuple((int(n), model.index_of(name)) for n, name in item["monomial"])
-            terms[mono] = terms.get(mono, Q(0)) + parse_q(item["coeff"])
+            row_add_scaled(terms, {mono: parse_q(item["coeff"])}, ONE)
         return cls(terms)
 
     def __repr__(self):
@@ -193,14 +152,7 @@ class FockSpace:
             raise EngineError("Heisenberg index 0 is not an operator")
         out = {}
         for i, coeff in cls.items():
-            part = self.apply_basis_raw(n, i, v.terms)
-            for mono, w in part.items():
-                cur = out.get(mono)
-                val = w * coeff if cur is None else cur + w * coeff
-                if val:
-                    out[mono] = val
-                elif cur is not None:
-                    del out[mono]
+            row_add_scaled(out, self.apply_basis_raw(n, i, v.terms), coeff)
         return FockVector(out)
 
     def apply_word_tau(self, indices, cls, v):
@@ -219,14 +171,7 @@ class FockSpace:
                 cur = self.apply_basis_raw(indices[j], slots[j], cur)
                 if not cur:
                     break
-            for mono, ww in cur.items():
-                add = w * ww
-                prev = out.get(mono)
-                val = add if prev is None else prev + add
-                if val:
-                    out[mono] = val
-                elif prev is not None:
-                    del out[mono]
+            row_add_scaled(out, cur, w)
         return FockVector(out)
 
     def apply_gen_partition(self, lam, cls, v):
@@ -297,13 +242,7 @@ class FockSpace:
                     parts.setdefault(cj, []).append(nj)
             rho = PartitionFunction(
                 {c: tuple(sorted(p, reverse=True)) for c, p in parts.items()})
-            coord = w / unit_normalization(unit_parts)
-            cur = coords.get(rho)
-            val = coord if cur is None else cur + coord
-            if val:
-                coords[rho] = val
-            elif cur is not None:
-                del coords[rho]
+            row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
         return coords
 
     # -- ideal machinery ------------------------------------------------------------
@@ -397,13 +336,7 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
     def compose(idx, c, terms):
         out = {}
         for mono, w in terms.items():
-            for m2, w2 in app(idx, c, mono).items():
-                cur = out.get(m2)
-                val = w * w2 if cur is None else cur + w * w2
-                if val:
-                    out[m2] = val
-                elif cur is not None:
-                    del out[m2]
+            row_add_scaled(out, app(idx, c, mono), w)
         return out
 
     witnesses = []
@@ -417,14 +350,7 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
                 lhs = compose(m, i, app(n, j, mono))
                 rhs = compose(n, j, vm)
                 sign = -1 if parities[i] and parities[j] else 1
-                comm = dict(lhs)
-                for mk, v in rhs.items():
-                    cur = comm.get(mk)
-                    val = -sign * v if cur is None else cur - sign * v
-                    if val:
-                        comm[mk] = val
-                    elif cur is not None:
-                        del comm[mk]
+                comm = row_add_scaled(lhs, rhs, -sign)
                 expected = {}
                 if m == -n:
                     c0 = kappa * m * model.pairing[i][j]

@@ -1,16 +1,17 @@
-"""Sparse exact Gaussian elimination over the rationals.
+"""Sparse exact-rational linear combinations and Gaussian elimination.
 
-Rows are dicts mapping orderable hashable column keys to nonzero rationals.
-An Echelon keeps normalized rows keyed by pivot column (the smallest key in
-the row); inserting a row reduces it first, so rank and span-membership
-queries are incremental.
+Every sparse vector in the engine (Fock vectors, polynomials, classes,
+elimination rows) is a dict mapping hashable keys to nonzero rationals, and
+row_add_scaled is the one place that adds them.  An Echelon keeps normalized
+rows keyed by pivot column (the smallest key in the row); inserting a row
+reduces it first, so rank and span-membership queries are incremental.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 
-from .rational import Q
+from .rational import ONE, Q
 
 
 def row_scaled(row, s):
@@ -18,7 +19,9 @@ def row_scaled(row, s):
 
 
 def row_add_scaled(dst, src, s):
-    """dst += s*src in place, dropping cancelled entries."""
+    """dst += s*src in place, dropping cancelled entries; returns dst."""
+    if not s:
+        return dst
     for k, v in src.items():
         cur = dst.get(k)
         if cur is None:
@@ -30,6 +33,44 @@ def row_add_scaled(dst, src, s):
             else:
                 del dst[k]
     return dst
+
+
+class LinearCombination:
+    """Immutable sparse combination: `terms` maps keys to nonzero rationals.
+
+    Arithmetic is type-strict: two combinations are equal only when they
+    have the same class and the same terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def items(self):
+        return self.terms.items()
+
+    def scaled(self, s):
+        return type(self)(row_scaled(self.terms, Q(s)))
+
+    def __add__(self, other):
+        return type(self)(row_add_scaled(dict(self.terms), other.terms, ONE))
+
+    def __sub__(self, other):
+        return type(self)(row_add_scaled(dict(self.terms), other.terms, -ONE))
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
 
 
 class Echelon:
@@ -90,9 +131,3 @@ class Echelon:
                 if q < p and p in qrow:
                     row_add_scaled(qrow, prow, -qrow[p])
 
-
-def rank_of(rows):
-    ech = Echelon()
-    for r in rows:
-        ech.insert(r)
-    return ech.rank()

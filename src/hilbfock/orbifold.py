@@ -44,11 +44,6 @@ def orbifold_engine(model, s=-1):
                       side="orbifold")
 
 
-def orb_apply_heisenberg(param, n, cls, v, model):
-    """Single deformed Heisenberg operator application."""
-    return FockSpace(model, param.s).apply_heisenberg(n, cls, v)
-
-
 def orb_class(fock, k, alpha, n, reduce=False):
     """O_k(alpha, n): the deformed degree-shift operator on the level-n unit."""
     return chern_class(fock, k, alpha, n, reduce=reduce, orbifold=True)

@@ -170,8 +170,12 @@ class PartitionFunction:
 
     @classmethod
     def from_json(cls, model, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("a partition function is a JSON object {class: [parts..]}")
         parts = {}
         for name, p in obj.items():
+            if not isinstance(p, list) or any(type(r) is not int for r in p):
+                raise ValueError(f"the parts of {name!r} must be a list of integers")
             parts[model.index_of(name)] = tuple(sorted(p, reverse=True))
         return cls(parts)
 

@@ -28,5 +28,7 @@ def parse_q(s):
     txt = str(s).strip()
     if "/" in txt:
         num, den = txt.split("/")
+        if not int(den):
+            raise ValueError(f"rational {txt!r} has a zero denominator")
         return Q(int(num), int(den))
     return Q(int(txt))

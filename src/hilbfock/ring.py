@@ -17,8 +17,8 @@ from math import factorial
 from .errors import (EliminationError, EngineError, ModelError,
                      UnknownCoefficientsError, WeightError)
 from .fock import FockSpace, FockVector
-from .linalg import Echelon
-from .partitions import PartitionFunction
+from .linalg import Echelon, row_add_scaled
+from .partitions import PartitionFunction, unit_normalization
 from .rational import ONE, Q, qstr
 from .vertex import (SparsePolynomial, apply_operator, chern_operator,
                      lehn_apply, orbifold_operator, phi_map)
@@ -154,23 +154,17 @@ class RingEngine:
         inv = Q(1) / lead
         expr = {word: inv}
         for nu, c in coords.items():
-            scale = c * inv
-            for w2, c2 in self.express(nu, n).items():
-                cur = expr.get(w2, Q(0)) - scale * c2
-                if cur:
-                    expr[w2] = cur
-                else:
-                    expr.pop(w2, None)
+            row_add_scaled(expr, self.express(nu, n), -(c * inv))
         self._expr[key] = expr
         return expr
 
     def express_report(self, rho, n):
         """Round-trip checked generator expression (for callers and tests)."""
         expr = self.express(rho, n)
-        val = FockVector.zero()
+        val = {}
         for word, cw in expr.items():
-            val = val + self.apply_word(word, self.unit_vec(n)).scaled(cw)
-        if val != self.b_vec(rho, n):
+            row_add_scaled(val, self.apply_word(word, self.unit_vec(n)).terms, cw)
+        if FockVector(val) != self.b_vec(rho, n):
             raise EliminationError(f"expression for {rho!r} failed the round trip")
         return expr
 
@@ -190,10 +184,10 @@ class RingEngine:
 
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
-        out = FockVector.zero()
+        out = {}
         for word, cw in self.express(rho, n).items():
-            out = out + self.word_on_basis(word, sigma, n).scaled(cw)
-        return out
+            row_add_scaled(out, self.word_on_basis(word, sigma, n).terms, cw)
+        return FockVector(out)
 
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
@@ -216,11 +210,11 @@ class RingEngine:
             w = vec.constant_weight()
             if w is not None and w != n:
                 raise WeightError("cup product needs two vectors of the same level")
-        out = FockVector.zero()
+        out = {}
         for rho, cu in self.fock.expand_in_basis(u, n).items():
             for word, cw in self.express(rho, n).items():
-                out = out + self.apply_word(word, v).scaled(cu * cw)
-        return out
+                row_add_scaled(out, self.apply_word(word, v).terms, cu * cw)
+        return FockVector(out)
 
     def structure_constants(self, n):
         got = self._tables.get(n)
@@ -591,11 +585,11 @@ def monomial_vectors(engine, rhos, n_eval):
             del restparts[c]
         rest = PartitionFunction(restparts)
         single = PartitionFunction({c: (r,)})
-        out = FockVector.zero()
+        out = {}
         for word, cw in engine.express(single, n_eval).items():
-            out = out + engine.apply_word(word, vec(rest)).scaled(cw)
-        cache[rho] = out
-        return out
+            row_add_scaled(out, engine.apply_word(word, vec(rest)).terms, cw)
+        cache[rho] = FockVector(out)
+        return cache[rho]
 
     return {rho: vec(rho) for rho in rhos}
 
@@ -686,12 +680,10 @@ class LehnEngine:
         exps = {}
         for r in unit_parts:
             exps[r] = exps.get(r, 0) + 1
-        from .partitions import unit_normalization
         return SparsePolynomial.monomial(exps, unit_normalization(unit_parts))
 
     @staticmethod
     def expand(poly, n, unit):
-        from .partitions import unit_normalization
         coords = {}
         for mono, w in poly.terms.items():
             unit_parts = []
@@ -701,8 +693,8 @@ class LehnEngine:
                 raise WeightError("polynomial is not homogeneous of the level degree")
             parts = tuple(sorted((r - 1 for r in unit_parts if r >= 2), reverse=True))
             rho = PartitionFunction({unit: parts} if parts else {})
-            coords[rho] = coords.get(rho, Q(0)) + w / unit_normalization(unit_parts)
-        return {r: c for r, c in coords.items() if c}
+            row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
+        return coords
 
     def express(self, rho, n, unit):
         key = (rho, n)
@@ -727,12 +719,7 @@ class LehnEngine:
         inv = Q(1) / lead
         expr = {word: inv}
         for nu, c in coords.items():
-            for w2, c2 in self.express(nu, n, unit).items():
-                cur = expr.get(w2, Q(0)) - c * inv * c2
-                if cur:
-                    expr[w2] = cur
-                else:
-                    expr.pop(w2, None)
+            row_add_scaled(expr, self.express(nu, n, unit), -(c * inv))
         self._expr[key] = expr
         return expr
 
@@ -740,14 +727,14 @@ class LehnEngine:
         key = (rho, sigma, n)
         got = self._products.get(key)
         if got is None:
-            out = SparsePolynomial()
+            out = {}
             target = self.b_poly(sigma, n, unit)
             for word, cw in self.express(rho, n, unit).items():
                 val = target
                 for k in reversed(word):
                     val = lehn_apply(k, val)
-                out = out + val.scaled(cw)
-            got = self.expand(out, n, unit)
+                row_add_scaled(out, val.terms, cw)
+            got = self.expand(SparsePolynomial(out), n, unit)
             self._products[key] = got
         return got
 

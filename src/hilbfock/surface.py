@@ -14,7 +14,7 @@ import hashlib
 import json
 
 from .errors import ModelError
-from .linalg import Echelon, row_add_scaled
+from .linalg import Echelon, LinearCombination, row_add_scaled
 from .rational import ONE, Q, parse_q, qstr
 
 
@@ -33,72 +33,28 @@ class BasisElement:
         return f"BasisElement({self.name!r}, {self.degree})"
 
 
-class GradedClass:
+class GradedClass(LinearCombination):
     """Sparse exact-rational coefficient vector over a model basis.
 
     Zero coefficients are never stored; instances are treated as immutable.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        self.c = {i: Q(v) for i, v in (coeffs or {}).items() if v}
-
-    def is_zero(self):
-        return not self.c
-
-    def items(self):
-        return self.c.items()
+        self.terms = {i: Q(v) for i, v in (coeffs or {}).items() if v}
 
     def get(self, i):
-        return self.c.get(i, Q(0))
-
-    def scaled(self, s):
-        s = Q(s)
-        if not s:
-            return GradedClass()
-        return GradedClass({i: v * s for i, v in self.c.items()})
-
-    def __add__(self, other):
-        out = dict(self.c)
-        row_add_scaled(out, other.c, ONE)
-        return GradedClass(out)
-
-    def __sub__(self, other):
-        out = dict(self.c)
-        row_add_scaled(out, other.c, -ONE)
-        return GradedClass(out)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedClass) and self.c == other.c
+        return self.terms.get(i, Q(0))
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self):
-        return tuple(sorted((i, qstr(v)) for i, v in self.c.items()))
+        return tuple(sorted((i, qstr(v)) for i, v in self.terms.items()))
 
     def __repr__(self):
-        return f"GradedClass({ {i: qstr(v) for i, v in sorted(self.c.items())} })"
-
-
-class KunnethTensor:
-    """Sum of decomposable tensors: list of (weight, k-tuple of basis indices)."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k, terms):
-        self.k = k
-        self.terms = [(Q(w), tuple(f)) for w, f in terms if w]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
+        return f"GradedClass({ {i: qstr(v) for i, v in sorted(self.terms.items())} })"
 
 
 class SurfaceModel:
@@ -232,7 +188,7 @@ class SurfaceModel:
 
     def class_degree(self, g):
         """Degree of a homogeneous class, None for 0, ValueError if mixed."""
-        degs = {self.degrees[i] for i in g.c}
+        degs = {self.degrees[i] for i in g.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -240,7 +196,7 @@ class SurfaceModel:
         return degs.pop()
 
     def class_parity(self, g):
-        pars = {self.parities[i] for i in g.c}
+        pars = {self.parities[i] for i in g.terms}
         if len(pars) > 1:
             raise ValueError("class has mixed parity")
         return pars.pop() if pars else 0
@@ -269,53 +225,49 @@ class SurfaceModel:
     # -- diagonal pushforward ----------------------------------------------------
 
     def tau_basis(self, b, k):
-        """tau_{k*} of the b-th basis element as a list of (weight, slots)."""
+        """tau_{k*} of the b-th basis element as a dict slots -> weight."""
         key = (b, k)
         cached = self._tau.get(key)
         if cached is not None:
             return cached
         if self.gram_inv is None:
             raise ModelError("degenerate Frobenius pairing")
+        out = {}
         if k == 1:
-            out = [(ONE, (b,))]
+            out[(b,)] = ONE
         elif k == 2:
-            out = []
             for i in range(self.dim):
                 ei = self.table[(b, i)]
                 if not ei:
                     continue
                 for j in range(self.dim):
-                    g = self.gram_inv[i][j]
-                    if g:
-                        for u, cu in ei.items():
-                            out.append((g * cu, (u, j)))
-            out = _collect(out)
+                    row_add_scaled(out, {(u, j): cu for u, cu in ei.items()},
+                                   self.gram_inv[i][j])
         else:
-            out = []
-            for w, slots in self.tau_basis(b, k - 1):
-                for w2, pair in self.tau_basis(slots[0], 2):
-                    out.append((w * w2, pair + slots[1:]))
-            out = _collect(out)
+            for slots, w in self.tau_basis(b, k - 1).items():
+                tail = slots[1:]
+                row_add_scaled(out, {pair + tail: w2 for pair, w2
+                                     in self.tau_basis(slots[0], 2).items()}, w)
         self._tau[key] = out
         return out
 
     def diagonal_pushforward(self, a, k):
-        """tau_{k*}(a) for k >= 1, as a KunnethTensor."""
+        """tau_{k*}(a) for k >= 1, as a list of (weight, k-tuple of basis
+        indices) with distinct tuples and nonzero weights."""
         if k < 1:
             raise ValueError("k must be positive")
-        terms = []
+        out = {}
         for b, coeff in a.items():
-            for w, slots in self.tau_basis(b, k):
-                terms.append((w * coeff, slots))
-        return KunnethTensor(k, _collect(terms))
+            row_add_scaled(out, self.tau_basis(b, k), coeff)
+        return [(w, slots) for slots, w in out.items()]
 
     def euler_from_pairing(self):
         """m(tau_{2*}(1)): the class the normal-ordering calculus sees as the
         Euler class.  Equals chi(X)[x] for any graded nondegenerate pairing."""
-        out = GradedClass()
-        for w, (i, j) in self.tau_basis(self.unit, 2):
-            out = out + GradedClass(self.table[(i, j)]).scaled(w)
-        return out
+        out = {}
+        for (i, j), w in self.tau_basis(self.unit, 2).items():
+            row_add_scaled(out, self.table[(i, j)], w)
+        return GradedClass(out)
 
     # -- ideal reduction --------------------------------------------------------
 
@@ -493,14 +445,6 @@ class SurfaceModel:
 
     def __repr__(self):
         return f"SurfaceModel({self.name!r}, dim={self.dim}, ideal={sorted(self.ideal_pivots)})"
-
-
-def _collect(terms):
-    acc = {}
-    for w, slots in terms:
-        if w:
-            acc[slots] = acc.get(slots, Q(0)) + w
-    return [(w, slots) for slots, w in acc.items() if w]
 
 
 def validate_model(model, check_euler=False):

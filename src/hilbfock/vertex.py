@@ -19,10 +19,12 @@ evaluated with the t-deformed bracket.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import factorial
 
 from .errors import EngineError, UnknownCoefficientsError
 from .fock import FockVector
+from .linalg import LinearCombination, row_add_scaled
 from .partitions import GenPartition, partitions_with_length
 from .rational import ONE, Q, parse_q, qstr
 
@@ -171,7 +173,7 @@ def apply_operator(fock, op, v, *, reduce=False, markers="forbid"):
     for mono, w in v.terms.items():
         groups.setdefault(_parts_multiset(mono), {})[mono] = w
 
-    out = FockVector.zero()
+    out = {}
     for parts, terms in groups.items():
         group = FockVector(terms)
         subsets = _submultisets(parts)
@@ -205,8 +207,8 @@ def apply_operator(fock, op, v, *, reduce=False, markers="forbid"):
                     if not weight:
                         continue
                     val = fock.apply_word_tau(lam.word(), fam.cls, group)
-                    if not val.is_zero():
-                        out = out + val.scaled(weight)
+                    row_add_scaled(out, val.terms, weight)
+    out = FockVector(out)
     if reduce:
         out = fock.reduce(out)
     if collect:
@@ -232,7 +234,7 @@ def chern_class_partition_sums(fock, k, alpha, n):
     Used as a cross-check oracle against the operator route.
     """
     model = fock.model
-    out = FockVector.zero()
+    out = {}
     e_alpha = model.mul(model.euler, alpha)
     for j in range(0, k + 1):
         base = fock.unit(n - j - 1)
@@ -242,7 +244,7 @@ def chern_class_partition_sums(fock, k, alpha, n):
             sym = GenPartition.from_parts(lam).sym_factor()
             coeff = Q((-1) ** j, sym * factorial(j + 1))
             word = tuple(sorted(-r for r in lam))
-            out = out + fock.apply_word_tau(word, alpha, base).scaled(coeff)
+            row_add_scaled(out, fock.apply_word_tau(word, alpha, base).terms, coeff)
         if e_alpha.is_zero():
             continue
         for lam in partitions_with_length(j + 1, k - j - 1):
@@ -250,8 +252,8 @@ def chern_class_partition_sums(fock, k, alpha, n):
             coeff = Q((-1) ** (j + 1) * (j + 1 + gp.moment() - 2),
                       24 * gp.sym_factor() * factorial(j + 1))
             word = tuple(sorted(-r for r in lam))
-            out = out + fock.apply_word_tau(word, e_alpha, base).scaled(coeff)
-    return out
+            row_add_scaled(out, fock.apply_word_tau(word, e_alpha, base).terms, coeff)
+    return FockVector(out)
 
 
 # -- commutator oracles ---------------------------------------------------------
@@ -270,14 +272,15 @@ def lemma_ks_part_i(fock, ns, ms, alpha, beta):
         av = fock.apply_word_tau(ns, alpha, fock.apply_word_tau(ms, beta, v))
         bv = fock.apply_word_tau(ms, beta, fock.apply_word_tau(ns, alpha, v))
         lhs = av - bv.scaled((-1) ** p)
-        rhs = FockVector.zero()
+        rhs = {}
         for t, nt in enumerate(ns):
             for j, mj in enumerate(ms):
                 if nt != -mj:
                     continue
                 word = ms[:j] + tuple(nu for u, nu in enumerate(ns) if u != t) + ms[j + 1:]
-                rhs = rhs + fock.apply_word_tau(word, ab, v).scaled(fock.kappa * nt)
-        return rhs - lhs
+                row_add_scaled(rhs, fock.apply_word_tau(word, ab, v).terms,
+                               fock.kappa * nt)
+        return FockVector(row_add_scaled(rhs, lhs.terms, -1))
 
     return difference
 
@@ -291,11 +294,12 @@ def lemma_ks_part_ii(fock, ns, j, alpha):
     def difference(v):
         lhs = fock.apply_word_tau(ns, alpha, v)
         swapped = ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:]
-        rhs = fock.apply_word_tau(swapped, alpha, v)
+        rhs = dict(fock.apply_word_tau(swapped, alpha, v).terms)
         if ns[j] == -ns[j + 1]:
             rest = ns[:j] + ns[j + 2:]
-            rhs = rhs + fock.apply_word_tau(rest, e_alpha, v).scaled(fock.kappa * ns[j])
-        return rhs - lhs
+            row_add_scaled(rhs, fock.apply_word_tau(rest, e_alpha, v).terms,
+                           fock.kappa * ns[j])
+        return FockVector(row_add_scaled(rhs, lhs.terms, -1))
 
     return difference
 
@@ -328,9 +332,9 @@ def nonsense1_expansion(fock, op_apply, op_parity, creations):
     model = fock.model
     b = len(creations)
     pars = [model.class_parity(c) for _, c in creations]
-    total = FockVector.zero()
+    total = {}
     for size in range(0, b + 1):
-        for sigma in _increasing_maps(b, size):
+        for sigma in combinations(range(b), size):
             chosen = set(sigma)
             rest = [l for l in range(b) if l not in chosen]
             sign_exp = op_parity * sum(pars[l] for l in rest)
@@ -342,13 +346,8 @@ def nonsense1_expansion(fock, op_apply, op_parity, creations):
             for l in reversed(rest):
                 n, cls = creations[l]
                 core = fock.apply_heisenberg(-n, cls, core)
-            total = total + core.scaled((-1) ** (sign_exp % 2))
-    return total
-
-
-def _increasing_maps(b, size):
-    from itertools import combinations
-    return combinations(range(b), size)
+            row_add_scaled(total, core.terms, (-1) ** (sign_exp % 2))
+    return FockVector(total)
 
 
 def _signed_tuples(length, budget, max_mag):
@@ -538,51 +537,19 @@ def _compositions(n_max, b):
 # -- the polynomial side of the affine-plane quotient ------------------------------
 
 
-class SparsePolynomial:
+def _exps_key(exps):
+    """The monomial key of prod q_v^e for an exponent map {v: e}."""
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+class SparsePolynomial(LinearCombination):
     """Element of Q[q_1, q_2, ...]; monomials are sorted (var, exp) tuples."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: v for m, v in (terms or {}).items() if v}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, exps, coeff=ONE):
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({key: Q(coeff)})
-
-    @classmethod
-    def one(cls):
-        return cls({(): ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def scaled(self, s):
-        s = Q(s)
-        if not s:
-            return SparsePolynomial()
-        return SparsePolynomial({m: v * s for m, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            cur = out.get(m)
-            val = v if cur is None else cur + v
-            if val:
-                out[m] = val
-            elif cur is not None:
-                del out[m]
-        return SparsePolynomial(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, SparsePolynomial) and self.terms == other.terms
+        return cls({_exps_key(exps): Q(coeff)})
 
     def grading(self):
         """Degrees sum(i*e_i) present in the polynomial."""
@@ -598,7 +565,7 @@ class SparsePolynomial:
         out = {}
         for item in obj["terms"]:
             key = tuple(sorted((int(v), int(e)) for v, e in item["monomial"].items()))
-            out[key] = out.get(key, Q(0)) + parse_q(item["coeff"])
+            row_add_scaled(out, {key: parse_q(item["coeff"])}, ONE)
         return cls(out)
 
     def __repr__(self):
@@ -616,14 +583,13 @@ def lehn_apply(k, poly):
     Only tuples supported on the exponents of poly act; the sum is finite.
     """
     lead = Q((-1) ** k, factorial(k + 1))
-    out = SparsePolynomial()
+    out = {}
 
     def rec(exps, factor, depth, total):
-        nonlocal out
         if depth == k + 1:
             key = dict(exps)
             key[total] = key.get(total, 0) + 1
-            out = out + SparsePolynomial.monomial(key, factor * lead)
+            row_add_scaled(out, {_exps_key(key): factor}, lead)
             return
         for var in list(exps):
             e = exps.get(var)
@@ -635,19 +601,19 @@ def lehn_apply(k, poly):
 
     for mono, w in poly.terms.items():
         rec(dict(mono), w, 0, 0)
-    return out
+    return SparsePolynomial(out)
 
 
 def phi_map(v, model):
     """Vector-space isomorphism with Q[q_1, q_2, ...]: unit-labelled
     a_{-n_1}(1)...a_{-n_k}(1)|0> goes to q_{n_1}...q_{n_k}."""
     unit = model.unit
-    out = SparsePolynomial()
+    out = {}
     for mono, w in v.terms.items():
         exps = {}
         for n, c in mono:
             if c != unit:
                 raise EngineError("phi is defined on unit-labelled monomials only")
             exps[n] = exps.get(n, 0) + 1
-        out = out + SparsePolynomial.monomial(exps, w)
-    return out
+        row_add_scaled(out, {_exps_key(exps): w}, ONE)
+    return SparsePolynomial(out)

@@ -25,6 +25,8 @@ def test_parse_range():
     assert parse_range("2..5") == [2, 3, 4, 5]
     with pytest.raises(ValueError):
         parse_range("5..2")
+    with pytest.raises(ValueError):
+        parse_range("-3")
 
 
 def test_validate_pass(capsys):
@@ -162,14 +164,6 @@ def test_verify_triple_polynomiality(tmp_path):
     assert "coefficients" in out["details"]
 
 
-def test_jobs_flag_is_deterministic():
-    one = run_cli("verify", "c2-quotient", "--model", "k3_like", "--n", "2..3")
-    two = run_cli("verify", "c2-quotient", "--model", "k3_like", "--n", "2..3",
-                  "--jobs", "2")
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
-
-
 def test_product_unknown_basis_name():
     res = run_cli("product", "--model", "c2", "--n", "2",
                   "--rho", '{"nope": [1]}', "--sigma", "{}")
@@ -187,3 +181,53 @@ def test_dump_product_vector(tmp_path, capsys):
     assert isinstance(vec, list)
     for item in vec:
         assert set(item) == {"coeff", "monomial"}
+
+
+def assert_usage_error(res):
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+@pytest.mark.parametrize("vid, model, n", [
+    ("n-independence", "c2", "3"),
+    ("mod-h4-independence", "k3_like", "4"),
+    ("orb-n-independence", "ale_2", "2"),
+])
+def test_level_comparison_needs_two_levels(vid, model, n):
+    res = run_cli("verify", vid, "--model", model, "--n", n)
+    assert_usage_error(res)
+    assert "at least 2 levels" in res.stderr
+
+
+def test_polynomiality_without_a_fit_is_usage_error():
+    res = run_cli("verify", "polynomiality", "--model", "k3_like", "--n", "3..3")
+    assert_usage_error(res)
+    assert "widen --n" in res.stderr
+
+
+def test_zero_denominator_in_model(tmp_path):
+    from hilbfock.models import builtin_model
+    obj = builtin_model("toy_b2_1").to_json()
+    obj["products"][0]["result"][0]["coeff"] = "1/0"
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(obj))
+    res = run_cli("validate", "--model", str(path))
+    assert_usage_error(res)
+    assert "1/0" in res.stderr
+
+
+@pytest.mark.parametrize("rho", ["[1]", '{"1": 1}', '{"1": [1.5]}'])
+def test_product_malformed_partition(rho):
+    res = run_cli("product", "--model", "c2", "--n", "2",
+                  "--rho", rho, "--sigma", "{}")
+    assert_usage_error(res)
+
+
+def test_product_negative_level():
+    res = run_cli("product", "--model", "c2", "--n", "-3",
+                  "--rho", "{}", "--sigma", "{}")
+    assert_usage_error(res)
+    assert "negative" in res.stderr

@@ -71,8 +71,7 @@ def test_single_deformed_operator_helper(models):
     param = OrbifoldParam(Q(2))
     f = FockSpace(model, param.s)
     v = f.apply_heisenberg(-1, h, f.vacuum())
-    from hilbfock.orbifold import orb_apply_heisenberg
-    assert orb_apply_heisenberg(param, 1, h, v, model) == f.vacuum().scaled(2)
+    assert FockSpace(model, 2).apply_heisenberg(1, h, v) == f.vacuum().scaled(2)
 
 
 def test_theta_map(models):

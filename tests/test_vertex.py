@@ -263,6 +263,15 @@ def test_polynomial_json_roundtrip():
     assert SparsePolynomial.from_json(poly.to_json()) == poly
 
 
+def test_sparse_containers_compare_by_type():
+    """The shared base keeps equality type-strict: same terms, other class."""
+    from hilbfock.surface import GradedClass
+    assert SparsePolynomial.monomial({}) != FockVector.vacuum()
+    assert FockVector.vacuum() != SparsePolynomial.monomial({})
+    assert GradedClass({0: 1}) != SparsePolynomial({0: Q(1)})
+    assert FockVector.vacuum() - FockVector.vacuum() == FockVector.zero()
+
+
 def test_orbifold_operator_is_canonical_free(models):
     c2 = models("c2")
     op = orbifold_operator(c2, 2, c2.basis_class(0))
