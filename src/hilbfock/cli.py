@@ -16,8 +16,8 @@ from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
 from .fock import FockSpace, heisenberg_witnesses
 from .models import load_model
-from .orbifold import (orbifold_engine, verify_marker_vanishing,
-                       verify_orb_n_independence, verify_ring_isomorphism)
+from .orbifold import (verify_marker_vanishing, verify_orb_n_independence,
+                       verify_ring_isomorphism)
 from .partitions import PartitionFunction
 from .rational import parse_q, qstr
 from .reports import RunReport
@@ -91,6 +91,7 @@ def build_parser():
                        help="deformed-product table at one level")
     common(p)
     p.add_argument("--s", default="-1", help="deformation parameter t^{1/3}")
+    p.set_defaults(side="orbifold")
 
     p = add_parser("lehn-apply",
                        help="apply the degree-k differential operator to a polynomial")
@@ -133,6 +134,11 @@ def _table_json(engine, model, n):
     return obj
 
 
+def _engine(model, args):
+    """The ring engine of the requested side: s only applies to the orbifold."""
+    return RingEngine(model, parse_q(args.s) if args.side == "orbifold" else None)
+
+
 def cmd_validate(args):
     model = load_model(args.model)
     diags = validate_model(model, check_euler=args.check_euler)
@@ -147,10 +153,7 @@ def cmd_validate(args):
 def cmd_product(args):
     model = load_model(args.model)
     n = parse_range(args.n)[0]
-    if args.side == "orbifold":
-        engine = orbifold_engine(model, parse_q(args.s))
-    else:
-        engine = RingEngine(model)
+    engine = _engine(model, args)
     rho = PartitionFunction.from_json(model, _load_json_arg(args.rho))
     sigma = PartitionFunction.from_json(model, _load_json_arg(args.sigma))
     coords = engine.b_product(rho, sigma, n)
@@ -167,17 +170,13 @@ def cmd_product(args):
                      "pass", details={"expansion": expansion}), None
 
 
-def cmd_structure_constants(args, orbifold=False):
+def cmd_structure_constants(args):
     model = load_model(args.model)
     n = parse_range(args.n)[0]
-    side = "orbifold" if orbifold else getattr(args, "side", "hilbert")
-    if side == "orbifold":
-        engine = orbifold_engine(model, parse_q(args.s))
-    else:
-        engine = RingEngine(model)
+    engine = _engine(model, args)
     table = _table_json(engine, model, n)
     report = RunReport("structure-constants", model.content_hash,
-                       {"n": n, "side": side}, "pass",
+                       {"n": n, "side": engine.side}, "pass",
                        details={"entries": len(table["table"])})
     return report, table
 
@@ -327,10 +326,8 @@ def main(argv=None):
             report, table = cmd_validate(args)
         elif args.command == "product":
             report, table = cmd_product(args)
-        elif args.command == "structure-constants":
+        elif args.command in ("structure-constants", "orb-structure-constants"):
             report, table = cmd_structure_constants(args)
-        elif args.command == "orb-structure-constants":
-            report, table = cmd_structure_constants(args, orbifold=True)
         elif args.command == "lehn-apply":
             report, table = cmd_lehn(args)
         elif args.command == "verify":

@@ -6,10 +6,13 @@ Monomials are stored canonically: entries (n, c) sorted by n descending,
 then label index ascending.  Reordering costs the Koszul sign of each
 odd-odd transposition, and a repeated odd entry kills the monomial.
 
-One normal-ordering engine serves both brackets: the Hilbert-scheme one,
-[a_m(x), a_n(y)] = -m delta_{m,-n} int(xy), has bracket scale -1, and the
-t-deformed orbifold one, t^{1/3} m delta_{m,-n} int(xy), has bracket scale
-s = t^{1/3}.
+One normal-ordering engine serves both sides, told apart by one flavour
+value s.  s = None is the Hilbert-scheme side: the bracket
+[a_m(x), a_n(y)] = -m delta_{m,-n} int(xy) has scale kappa = -1, and the
+degree-shift operators carry canonical-class families.  A nonzero rational s
+is the t-deformed orbifold side with s = t^{1/3}: the bracket
+s m delta_{m,-n} int(xy) has scale kappa = s, and there are no canonical
+families.
 """
 
 from __future__ import annotations
@@ -79,13 +82,15 @@ class FockVector(LinearCombination):
 
 
 class FockSpace:
-    """Normal-ordering engine bound to a model and a bracket scale."""
+    """Normal-ordering engine bound to a model and a flavour s (None for the
+    Hilbert side, a nonzero rational for the deformed side)."""
 
-    def __init__(self, model, bracket_scale=None):
+    def __init__(self, model, s=None):
         self.model = model
-        self.kappa = Q(bracket_scale) if bracket_scale is not None else Q(-1)
+        self.s = None if s is None else Q(s)
+        self.kappa = Q(-1) if s is None else self.s
         if not self.kappa:
-            raise EngineError("bracket scale must be nonzero")
+            raise EngineError("the deformation parameter s must be nonzero")
 
     # -- elementary operators ----------------------------------------------------
 

@@ -1,64 +1,27 @@
 """The t-deformed symmetric-product side and the comparison with the
 Hilbert-scheme side.
 
-The deformed bracket is parameterized by the rational cube root s = t^{1/3};
-s = -1 (t = -1) reproduces the Hilbert-scheme bracket sign.  Classes and
-monomials carry the same combinatorics on both sides, so the relabelling map
-between the two Fock spaces is the identity on stored data; the content of
-the comparison is that the two product pipelines (deformed bracket and
-operators without canonical families versus the Hilbert bracket with them)
-give identical structure constants at s = -1.
+The deformed side is a RingEngine with a rational flavour s = t^{1/3}; s = -1
+(t = -1) reproduces the Hilbert-scheme bracket sign.  Classes and monomials
+carry the same combinatorics on both sides, so the relabelling map between
+the two Fock spaces is the identity on stored data; the content of the
+comparison is that the two product pipelines (deformed bracket and operators
+without canonical families versus the Hilbert bracket with them) give
+identical structure constants at s = -1.
 """
 
 from __future__ import annotations
 
-from .errors import EngineError, ModelError, UnknownCoefficientsError
+from .errors import ModelError, UnknownCoefficientsError
 from .fock import FockSpace, FockVector
-from .rational import Q, qstr
 from .ring import RingEngine, verify_n_independence
-from .vertex import apply_operator, chern_class
-
-
-class OrbifoldParam:
-    """The engine's deformation parameter: s = t^{1/3}, a nonzero rational."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        self.s = Q(s)
-        if not self.s:
-            raise EngineError("the deformation parameter must be nonzero")
-
-    @property
-    def t(self):
-        return self.s**3
-
-    def __repr__(self):
-        return f"OrbifoldParam(s={qstr(self.s)})"
-
-
-def orbifold_engine(model, s=-1):
-    """A RingEngine running the deformed bracket and K-free operators."""
-    param = s if isinstance(s, OrbifoldParam) else OrbifoldParam(s)
-    return RingEngine(model, bracket_scale=param.s, canonical_terms=False,
-                      side="orbifold")
-
-
-def orb_class(fock, k, alpha, n, reduce=False):
-    """O_k(alpha, n): the deformed degree-shift operator on the level-n unit."""
-    return chern_class(fock, k, alpha, n, reduce=reduce, orbifold=True)
-
-
-def theta_map(v):
-    """The relabelling isomorphism between the two Fock spaces; identity on
-    the stored monomial data."""
-    return FockVector(dict(v.terms))
+from .vertex import apply_operator, chern_operator
 
 
 def verify_orb_n_independence(model, n_values, s=-1):
     if not model.has_ideal:
         raise ModelError("level-independence on the deformed side needs an ideal model")
-    return verify_n_independence(orbifold_engine(model, s), n_values)
+    return verify_n_independence(RingEngine(model, s), n_values)
 
 
 def verify_ring_isomorphism(model, n, max_witnesses=10):
@@ -76,7 +39,7 @@ def verify_ring_isomorphism(model, n, max_witnesses=10):
         raise UnknownCoefficientsError(
             "the isomorphism needs a numerically trivial canonical class")
     hilb = RingEngine(model)
-    orb = orbifold_engine(model, -1)
+    orb = RingEngine(model, -1)
     table_h = hilb.structure_constants(n)
     table_o = orb.structure_constants(n)
     witnesses = []
@@ -89,25 +52,21 @@ def verify_ring_isomorphism(model, n, max_witnesses=10):
             if len(witnesses) >= max_witnesses:
                 break
 
-    # Theta sends each deformed distinguished class to its Hilbert namesake
-    reduce = model.has_ideal
+    # each deformed distinguished class equals its Hilbert namesake
     for k in range(n):
         for c in model.working_classes():
-            alpha = model.basis_class(c)
-            o_vec = theta_map(orb_class(orb.fock, k, alpha, n, reduce=reduce))
-            g_vec = apply_operator(hilb.fock,
-                                   hilb.operator(k, c), hilb.fock.unit(n),
-                                   reduce=reduce, markers="check")
+            o_vec = orb.apply_generator((k, c), orb.unit_vec(n))
+            g_vec = hilb.apply_generator((k, c), hilb.unit_vec(n))
             if o_vec != g_vec:
                 witnesses.append({"part": "theta-class", "k": k,
                                   "alpha": model.basis[c].name})
 
-    # the intermediate identity: Theta(O_k(alpha, n) o P) = G_k(alpha, n) . P
+    # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P
     basis = hilb.basis(n)
     for k in range(n):
         for c in model.working_classes():
             for sigma in basis:
-                lhs = theta_map(orb.word_on_basis(((k, c),), sigma, n))
+                lhs = orb.word_on_basis(((k, c),), sigma, n)
                 rhs = hilb.word_on_basis(((k, c),), sigma, n)
                 if lhs != rhs:
                     witnesses.append({"part": "theta-product", "k": k,
@@ -127,19 +86,17 @@ def verify_marker_vanishing(model, n, max_witnesses=10):
     if not model.reduce_class(model.canonical).is_zero():
         raise UnknownCoefficientsError(
             "the canonical class is not contained in the restriction ideal")
-    from .vertex import chern_operator
     fock = FockSpace(model)
     witnesses = []
     checked = 0
     monos = fock.enumerate_monomials(n, model.working_classes())
     for k in range(n):
         for c in model.working_classes():
-            op = chern_operator(model, k, model.basis_class(c))
+            op = chern_operator(fock, k, model.basis_class(c))
             if not op.has_unknown_terms:
                 continue
             for mono in monos:
-                vec = FockVector.monomial(mono)
-                _, marks = apply_operator(fock, op, vec, markers="collect")
+                _, marks = apply_operator(fock, op, FockVector.monomial(mono))
                 for mv in marks:
                     checked += 1
                     if not fock.reduce(mv).is_zero():

@@ -21,7 +21,7 @@ from .linalg import Echelon, row_add_scaled
 from .partitions import PartitionFunction, unit_normalization
 from .rational import ONE, Q, qstr
 from .vertex import (SparsePolynomial, apply_operator, chern_operator,
-                     lehn_apply, orbifold_operator, phi_map)
+                     lehn_apply, phi_map)
 
 
 class StructureTable:
@@ -54,15 +54,14 @@ class StructureTable:
 
 
 class RingEngine:
-    """Cup-product engine for one model, one bracket, one operator flavour."""
+    """Cup-product engine for one model and one flavour: s = None is the
+    Hilbert side, a nonzero rational s the deformed side (see FockSpace)."""
 
-    def __init__(self, model, bracket_scale=None, canonical_terms=True,
-                 side="hilbert"):
+    def __init__(self, model, s=None):
         self.model = model
-        self.side = side
-        self.fock = FockSpace(model, bracket_scale)
+        self.side = "hilbert" if s is None else "orbifold"
+        self.fock = FockSpace(model, s)
         self.quotient = model.has_ideal
-        self.canonical_terms = canonical_terms
         if not self.quotient and model.euler != model.euler_from_pairing():
             # the transposition calculus produces the pairing self-intersection
             # as its Euler class; with a different declared class the ambient
@@ -94,18 +93,32 @@ class RingEngine:
         return self.fock.b_class(rho, n)
 
     def operator(self, k, c):
+        """The degree-shift operator of (k, basis class c).  Canonical-class
+        families are accepted only modulo an ideal containing K."""
         key = (k, c)
         op = self._ops.get(key)
         if op is None:
-            build = chern_operator if self.canonical_terms else orbifold_operator
-            op = build(self.model, k, self.model.basis_class(c))
+            model = self.model
+            op = chern_operator(self.fock, k, model.basis_class(c))
+            if op.has_unknown_terms and not (
+                    self.quotient and model.reduce_class(model.canonical).is_zero()):
+                raise UnknownCoefficientsError(
+                    "unknown universal coefficients required (the restriction "
+                    "ideal does not contain the canonical class)")
             self._ops[key] = op
         return op
 
     def apply_generator(self, factor, v):
-        k, c = factor
-        return apply_operator(self.fock, self.operator(k, c), v,
-                              reduce=self.quotient, markers="check")
+        """One degree-shift operator on v, reduced in a quotient; every
+        canonical-class marker term must vanish under reduction."""
+        fock = self.fock
+        known, markers = apply_operator(fock, self.operator(*factor), v)
+        for mv in markers:
+            if not fock.reduce(mv).is_zero():
+                raise EngineError(
+                    "canonical-class marker term failed to vanish "
+                    "under reduction; ideal is not K-closed")
+        return fock.reduce(known) if self.quotient else known
 
     def apply_word(self, word, v):
         for f in reversed(word):
@@ -407,9 +420,9 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     def known_and_markers(k, c, vec):
         op = ops.get((k, c))
         if op is None:
-            op = chern_operator(model, k, model.basis_class(c))
+            op = chern_operator(fock, k, model.basis_class(c))
             ops[(k, c)] = op
-        return apply_operator(fock, op, vec, markers="collect")
+        return apply_operator(fock, op, vec)
 
     # (i) the subspace absorbs the operators
     if "absorb" in parts:
@@ -434,7 +447,7 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
 
     # (iii) generation: the span of all products equals the subspace, degreewise
     marker_free = not any(
-        chern_operator(model, 0, model.basis_class(c)).has_unknown_terms
+        chern_operator(fock, 0, model.basis_class(c)).has_unknown_terms
         for c in pivots)
     ranks = {}
     if "generate" in parts:
@@ -760,11 +773,8 @@ def verify_affine_plane_quotient(model, n):
                     "sigma": sigma.to_json(quotient),
                 })
     # one-term normal forms of the distinguished classes
-    fock = engine.fock
     for k in range(n):
-        got = apply_operator(fock, chern_operator(quotient, k,
-                                                  quotient.basis_class(unit)),
-                             fock.unit(n), reduce=True, markers="check")
+        got = engine.apply_generator((k, unit), engine.unit_vec(n))
         mono = tuple(sorted([(k + 1, unit)] + [(1, unit)] * (n - k - 1),
                             key=lambda e: (-e[0], e[1])))
         want = FockVector.monomial(mono, Q((-1) ** k, factorial(k + 1)

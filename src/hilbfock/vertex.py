@@ -1,4 +1,4 @@
-"""Chern-character operators, their orbifold analogues, and test oracles.
+"""Chern-character operators, their deformed analogues, and test oracles.
 
 The degree-2k shift operator attached to a class is the normally ordered
 expression
@@ -7,14 +7,11 @@ expression
     +  sum_{l(lam)=k,   |lam|=0} (s(lam)-2)/24lam!  a_lam(tau_*(e alpha))
     +  canonical-class families with unevaluated universal weights,
 
-with every lambda nonempty.  The canonical families are never evaluated:
-either they vanish (K alpha = 0 and K^2 alpha = 0), or the computation happens
-modulo an ideal containing K, where each family term provably lies in the
-ideal subspace and is checked to vanish under reduction.  Anything else is
-rejected.
-
-The orbifold operator is the same expression without canonical families,
-evaluated with the t-deformed bracket.
+with every lambda nonempty.  The deformed operator is the same expression,
+evaluated with the deformed bracket.  The canonical families exist on the
+Hilbert side only and are never evaluated: operator application hands their unit-weight term values back as markers, and the
+caller decides what they mean.  The ring engine accepts them only modulo an
+ideal containing K, where each marker must vanish under reduction.
 """
 
 from __future__ import annotations
@@ -73,49 +70,23 @@ class OperatorExpression:
     def has_unknown_terms(self):
         return any(f.tag == K_IDEAL for f in self.families)
 
-    def concrete_terms(self, max_weight, max_part=None):
-        """Materialize the lambda terms that can act on vectors of weight up
-        to max_weight: (weight-or-None, GenPartition, class, tag) tuples."""
-        out = []
-        for fam in self.families:
-            for lam in _lambdas(fam.ell, max_weight, max_part):
-                out.append((fam.weight_of(lam), lam, fam.cls, fam.tag))
-        return out
 
+def chern_operator(fock, k, alpha):
+    """The operator cupping with the k-th Chern-character class of alpha, in
+    the flavour of the Fock space.
 
-def _lambdas(ell, max_ann_weight, max_part=None):
-    """Nonempty generalized partitions with l(lam) = ell and |lam| = 0 whose
-    annihilation side has weight <= max_ann_weight (and parts <= max_part)."""
-    if ell < 2:
-        return
-    for w in range(1, max_ann_weight + 1):
-        for pos_len in range(1, ell):
-            neg_len = ell - pos_len
-            for pos in partitions_with_length(w, pos_len):
-                if max_part is not None and pos and pos[0] > max_part:
-                    continue
-                for neg in partitions_with_length(w, neg_len):
-                    mult = {}
-                    for r in neg:
-                        mult[-r] = mult.get(-r, 0) + 1
-                    for r in pos:
-                        mult[r] = mult.get(r, 0) + 1
-                    yield GenPartition(mult)
-
-
-def chern_operator(model, k, alpha, include_canonical=True):
-    """The operator cupping with the k-th Chern-character class of alpha.
-
-    Canonical-class families are included (tagged, with unevaluated weights)
-    exactly when their coefficient classes are nonzero.
+    On the Hilbert side canonical-class families are included (tagged, with
+    unevaluated weights) exactly when their coefficient classes are nonzero;
+    the deformed side has none.
     """
+    model = fock.model
     families = []
     if not alpha.is_zero():
         families.append(TermFamily(k + 2, alpha, MAIN))
         e_alpha = model.mul(model.euler, alpha)
         if not e_alpha.is_zero():
             families.append(TermFamily(k, e_alpha, EULER))
-        if include_canonical:
+        if fock.s is None:
             k_alpha = model.mul(model.canonical, alpha)
             if not k_alpha.is_zero():
                 families.append(TermFamily(k + 1, k_alpha, K_IDEAL))
@@ -123,11 +94,6 @@ def chern_operator(model, k, alpha, include_canonical=True):
             if not k2_alpha.is_zero():
                 families.append(TermFamily(k, k2_alpha, K_IDEAL))
     return OperatorExpression(model, k, alpha, families)
-
-
-def orbifold_operator(model, k, alpha):
-    """The t-deformed analogue: no canonical-class families exist."""
-    return chern_operator(model, k, alpha, include_canonical=False)
 
 
 def _parts_multiset(mono):
@@ -145,35 +111,19 @@ def _submultisets(mult_items):
     return [tuple(sorted(s, reverse=True)) for s in out if s]
 
 
-def apply_operator(fock, op, v, *, reduce=False, markers="forbid"):
+def apply_operator(fock, op, v):
     """Apply an OperatorExpression to a Fock vector.
 
-    markers controls the canonical-class families with unknown weights:
-      "forbid" - raise UnknownCoefficientsError if any are present;
-      "check"  - allowed only modulo an ideal containing K: each family term
-                 is applied with unit weight and must vanish under reduction;
-      "collect"- return (result, marker_vectors) with the unit-weight term
-                 values for the caller to account for.
+    Returns (known, markers): known is the sum of the terms with rational
+    weights, and markers lists the nonzero unit-weight values of the
+    canonical-class family terms, whose universal weights are unknown.
     """
-    collect = markers == "collect"
-    marker_vecs = []
-    if op.has_unknown_terms:
-        if markers == "forbid":
-            raise UnknownCoefficientsError(
-                "unknown universal coefficients required (canonical class "
-                "does not vanish; compute modulo an ideal containing it)")
-        if markers == "check":
-            model = fock.model
-            if not model.has_ideal or not model.reduce_class(model.canonical).is_zero():
-                raise UnknownCoefficientsError(
-                    "unknown universal coefficients required (the restriction "
-                    "ideal does not contain the canonical class)")
-
     groups = {}
     for mono, w in v.terms.items():
         groups.setdefault(_parts_multiset(mono), {})[mono] = w
 
     out = {}
+    markers = []
     for parts, terms in groups.items():
         group = FockVector(terms)
         subsets = _submultisets(parts)
@@ -192,39 +142,29 @@ def apply_operator(fock, op, v, *, reduce=False, markers="forbid"):
                     for r in pos:
                         mult[r] = mult.get(r, 0) + 1
                     lam = GenPartition(mult)
-                    if fam.tag == K_IDEAL:
-                        val = fock.apply_word_tau(lam.word(), fam.cls, group)
-                        if val.is_zero():
-                            continue
-                        if collect:
-                            marker_vecs.append(val)
-                        elif not fock.reduce(val).is_zero():
-                            raise EngineError(
-                                "canonical-class marker term failed to vanish "
-                                "under reduction; ideal is not K-closed")
-                        continue
                     weight = fam.weight_of(lam)
-                    if not weight:
-                        continue
-                    val = fock.apply_word_tau(lam.word(), fam.cls, group)
-                    row_add_scaled(out, val.terms, weight)
-    out = FockVector(out)
-    if reduce:
-        out = fock.reduce(out)
-    if collect:
-        return out, marker_vecs
-    return out
+                    if weight is None:
+                        val = fock.apply_word_tau(lam.word(), fam.cls, group)
+                        if not val.is_zero():
+                            markers.append(val)
+                    elif weight:
+                        val = fock.apply_word_tau(lam.word(), fam.cls, group)
+                        row_add_scaled(out, val.terms, weight)
+    return FockVector(out), markers
 
 
-def chern_class(fock, k, alpha, n, *, reduce=False, markers="forbid",
-                orbifold=False):
-    """G_k(alpha, n) (or its orbifold analogue): the operator applied to the
-    level-n unit.  Level 0 gives 0 by convention."""
+def chern_class(fock, k, alpha, n):
+    """G_k(alpha, n), or its deformed analogue on a deformed Fock space: the
+    operator applied to the level-n unit.  Level 0 gives 0 by convention;
+    an operator with canonical-class families is rejected."""
     if n <= 0:
         return FockVector.zero()
-    build = orbifold_operator if orbifold else chern_operator
-    op = build(fock.model, k, alpha)
-    return apply_operator(fock, op, fock.unit(n), reduce=reduce, markers=markers)
+    op = chern_operator(fock, k, alpha)
+    if op.has_unknown_terms:
+        raise UnknownCoefficientsError(
+            "unknown universal coefficients required (canonical class "
+            "does not vanish; compute modulo an ideal containing it)")
+    return apply_operator(fock, op, fock.unit(n))[0]
 
 
 def chern_class_partition_sums(fock, k, alpha, n):
@@ -411,13 +351,13 @@ def _probe_vectors(fock, max_weight):
     return uniq
 
 
-def verify_lemma_ks(model, part="both", ksum_max=5, weight_max=5,
-                    bracket_scale=None, max_witnesses=5):
+def verify_lemma_ks(model, part="both", ksum_max=5, weight_max=5, s=None,
+                    max_witnesses=5):
     """Sweep the transposition/contraction oracle over every instance with
     2 <= k+s <= ksum_max whose total index weight is at most weight_max, all
     representative label pairs, against the deterministic probe family."""
     from .fock import FockSpace
-    fock = FockSpace(model, bracket_scale)
+    fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
     witnesses = []
@@ -494,10 +434,10 @@ def verify_nonsense1(model, k_max=2, b_max=3, n_max=4, max_witnesses=5):
     checked = 0
     for k in range(0, k_max + 1):
         for c0 in labels:
-            op = chern_operator(model, k, model.basis_class(c0))
+            op = chern_operator(fock, k, model.basis_class(c0))
 
             def op_apply(v, _op=op):
-                return apply_operator(fock, _op, v)
+                return apply_operator(fock, _op, v)[0]
 
             for b in range(1, b_max + 1):
                 for shape in _compositions(n_max, b):

@@ -4,22 +4,30 @@ import pytest
 
 from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace
-from hilbfock.orbifold import (OrbifoldParam, orb_class, orbifold_engine,
-                               theta_map, verify_marker_vanishing,
+from hilbfock.orbifold import (verify_marker_vanishing,
                                verify_orb_n_independence,
                                verify_ring_isomorphism)
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import RingEngine
-from hilbfock.vertex import chern_operator, orbifold_operator
+from hilbfock.vertex import apply_operator, chern_class, chern_operator
 
 
-def test_param():
-    p = OrbifoldParam(-1)
-    assert p.t == Q(-1)
-    assert OrbifoldParam(Q(2, 3)).t == Q(8, 27)
+def test_param(models):
+    """One flavour value: None is the Hilbert side, a rational s the deformed
+    side with bracket scale s; s = 0 is refused."""
+    model = models("toy_b2_1")
+    hilb = FockSpace(model)
+    assert hilb.s is None and hilb.kappa == Q(-1)
+    deformed = FockSpace(model, Q(2, 3))
+    assert deformed.s == deformed.kappa == Q(2, 3)
+    assert FockSpace(model, -1).s == Q(-1)
+    assert RingEngine(model).side == "hilbert"
+    assert RingEngine(model, Q(2, 3)).side == "orbifold"
     with pytest.raises(EngineError):
-        OrbifoldParam(0)
+        FockSpace(model, 0)
+    with pytest.raises(EngineError):
+        RingEngine(model, Q(0))
 
 
 def test_deformed_bracket(models):
@@ -40,15 +48,16 @@ def test_deformed_bracket(models):
 
 def test_operator_has_no_canonical_terms(models):
     c2 = models("c2")
+    deformed = FockSpace(c2, Q(-1))
     for k in range(3):
         for c in range(c2.dim):
-            op = orbifold_operator(c2, k, c2.basis_class(c))
+            op = chern_operator(deformed, k, c2.basis_class(c))
             assert not op.has_unknown_terms
     # on a K-trivial model both operators are termwise identical
     k3 = models("k3_like")
     for k in range(3):
-        a = chern_operator(k3, k, k3.basis_class(0))
-        b = orbifold_operator(k3, k, k3.basis_class(0))
+        a = chern_operator(FockSpace(k3), k, k3.basis_class(0))
+        b = chern_operator(FockSpace(k3, Q(-1)), k, k3.basis_class(0))
         assert [(f.ell, f.tag, f.cls) for f in a.families] == \
             [(f.ell, f.tag, f.cls) for f in b.families]
 
@@ -60,36 +69,28 @@ def test_pullback_compatibility(models):
     f = FockSpace(cot, Q(-1))
     mixed = cot.basis_class(cot.index_of("f")) + cot.basis_class(cot.index_of("s"))
     for k in range(3):
-        upstairs = f.reduce(orb_class(f, k, mixed, 3))
-        downstairs = f.reduce(orb_class(f, k, cot.reduce_class(mixed), 3))
+        upstairs = f.reduce(chern_class(f, k, mixed, 3))
+        downstairs = f.reduce(chern_class(f, k, cot.reduce_class(mixed), 3))
         assert upstairs == downstairs, k
 
 
 def test_single_deformed_operator_helper(models):
+    """chern_class on a deformed Fock space is the deformed engine's
+    generator on the unit."""
     model = models("toy_b2_1")
-    h = model.basis_class(1)
-    param = OrbifoldParam(Q(2))
-    f = FockSpace(model, param.s)
-    v = f.apply_heisenberg(-1, h, f.vacuum())
-    assert FockSpace(model, 2).apply_heisenberg(1, h, v) == f.vacuum().scaled(2)
-
-
-def test_theta_map(models):
-    model = models("toy_b2_1")
-    f = FockSpace(model, Q(-1))
-    assert theta_map(f.vacuum()) == f.vacuum()
-    v = f.apply_heisenberg(-2, model.basis_class(1), f.vacuum())
-    assert theta_map(v) == v
-    w = v + f.unit(2).scaled(3) - f.apply_heisenberg(-2, model.basis_class(0),
-                                                     f.vacuum())
-    assert theta_map(w) == w
+    orb = RingEngine(model, Q(2))
+    for k in range(3):
+        for c in range(model.dim):
+            for n in (1, 3):
+                assert chern_class(orb.fock, k, model.basis_class(c), n) == \
+                    orb.apply_generator((k, c), orb.unit_vec(n))
 
 
 def test_level_one_is_surface_and_s_independent(models):
     ale = models("ale_2")
-    t1 = orbifold_engine(ale, Q(1)).structure_constants(1)
-    t2 = orbifold_engine(ale, Q(-1)).structure_constants(1)
-    t3 = orbifold_engine(ale, Q(3, 5)).structure_constants(1)
+    t1 = RingEngine(ale, Q(1)).structure_constants(1)
+    t2 = RingEngine(ale, Q(-1)).structure_constants(1)
+    t3 = RingEngine(ale, Q(3, 5)).structure_constants(1)
     assert t1.entries == t2.entries == t3.entries
     hil = RingEngine(ale).structure_constants(1)
     assert t1.entries == hil.entries
@@ -111,9 +112,9 @@ def test_deformed_tables_differ_away_from_minus_one(models):
     shifted unit symbol scales like 1/s."""
     ale = models("ale_2")
     rho = PartitionFunction({0: (1,)})
-    p_minus = orbifold_engine(ale, Q(-1)).b_product(rho, rho, 2)
-    p_plus = orbifold_engine(ale, Q(1)).b_product(rho, rho, 2)
-    p_two = orbifold_engine(ale, Q(2)).b_product(rho, rho, 2)
+    p_minus = RingEngine(ale, Q(-1)).b_product(rho, rho, 2)
+    p_plus = RingEngine(ale, Q(1)).b_product(rho, rho, 2)
+    p_two = RingEngine(ale, Q(2)).b_product(rho, rho, 2)
     assert p_minus != p_plus
     assert p_two == {nu: c * Q(-1, 2) for nu, c in p_minus.items()}
 
@@ -136,20 +137,23 @@ def test_deformed_operators_supercommute(models):
     operators, at a generic parameter value."""
     model = models("odd_toy")
     f = FockSpace(model, Q(5, 3))
-    from hilbfock.vertex import apply_operator
     vecs = [f.unit(3), f.apply_heisenberg(-2, model.basis_class(2), f.unit(1)),
             f.apply_heisenberg(-1, model.basis_class(1), f.unit(2))]
+
+    def act(op, v):
+        known, markers = apply_operator(f, op, v)
+        assert not markers
+        return known
+
     for k1 in range(2):
         for k2 in range(2):
             for c1 in range(model.dim):
                 for c2 in range(model.dim):
-                    op1 = orbifold_operator(model, k1, model.basis_class(c1))
-                    op2 = orbifold_operator(model, k2, model.basis_class(c2))
+                    op1 = chern_operator(f, k1, model.basis_class(c1))
+                    op2 = chern_operator(f, k2, model.basis_class(c2))
                     sign = (-1) ** (model.parities[c1] * model.parities[c2])
                     for v in vecs:
-                        ab = apply_operator(f, op1, apply_operator(f, op2, v))
-                        ba = apply_operator(f, op2, apply_operator(f, op1, v))
-                        assert ab == ba.scaled(sign)
+                        assert act(op1, act(op2, v)) == act(op2, act(op1, v)).scaled(sign)
 
 
 def test_ring_isomorphism_gate(models):

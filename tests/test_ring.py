@@ -335,15 +335,14 @@ def test_affine_plane_quotient_small(models):
 def test_lehn_correspondence_c2(engines, models):
     """The polynomial image of multiplication by the degree-k class of the
     unit equals the differential operator, on every basis class at n <= 6."""
-    from hilbfock.vertex import apply_operator, lehn_apply, phi_map
+    from hilbfock.vertex import lehn_apply, phi_map
     eng = engines("c2")
     model = models("c2")
     for n in range(0, 7):
         for rho in eng.basis(n):
             v = eng.b_vec(rho, n)
             for k in range(min(n, 4)):
-                shifted = apply_operator(eng.fock, eng.operator(k, model.unit),
-                                         v, reduce=True, markers="check")
+                shifted = eng.apply_generator((k, model.unit), v)
                 assert phi_map(shifted, model) == lehn_apply(k, phi_map(v, model))
 
 

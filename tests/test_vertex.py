@@ -7,56 +7,70 @@ from hypothesis import strategies as st
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
 from hilbfock.rational import Q
+from hilbfock.ring import RingEngine
 from hilbfock.vertex import (EULER, K_IDEAL, MAIN, SparsePolynomial,
                              apply_operator, chern_class,
                              chern_class_partition_sums, chern_operator,
                              lehn_apply, lemma_ks_part_i, lemma_ks_part_ii,
-                             nonsense1_expansion, orbifold_operator, phi_map,
-                             verify_lemma_ks, verify_nonsense1)
+                             nonsense1_expansion, phi_map, verify_lemma_ks,
+                             verify_nonsense1)
+
+
+def known_part(fock, op, v):
+    """The operator on v when it has no canonical-class marker terms."""
+    known, markers = apply_operator(fock, op, v)
+    assert not markers
+    return known
 
 
 def test_operator_families(models):
     toy = models("toy_b2_1")
-    op = chern_operator(toy, 2, toy.basis_class(toy.unit))
+    ft = FockSpace(toy)
+    op = chern_operator(ft, 2, toy.basis_class(toy.unit))
     tags = sorted(f.tag for f in op.families)
     assert tags == [EULER, MAIN]          # K = 0: no unevaluated families
     assert not op.has_unknown_terms
     # a degree-2 argument kills the Euler family on degree grounds
-    assert [f.tag for f in chern_operator(toy, 2, toy.basis_class(1)).families] \
+    assert [f.tag for f in chern_operator(ft, 2, toy.basis_class(1)).families] \
         == [MAIN]
     # e = 0 and K = 0 leaves only the main sum
     odd = models("odd_toy")
-    op = chern_operator(odd, 1, odd.basis_class(1))
+    op = chern_operator(FockSpace(odd), 1, odd.basis_class(1))
     assert [f.tag for f in op.families] == [MAIN]
-    # nonzero canonical class brings tagged families with unknown weights
+    # nonzero canonical class brings tagged families with unknown weights,
+    # of lengths k + 1 (K alpha) and k (K^2 alpha)
     c2 = models("c2")
-    op = chern_operator(c2, 1, c2.basis_class(0))
+    op = chern_operator(FockSpace(c2), 1, c2.basis_class(0))
     assert op.has_unknown_terms
-    assert {f.tag for f in op.families} >= {MAIN, K_IDEAL}
-    for _, lam, _, tag in op.concrete_terms(3):
-        assert lam.length() > 0 and lam.weight() == 0
+    assert [(f.ell, f.tag) for f in op.families] == [
+        (3, MAIN), (1, EULER), (2, K_IDEAL), (1, K_IDEAL)]
 
 
 def test_gate_rejection(models):
     p2 = models("p2")
     f = FockSpace(p2)
-    op = chern_operator(p2, 1, p2.basis_class(0))
     with pytest.raises(UnknownCoefficientsError):
-        apply_operator(f, op, f.unit(2))
-    with pytest.raises(UnknownCoefficientsError):
-        apply_operator(f, op, f.unit(2), markers="check")
+        chern_class(f, 1, p2.basis_class(0), 2)
+    # the engine refuses the operator itself, before any application
+    with pytest.raises(UnknownCoefficientsError, match="does not contain"):
+        RingEngine(p2).operator(1, 0)
+    # the raw application leaves the markers to the caller
+    known, markers = apply_operator(f, chern_operator(f, 1, p2.basis_class(0)),
+                                    f.unit(2))
+    assert markers
 
 
 def test_marker_check_path(models):
     c2 = models("c2")
-    f = FockSpace(c2)
-    op = chern_operator(c2, 1, c2.basis_class(0))
-    out = apply_operator(f, op, f.unit(3), reduce=True, markers="check")
+    eng = RingEngine(c2)
+    f = eng.fock
+    out = eng.apply_generator((1, 0), f.unit(3))
     assert not out.is_zero()
-    known, marks = apply_operator(f, op, f.unit(3), markers="collect")
+    known, marks = apply_operator(f, eng.operator(1, 0), f.unit(3))
     assert marks  # the canonical family acted nontrivially upstairs
     for mv in marks:
         assert f.reduce(mv).is_zero()
+    assert out == f.reduce(known)
 
 
 def test_chern_class_examples(models):
@@ -79,8 +93,7 @@ def test_chern_class_mod_full_ideal(models):
     from math import factorial
     for n in (2, 3, 4):
         for k in range(n):
-            got = chern_class(f, k, quot.basis_class(quot.unit), n,
-                              reduce=True, markers="check")
+            got = f.reduce(chern_class(f, k, quot.basis_class(quot.unit), n))
             mono = tuple(sorted([(k + 1, quot.unit)] + [(1, quot.unit)] * (n - k - 1),
                                 key=lambda e: (-e[0], e[1])))
             want = FockVector.monomial(
@@ -122,12 +135,12 @@ def test_operator_commutativity(models):
         for k2 in range(2):
             for c1 in range(model.dim):
                 for c2 in range(model.dim):
-                    op1 = chern_operator(model, k1, model.basis_class(c1))
-                    op2 = chern_operator(model, k2, model.basis_class(c2))
+                    op1 = chern_operator(f, k1, model.basis_class(c1))
+                    op2 = chern_operator(f, k2, model.basis_class(c2))
                     sign = (-1) ** (model.parities[c1] * model.parities[c2])
                     for v in vecs:
-                        ab = apply_operator(f, op1, apply_operator(f, op2, v))
-                        ba = apply_operator(f, op2, apply_operator(f, op1, v))
+                        ab = known_part(f, op1, known_part(f, op2, v))
+                        ba = known_part(f, op2, known_part(f, op1, v))
                         assert ab == ba.scaled(sign)
 
 
@@ -167,10 +180,10 @@ def test_lemma_ks_sweeps_small(models):
 def test_nonsense1_two_term_case(models):
     model = models("odd_toy")
     f = FockSpace(model)
-    op = chern_operator(model, 0, model.basis_class(1))
+    op = chern_operator(f, 0, model.basis_class(1))
 
     def op_apply(v):
-        return apply_operator(f, op, v)
+        return known_part(f, op, v)
 
     creations = [(2, model.basis_class(2))]
     direct = op_apply(f.apply_heisenberg(-2, model.basis_class(2), f.vacuum()))
@@ -274,6 +287,6 @@ def test_sparse_containers_compare_by_type():
 
 def test_orbifold_operator_is_canonical_free(models):
     c2 = models("c2")
-    op = orbifold_operator(c2, 2, c2.basis_class(0))
+    op = chern_operator(FockSpace(c2, Q(1, 2)), 2, c2.basis_class(0))
     assert not op.has_unknown_terms
     assert {f.tag for f in op.families} <= {MAIN, EULER}
