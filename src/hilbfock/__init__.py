@@ -12,7 +12,7 @@ from .surface import BasisElement, GradedClass, SurfaceModel, validate_model
 from .vertex import (OperatorExpression, SparsePolynomial, apply_operator,
                      chern_class, chern_operator, lehn_apply, phi_map)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BasisElement", "EliminationError", "EngineError", "FHRing", "FockSpace",

@@ -1,8 +1,9 @@
 """Content-addressed on-disk cache for computed tables.
 
 Enabled by the HILBFOCK_CACHE_DIR environment variable; keys are digests of
-the model content hash plus the computation parameters, so cached artifacts
-are valid across runs and machines.
+the package version, the model content hash and the computation parameters,
+so cached artifacts are valid across runs and machines, and a release that
+changes results does not read its predecessor's tables.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
+
+from . import __version__
 
 
 def cache_dir():
@@ -17,8 +21,8 @@ def cache_dir():
 
 
 def cache_key(model_hash, kind, **params):
-    payload = json.dumps({"model": model_hash, "kind": kind, "params": params},
-                         sort_keys=True)
+    payload = json.dumps({"version": __version__, "model": model_hash,
+                          "kind": kind, "params": params}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -40,8 +44,8 @@ def store(key, obj):
         return
     sub = os.path.join(root, key[:2])
     os.makedirs(sub, exist_ok=True)
-    path = os.path.join(sub, key + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    # a private temp file per writer, so concurrent writers never interleave
+    fd, tmp = tempfile.mkstemp(dir=sub, prefix=key, suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True)
-    os.replace(tmp, path)
+    os.replace(tmp, os.path.join(sub, key + ".json"))

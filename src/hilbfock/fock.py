@@ -82,10 +82,11 @@ class FockVector(LinearCombination):
 
 
 class FockSpace:
-    """Normal-ordering engine bound to a model and a flavour s (None for the
-    Hilbert side, a nonzero rational for the deformed side)."""
+    """Normal-ordering engine bound to a valid model and a flavour s (None
+    for the Hilbert side, a nonzero rational for the deformed side)."""
 
     def __init__(self, model, s=None):
+        model.require_valid()
         self.model = model
         self.s = None if s is None else Q(s)
         self.kappa = Q(-1) if s is None else self.s

@@ -18,6 +18,18 @@ from .linalg import Echelon, LinearCombination, row_add_scaled
 from .rational import ONE, Q, parse_q, qstr
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise ModelError(f"{what} must be a JSON array")
+    return value
+
+
 class BasisElement:
     __slots__ = ("name", "degree")
 
@@ -82,6 +94,7 @@ class SurfaceModel:
         self.gram_inv = self._invert_pairing()
         self.ideal_pivots = self._saturate_ideal()
         self._tau = {}
+        self._valid = False
         self.content_hash = hashlib.sha256(
             json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
 
@@ -378,15 +391,29 @@ class SurfaceModel:
                     "m(tau_2*(1)); the transposition calculus sees the latter")
         return errors, warnings
 
+    def require_valid(self):
+        """Raise ModelError on the first validation error; the check runs once
+        per model object."""
+        if not self._valid:
+            errors, _ = self.validate()
+            if errors:
+                raise ModelError(f"model {self.name!r} fails validation: {errors[0]}")
+            self._valid = True
+
     def _associativity_witness(self):
-        for i in range(self.dim):
-            gi = self.basis_class(i)
-            for j in range(self.dim):
-                gj = self.basis_class(j)
-                ij = self.mul(gi, gj)
-                for k in range(self.dim):
-                    gk = self.basis_class(k)
-                    if self.mul(ij, gk) != self.mul(gi, self.mul(gj, gk)):
+        table = self.table
+        dim = self.dim
+        for i in range(dim):
+            for j in range(dim):
+                ij = table[(i, j)]
+                for k in range(dim):
+                    left = {}
+                    for u, w in ij.items():
+                        row_add_scaled(left, table[(u, k)], w)
+                    right = {}
+                    for v, w in table[(j, k)].items():
+                        row_add_scaled(right, table[(i, v)], w)
+                    if left != right:
                         return (self.basis[i].name, self.basis[j].name,
                                 self.basis[k].name)
         return None
@@ -418,28 +445,39 @@ class SurfaceModel:
 
     @classmethod
     def from_json(cls, obj):
-        basis = [BasisElement(b["name"], b["degree"]) for b in obj["basis"]]
+        basis = []
+        for b in _json_list(_json_object(obj, "a model")["basis"], "'basis'"):
+            name, degree = _json_object(b, "a basis element")["name"], b["degree"]
+            if not isinstance(name, str) or type(degree) is not int:
+                raise ModelError("a basis element needs a string name and an "
+                                 "integer degree")
+            basis.append(BasisElement(name, degree))
         names = {b.name: i for i, b in enumerate(basis)}
 
         def idx(name):
-            try:
+            if isinstance(name, str) and name in names:
                 return names[name]
-            except KeyError:
-                raise ModelError(f"unknown basis class {name!r}") from None
+            raise ModelError(f"unknown basis class {name!r}")
+
+        def cls_from(items, what):
+            coeffs = {}
+            for t in _json_list(items, what):
+                t = _json_object(t, f"a term of {what}")
+                coeffs[idx(t["name"])] = parse_q(t["coeff"])
+            return GradedClass(coeffs)
 
         products = {}
-        for p in obj.get("products", []):
-            coeffs = {idx(t["name"]): parse_q(t["coeff"]) for t in p["result"]}
-            products[(idx(p["left"]), idx(p["right"]))] = coeffs
+        for p in _json_list(obj.get("products", []), "'products'"):
+            p = _json_object(p, "a product")
+            products[(idx(p["left"]), idx(p["right"]))] = \
+                cls_from(p["result"], "a product result").terms
         model = cls.__new__(cls)
-
-        def cls_from(items):
-            return GradedClass({idx(t["name"]): parse_q(t["coeff"]) for t in items})
-
         SurfaceModel.__init__(
             model, basis, products, idx(obj["unit"]), idx(obj["point"]),
-            cls_from(obj.get("euler", [])), cls_from(obj.get("canonical", [])),
-            ideal=[cls_from(g) for g in obj.get("ideal", [])],
+            cls_from(obj.get("euler", []), "'euler'"),
+            cls_from(obj.get("canonical", []), "'canonical'"),
+            ideal=[cls_from(g, "an ideal generator")
+                   for g in _json_list(obj.get("ideal", []), "'ideal'")],
             name=obj.get("name"))
         return model
 

@@ -3,13 +3,15 @@
 The degree-2k shift operator attached to a class is the normally ordered
 expression
 
-    -  sum_{l(lam)=k+2, |lam|=0} 1/lam!        a_lam(tau_*(alpha))
-    +  sum_{l(lam)=k,   |lam|=0} (s(lam)-2)/24lam!  a_lam(tau_*(e alpha))
+    -  sum_{l(lam)=k+2, |lam|=0} 1/lam!              a_lam(tau_*(alpha))
+    -  kappa sum_{l(lam)=k, |lam|=0} (s(lam)-2)/24lam!  a_lam(tau_*(e alpha))
     +  canonical-class families with unevaluated universal weights,
 
-with every lambda nonempty.  The deformed operator is the same expression,
-evaluated with the deformed bracket.  The canonical families exist on the
-Hilbert side only and are never evaluated: operator application hands their unit-weight term values back as markers, and the
+with every lambda nonempty and kappa the bracket scale of the Fock space
+(-1 on the Hilbert side, s on the deformed side, where the Euler correction
+of the transposition oracle carries the same factor).  The canonical
+families exist on the Hilbert side only and are never evaluated: operator
+application hands their unit-weight term values back as markers, and the
 caller decides what they mean.  The ring engine accepts them only modulo an
 ideal containing K, where each marker must vanish under reduction.
 """
@@ -32,21 +34,23 @@ K_IDEAL = "k_ideal"
 
 class TermFamily:
     """One lambda-sum of an operator expression: all generalized partitions of
-    a fixed length and weight zero, against a fixed coefficient class."""
+    a fixed length and weight zero, against a fixed coefficient class.  An
+    Euler family carries the factor -kappa of its Fock space."""
 
-    __slots__ = ("ell", "cls", "tag")
+    __slots__ = ("ell", "cls", "tag", "scale")
 
-    def __init__(self, ell, cls, tag):
+    def __init__(self, ell, cls, tag, scale=ONE):
         self.ell = ell
         self.cls = cls
         self.tag = tag
+        self.scale = scale
 
     def weight_of(self, lam):
         """Rational weight of the lambda term; None for unevaluated families."""
         if self.tag == MAIN:
             return Q(-1, lam.sym_factor())
         if self.tag == EULER:
-            return Q(lam.moment() - 2, 24 * lam.sym_factor())
+            return self.scale * Q(lam.moment() - 2, 24 * lam.sym_factor())
         return None
 
     def __repr__(self):
@@ -85,7 +89,7 @@ def chern_operator(fock, k, alpha):
         families.append(TermFamily(k + 2, alpha, MAIN))
         e_alpha = model.mul(model.euler, alpha)
         if not e_alpha.is_zero():
-            families.append(TermFamily(k, e_alpha, EULER))
+            families.append(TermFamily(k, e_alpha, EULER, -fock.kappa))
         if fock.s is None:
             k_alpha = model.mul(model.canonical, alpha)
             if not k_alpha.is_zero():
@@ -502,10 +506,26 @@ class SparsePolynomial(LinearCombination):
 
     @classmethod
     def from_json(cls, obj):
+        """Read {"terms": [{"coeff": "p/q", "monomial": {"v": e, ..}}, ..]}
+        with variables v >= 1 and integer exponents e >= 0; ValueError on
+        any other shape."""
+        terms = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(terms, list):
+            raise ValueError('a polynomial must be a JSON object {"terms": [...]}')
         out = {}
-        for item in obj["terms"]:
-            key = tuple(sorted((int(v), int(e)) for v, e in item["monomial"].items()))
-            row_add_scaled(out, {key: parse_q(item["coeff"])}, ONE)
+        for item in terms:
+            mono = item.get("monomial") if isinstance(item, dict) else None
+            if not isinstance(mono, dict):
+                raise ValueError('each polynomial term must be an object with a '
+                                 '"monomial" object {variable: exponent}')
+            exps = {}
+            for v, e in mono.items():
+                var = int(v)
+                if var < 1 or type(e) is not int or e < 0:
+                    raise ValueError(f"bad monomial entry {v!r}: {e!r} (variables "
+                                     "are positive, exponents nonnegative integers)")
+                exps[var] = exps.get(var, 0) + e
+            row_add_scaled(out, {_exps_key(exps): parse_q(item["coeff"])}, ONE)
         return cls(out)
 
     def __repr__(self):
@@ -522,6 +542,8 @@ def lehn_apply(k, poly):
 
     Only tuples supported on the exponents of poly act; the sum is finite.
     """
+    if k < 0:
+        raise ValueError(f"the operator degree k must be nonnegative, got {k}")
     lead = Q((-1) ** k, factorial(k + 1))
     out = {}
 

@@ -1,11 +1,17 @@
 """Command-line behaviour: reports, exit codes, caching, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hilbfock.cli import main, parse_range
 
@@ -231,3 +237,100 @@ def test_product_negative_level():
                   "--rho", "{}", "--sigma", "{}")
     assert_usage_error(res)
     assert "negative" in res.stderr
+
+
+def test_hostile_inputs_exit_2(tmp_path):
+    """Malformed polynomial and model JSON, a negative operator degree and a
+    model that fails validation each end in one error line, exit 2."""
+    from hilbfock.models import builtin_model
+    poly = tmp_path / "p.json"
+    for doc in ({"terms": [{"coeff": "1", "monomial": [1]}]}, [1, 2]):
+        poly.write_text(json.dumps(doc))
+        assert_usage_error(run_cli("lehn-apply", "--k", "1", "--poly", str(poly)))
+    poly.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": {"1": 2}}]}))
+    res = run_cli("lehn-apply", "--k", "-1", "--poly", str(poly))
+    assert_usage_error(res)
+    assert "nonnegative" in res.stderr
+
+    model = tmp_path / "model.json"
+    obj = builtin_model("toy_b2_1").to_json()
+    obj["products"] = 5
+    model.write_text(json.dumps(obj))
+    assert_usage_error(run_cli("validate", "--model", str(model)))
+
+    # h*h = x + h is not homogeneous: validate reports it, the engines refuse it
+    obj = builtin_model("c2").to_json()
+    obj["products"][0]["result"].append({"name": "h", "coeff": "1"})
+    model.write_text(json.dumps(obj))
+    assert run_cli("validate", "--model", str(model)).returncode == 1
+    for args in (("structure-constants", "--n", "2"),
+                 ("verify", "n-independence", "--n", "2..3")):
+        res = run_cli(*args, "--model", str(model))
+        assert_usage_error(res)
+        assert "not homogeneous" in res.stderr
+
+
+_FUZZ_MODEL = {"name": "toy", "basis": [{"name": "1", "degree": 0},
+                                        {"name": "h", "degree": 2},
+                                        {"name": "x", "degree": 4}],
+               "products": [{"left": "h", "right": "h",
+                             "result": [{"name": "x", "coeff": "1"}]}],
+               "unit": "1", "point": "x", "euler": [{"name": "x", "coeff": "3"}],
+               "canonical": [], "ideal": []}
+_FUZZ_POLY = {"terms": [{"coeff": "1", "monomial": {"1": 2}},
+                        {"coeff": "-2/3", "monomial": {"2": 1, "3": 1}}]}
+_DELETE = object()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "1", "h", "x", "0", "2/3", "1/0", "-1", "abc"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["name", "degree", "coeff", "monomial", "terms",
+                         "left", "right", "result", "1", "2"]), inner, max_size=3),
+    max_leaves=8)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, val in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return None if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_json_never_escapes_main(data):
+    """main() on mutated model and polynomial JSON always ends in an exit code
+    (0 pass, 1 violation, 2 usage/model error, 3 gate), never an exception."""
+    kind = data.draw(st.sampled_from(["model", "poly"]))
+    base = _FUZZ_MODEL if kind == "model" else _FUZZ_POLY
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    doc = _mutated(base, path, data.draw(st.just(_DELETE) | _json_values))
+    with tempfile.TemporaryDirectory() as tmp:
+        name = os.path.join(tmp, "doc.json")
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if kind == "model":
+            runs = [["validate", "--model", name],
+                    ["structure-constants", "--model", name, "--n", "2"]]
+        else:
+            k = data.draw(st.integers(-2, 3))
+            runs = [["lehn-apply", "--k", str(k), "--poly", name]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2, 3)

@@ -134,26 +134,49 @@ def test_ring_isomorphism_projective_k_trivial(models):
 
 def test_deformed_operators_supercommute(models):
     """The deformed degree-shift operators super-commute as multiplication
-    operators, at a generic parameter value."""
-    model = models("odd_toy")
-    f = FockSpace(model, Q(5, 3))
-    vecs = [f.unit(3), f.apply_heisenberg(-2, model.basis_class(2), f.unit(1)),
-            f.apply_heisenberg(-1, model.basis_class(1), f.unit(2))]
+    operators, at a generic parameter value; toy_b2_1 (e = 3x) exercises the
+    s-dependent Euler family."""
+    for name, k_max in (("odd_toy", 1), ("toy_b2_1", 2)):
+        model = models(name)
+        f = FockSpace(model, Q(5, 3))
+        vecs = [f.unit(3), f.apply_heisenberg(-2, model.basis_class(2), f.unit(1)),
+                f.apply_heisenberg(-1, model.basis_class(1), f.unit(2))]
 
-    def act(op, v):
-        known, markers = apply_operator(f, op, v)
-        assert not markers
-        return known
+        def act(op, v, f=f):
+            known, markers = apply_operator(f, op, v)
+            assert not markers
+            return known
 
-    for k1 in range(2):
-        for k2 in range(2):
-            for c1 in range(model.dim):
-                for c2 in range(model.dim):
-                    op1 = chern_operator(f, k1, model.basis_class(c1))
-                    op2 = chern_operator(f, k2, model.basis_class(c2))
-                    sign = (-1) ** (model.parities[c1] * model.parities[c2])
-                    for v in vecs:
-                        assert act(op1, act(op2, v)) == act(op2, act(op1, v)).scaled(sign)
+        for k1 in range(k_max + 1):
+            for k2 in range(k_max + 1):
+                for c1 in range(model.dim):
+                    for c2 in range(model.dim):
+                        op1 = chern_operator(f, k1, model.basis_class(c1))
+                        op2 = chern_operator(f, k2, model.basis_class(c2))
+                        sign = (-1) ** (model.parities[c1] * model.parities[c2])
+                        for v in vecs:
+                            assert act(op1, act(op2, v)) == \
+                                act(op2, act(op1, v)).scaled(sign), (name, k1, k2, c1, c2)
+
+
+def test_deformed_table_is_associative(models):
+    """The deformed product at s = 1/2 on toy_b2_1 (e = 3x, no ideal) is
+    associative, judged from the structure constants alone."""
+    table = RingEngine(models("toy_b2_1"), Q(1, 2)).structure_constants(3)
+
+    def mul(x, y):
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for nu, c in table.get(a, b).items():
+                    out[nu] = out.get(nu, 0) + ca * cb * c
+        return {nu: c for nu, c in out.items() if c}
+
+    for a in table.basis:
+        for b in table.basis:
+            ab = mul({a: 1}, {b: 1})
+            for c in table.basis:
+                assert mul(ab, {c: 1}) == mul({a: 1}, mul({b: 1}, {c: 1})), (a, b, c)
 
 
 def test_ring_isomorphism_gate(models):

@@ -222,3 +222,22 @@ def test_with_ideal_synthesis(models):
     full = k3.with_ideal([i for i in range(k3.dim) if k3.degrees[i] > 0])
     assert sorted(full.ideal_pivots) == [1, 2, 3]
     assert full.working_classes() == [0]
+
+
+def test_engines_refuse_invalid_models(models, monkeypatch):
+    """A Fock space validates its model once per model object and refuses one
+    that fails validation."""
+    from hilbfock.fock import FockSpace
+    obj = json.loads(json.dumps(models("c2").to_json()))
+    obj["products"][0]["result"].append({"name": "h", "coeff": "1"})
+    bad = SurfaceModel.from_json(obj)
+    with pytest.raises(ModelError, match="not homogeneous"):
+        FockSpace(bad)
+    good = SurfaceModel.from_json(models("c2").to_json())
+    calls = []
+    real = SurfaceModel.validate
+    monkeypatch.setattr(SurfaceModel, "validate",
+                        lambda self, **kw: calls.append(self) or real(self, **kw))
+    FockSpace(good)
+    FockSpace(good, 2)
+    assert calls == [good]
