@@ -13,6 +13,15 @@ degree-shift operators carry canonical-class families.  A nonzero rational s
 is the t-deformed orbifold side with s = t^{1/3}: the bracket
 s m delta_{m,-n} int(xy) has scale kappa = s, and there are no canonical
 families.
+
+The operator-word kernel runs on Python ints.  The model stores its pairing
+as integer numerators pair_num over one denominator pair_den, so the raw
+annihilator multiplies by m * pair_num only, and every annihilation owes the
+same rational factor ann_scale = kappa / pair_den.  apply_word_tau puts the
+input vector over the lcm of its denominators, runs every slot tuple of the
+memoized integer Kuenneth tensor in ints, and converts to rationals once per
+call: each surviving term is multiplied by
+ann_scale^(#annihilations) / (den_v * den_tau).
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .errors import EngineError, ModelError, WeightError
 from .linalg import LinearCombination, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
-from .rational import ONE, Q, parse_q, qstr
+from .rational import ONE, Q, integer_lift, parse_q, qstr
 
 
 def mono_weight(mono):
@@ -92,11 +101,14 @@ class FockSpace:
         self.kappa = Q(-1) if s is None else self.s
         if not self.kappa:
             raise EngineError("the deformation parameter s must be nonzero")
+        # the factor annihilate_raw leaves out of every contraction
+        self.ann_scale = self.kappa / model.pair_den
 
     # -- elementary operators ----------------------------------------------------
 
     def create_raw(self, n, c, terms):
-        """a_{-n}(e_c) on a raw term dict, n > 0."""
+        """a_{-n}(e_c) on a raw term dict, n > 0.  Only signs change, so
+        integer coefficients stay integers."""
         parities = self.model.parities
         par = parities[c]
         key = (-n, c)
@@ -124,11 +136,13 @@ class FockSpace:
         return {m: v for m, v in out.items() if v}
 
     def annihilate_raw(self, m, c, terms):
-        """a_{m}(e_c) on a raw term dict, m > 0: commute rightward, kill |0>."""
+        """a_{m}(e_c) on a raw term dict, m > 0, up to the factor ann_scale:
+        commute rightward, kill |0>.  Each contraction with a_{-m}(e_j)
+        contributes the integer m * pair_num[c][j]; the caller multiplies by
+        ann_scale = kappa / pair_den once per annihilation."""
         parities = self.model.parities
-        pair_row = self.model.pairing[c]
+        pair_row = self.model.pair_num[c]
         par = parities[c]
-        kap_m = self.kappa * m
         out = {}
         for mono, w in terms.items():
             sign_w = w
@@ -137,7 +151,7 @@ class FockSpace:
                     pv = pair_row[cj]
                     if pv:
                         rest = mono[:pos] + mono[pos + 1:]
-                        add = sign_w * kap_m * pv
+                        add = sign_w * m * pv
                         cur = out.get(rest)
                         out[rest] = add if cur is None else cur + add
                 if par and parities[cj]:
@@ -156,29 +170,32 @@ class FockSpace:
         """a_n(cls) applied to v; n < 0 creation, n > 0 annihilation."""
         if n == 0:
             raise EngineError("Heisenberg index 0 is not an operator")
-        out = {}
-        for i, coeff in cls.items():
-            row_add_scaled(out, self.apply_basis_raw(n, i, v.terms), coeff)
-        return FockVector(out)
+        return self.apply_word_tau((n,), cls, v)
 
     def apply_word_tau(self, indices, cls, v):
         """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) applied to v.
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
+        The word runs on integer numerators; rationals enter once, in the
+        final scale (see the module docstring).  k = 1 is a_{i_1}(cls).
         """
         k = len(indices)
         if k == 0:
             return v.scaled(self.model.integrate(cls))
+        den_v, nums = integer_lift(list(v.terms.values()))
+        start = dict(zip(v.terms, nums))
+        den_t, tensor = self.model.int_tensor(cls, k)
         out = {}
-        for w, slots in self.model.diagonal_pushforward(cls, k):
-            cur = v.terms
+        for w, slots in tensor:
+            cur = start
             for j in range(k - 1, -1, -1):
                 cur = self.apply_basis_raw(indices[j], slots[j], cur)
                 if not cur:
                     break
             row_add_scaled(out, cur, w)
-        return FockVector(out)
+        scale = self.ann_scale ** sum(1 for i in indices if i > 0) / (den_v * den_t)
+        return FockVector({mono: c * scale for mono, c in out.items()})
 
     def apply_gen_partition(self, lam, cls, v):
         """a_lambda(tau_*(cls)) for a generalized partition lambda, with the
@@ -269,7 +286,7 @@ class FockSpace:
     def annihilate_point(self, v):
         """-a_1([x]); sends b_rho(n+1) to b_rho(n)."""
         out = self.annihilate_raw(1, self.model.point, v.terms)
-        return FockVector(out).scaled(-1)
+        return FockVector(out).scaled(-self.ann_scale)
 
     # -- bookkeeping -----------------------------------------------------------------
 
@@ -322,11 +339,16 @@ class FockSpace:
 def heisenberg_witnesses(fock, max_weight=5, max_index=4):
     """Check the bracket relation on all basis label pairs, |m|,|n| <= max_index,
     against every monomial of weight <= max_weight; returns violation witnesses.
+
+    The commutators run on the integer raw operators; each annihilation in
+    the pair then contributes the factor ann_scale before the comparison with
+    kappa * m * int(e_i e_j).
     """
     model = fock.model
     dim = model.dim
     parities = model.parities
     kappa = fock.kappa
+    ann_scale = fock.ann_scale
     monos = [m for w in range(max_weight + 1) for m in fock.enumerate_monomials(w)]
     indices = [i for i in range(-max_index, max_index + 1) if i]
     single = {}
@@ -335,7 +357,7 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
         key = (idx, c, mono)
         res = single.get(key)
         if res is None:
-            res = fock.apply_basis_raw(idx, c, {mono: ONE})
+            res = fock.apply_basis_raw(idx, c, {mono: 1})
             single[key] = res
         return res
 
@@ -357,6 +379,9 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
                 rhs = compose(n, j, vm)
                 sign = -1 if parities[i] and parities[j] else 1
                 comm = row_add_scaled(lhs, rhs, -sign)
+                if comm:
+                    factor = ann_scale ** ((m > 0) + (n > 0))
+                    comm = {mo: w * factor for mo, w in comm.items()}
                 expected = {}
                 if m == -n:
                     c0 = kappa * m * model.pairing[i][j]

@@ -7,6 +7,8 @@ surface the engine needs; the engine never touches floating point.
 
 from __future__ import annotations
 
+from math import lcm
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - gmpy2 is an optional extra
@@ -32,3 +34,10 @@ def parse_q(s):
             raise ValueError(f"rational {txt!r} has a zero denominator")
         return Q(int(num), int(den))
     return Q(int(txt))
+
+
+def integer_lift(values):
+    """(den, nums): the least common denominator of the rationals and their
+    numerators over it, so that values[i] == nums[i] / den."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]

@@ -374,21 +374,21 @@ def verify_polynomiality(model, n_values, bound_max=4):
             "nonzero canonical class)")
     engine = RingEngine(model)
     ns = sorted(n_values)
-    base = engine.basis(ns[0])
     unit = model.unit
+    base = [(rho, rho.cost(unit), rho.degree(model)) for rho in engine.basis(ns[0])]
+    targets = {}  # degree -> [(nu, cost)] in basis order
+    for nu in engine.basis(ns[-1]):
+        targets.setdefault(nu.degree(model), []).append((nu, nu.cost(unit)))
     witnesses = []
     fitted = 0
-    for rho in base:
-        for sigma in base:
-            dtot = rho.degree(model) + sigma.degree(model)
-            for nu in engine.basis(ns[-1]):
-                if nu.degree(model) != dtot:
-                    continue
-                bound = rho.cost(unit) + sigma.cost(unit) - nu.cost(unit)
+    for rho, rho_cost, rho_deg in base:
+        for sigma, sigma_cost, sigma_deg in base:
+            for nu, nu_cost in targets.get(rho_deg + sigma_deg, ()):
+                bound = rho_cost + sigma_cost - nu_cost
                 if bound < 0 or bound > bound_max:
                     continue
-                if len([n for n in ns if n >= max(rho.cost(unit), sigma.cost(unit),
-                                                  nu.cost(unit))]) < bound + 3:
+                start = max(rho_cost, sigma_cost, nu_cost)
+                if sum(1 for n in ns if n >= start) < bound + 3:
                     continue
                 rep = fit_polynomial_in_n(engine, rho, sigma, nu, ns)
                 fitted += 1

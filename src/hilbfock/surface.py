@@ -5,7 +5,9 @@ point class normalizing the integration functional, distinguished Euler and
 canonical classes, and an optional restriction ideal encoding a
 quasi-projective open piece with surjective restriction.  Diagonal
 pushforwards (the Kuenneth expansion of tau_{k*}) are computed from the dual
-basis of the integration pairing and cached per basis element.
+basis of the integration pairing and cached per basis element; the Fock
+kernel reads them, and the pairing, as integer numerators over one common
+denominator, memoized per model.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 
 from .errors import ModelError
 from .linalg import Echelon, LinearCombination, row_add_scaled
-from .rational import ONE, Q, parse_q, qstr
+from .rational import ONE, Q, integer_lift, parse_q, qstr
 
 
 def _json_object(value, what):
@@ -91,9 +93,12 @@ class SurfaceModel:
         self.ideal_gens = list(ideal or [])
         self.pairing = [[self._raw_integral(self.table[(i, j)]) for j in range(self.dim)]
                         for i in range(self.dim)]
+        self.pair_den, nums = integer_lift([p for row in self.pairing for p in row])
+        self.pair_num = [nums[i * self.dim:(i + 1) * self.dim] for i in range(self.dim)]
         self.gram_inv = self._invert_pairing()
         self.ideal_pivots = self._saturate_ideal()
         self._tau = {}
+        self._int_tensors = {}
         self._valid = False
         self.content_hash = hashlib.sha256(
             json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
@@ -273,6 +278,19 @@ class SurfaceModel:
         for b, coeff in a.items():
             row_add_scaled(out, self.tau_basis(b, k), coeff)
         return [(w, slots) for slots, w in out.items()]
+
+    def int_tensor(self, a, k):
+        """tau_{k*}(a) for k >= 1 as (den, [(integer weight, slots), ...]):
+        the diagonal_pushforward weights are the integers divided by den.
+        Built once per (class, k) on this model object."""
+        key = (tuple(sorted(a.items())), k)
+        cached = self._int_tensors.get(key)
+        if cached is None:
+            tensor = self.diagonal_pushforward(a, k)
+            den, nums = integer_lift([w for w, _ in tensor])
+            cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
+            self._int_tensors[key] = cached
+        return cached
 
     def euler_from_pairing(self):
         """m(tau_{2*}(1)): the class the normal-ordering calculus sees as the

@@ -546,23 +546,21 @@ def lehn_apply(k, poly):
         raise ValueError(f"the operator degree k must be nonnegative, got {k}")
     lead = Q((-1) ** k, factorial(k + 1))
     out = {}
-
-    def rec(exps, factor, depth, total):
-        if depth == k + 1:
-            key = dict(exps)
-            key[total] = key.get(total, 0) + 1
-            row_add_scaled(out, {_exps_key(key): factor}, lead)
-            return
-        for var in list(exps):
-            e = exps.get(var)
-            if not e:
-                continue
-            exps[var] = e - 1
-            rec(exps, factor * var * e, depth + 1, total + var)
-            exps[var] = e
-
+    # depth-first over the choices of d_{n_1}, .., d_{n_{k+1}}, kept on an
+    # explicit stack: the depth is k + 1, which may pass the recursion limit
     for mono, w in poly.terms.items():
-        rec(dict(mono), w, 0, 0)
+        stack = [(mono, w, 0, 0)]
+        while stack:
+            exps, factor, depth, total = stack.pop()
+            if depth == k + 1:
+                key = dict(exps)
+                key[total] = key.get(total, 0) + 1
+                row_add_scaled(out, {_exps_key(key): factor}, lead)
+                continue
+            children = [(exps[:i] + ((var, e - 1),) + exps[i + 1:],
+                         factor * var * e, depth + 1, total + var)
+                        for i, (var, e) in enumerate(exps) if e]
+            stack.extend(reversed(children))
     return SparsePolynomial(out)
 
 

@@ -239,6 +239,18 @@ def test_product_negative_level():
     assert "negative" in res.stderr
 
 
+def test_lehn_apply_deep_operator(tmp_path):
+    """k + 1 derivatives past the interpreter's recursion limit."""
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": {"1": 3000}}]}))
+    for k in ("990", "1500"):
+        res = run_cli("lehn-apply", "--k", k, "--poly", str(poly))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        terms = json.loads(res.stdout)["details"]["image"]["terms"]
+        assert [t["monomial"] for t in terms] == [{"1": 2999 - int(k), str(int(k) + 1): 1}]
+
+
 def test_hostile_inputs_exit_2(tmp_path):
     """Malformed polynomial and model JSON, a negative operator degree and a
     model that fails validation each end in one error line, exit 2."""

@@ -1,5 +1,7 @@
 """Normal ordering, basis classes, reduction, and the bracket relation."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +234,106 @@ def test_heisenberg_sweep_small(models):
     for name in ("toy_b2_1", "odd_toy"):
         assert heisenberg_witnesses(FockSpace(models(name)),
                                     max_weight=3, max_index=3) == []
+
+
+# -- the integer word kernel against a rational reference ----------------------------
+
+
+def _rational_pairing_model():
+    """1, u, h, v, x with h*h = x/2 and u*v = x: pair_den = 2, odd classes."""
+    from hilbfock.surface import SurfaceModel
+    basis = [{"name": n, "degree": d}
+             for n, d in (("1", 0), ("u", 1), ("h", 2), ("v", 3), ("x", 4))]
+    products = [
+        {"left": "h", "right": "h", "result": [{"name": "x", "coeff": "1/2"}]},
+        {"left": "u", "right": "v", "result": [{"name": "x", "coeff": "1"}]},
+    ]
+    return SurfaceModel.from_json({
+        "name": "half_pairing", "basis": basis, "products": products,
+        "unit": "1", "point": "x", "euler": [], "canonical": []})
+
+
+def _reference_create(model, n, c, terms):
+    """a_{-n}(e_c) by moving the new entry rightward into canonical order."""
+    out = {}
+    for mono, w in terms.items():
+        entries = [(n, c)] + list(mono)
+        sign = 1
+        pos = 0
+        while pos + 1 < len(entries) and \
+                (-entries[pos + 1][0], entries[pos + 1][1]) < (-n, c):
+            if model.parities[c] and model.parities[entries[pos + 1][1]]:
+                sign = -sign
+            entries[pos], entries[pos + 1] = entries[pos + 1], entries[pos]
+            pos += 1
+        if model.parities[c] and pos + 1 < len(entries) and entries[pos + 1] == (n, c):
+            continue
+        key = tuple(entries)
+        out[key] = out.get(key, Fraction(0)) + sign * w
+    return out
+
+
+def _reference_annihilate(model, kappa, m, c, terms):
+    """a_m(e_c): each contraction with a_{-m}(e_j) costs kappa m int(e_c e_j)."""
+    out = {}
+    for mono, w in terms.items():
+        sign = 1
+        for pos, (nj, cj) in enumerate(mono):
+            if nj == m and model.pairing[c][cj]:
+                rest = mono[:pos] + mono[pos + 1:]
+                add = Fraction(sign) * kappa * m * model.pairing[c][cj] * w
+                out[rest] = out.get(rest, Fraction(0)) + add
+            if model.parities[c] and model.parities[cj]:
+                sign = -sign
+    return out
+
+
+def _reference_word_tau(fock, indices, cls, v):
+    """a_{i_1}..a_{i_k}(tau_{k*} cls) v with Fraction weights throughout."""
+    model = fock.model
+    kappa = Fraction(fock.kappa)
+    total = {}
+    for w, slots in model.diagonal_pushforward(cls, len(indices)):
+        cur = {mono: Fraction(c) for mono, c in v.terms.items()}
+        for idx, c in reversed(list(zip(indices, slots))):
+            if idx < 0:
+                cur = _reference_create(model, -idx, c, cur)
+            else:
+                cur = _reference_annihilate(model, kappa, idx, c, cur)
+        for mono, c in cur.items():
+            total[mono] = total.get(mono, Fraction(0)) + Fraction(w) * c
+    return {mono: c for mono, c in total.items() if c}
+
+
+@pytest.mark.parametrize("setup", ["ale_2", "cotangent_g1 s=2/3", "half_pairing"])
+def test_word_kernel_matches_rational_reference(setup, models):
+    """Every word of weight <= 4 against the probe family, on a model whose
+    Gram inverse has thirds, a deformed space and a pairing with pair_den 2."""
+    from hilbfock.vertex import _class_reps, _probe_vectors, _signed_tuples
+    if setup == "half_pairing":
+        fock = FockSpace(_rational_pairing_model())
+        assert fock.model.pair_den == 2
+    elif setup == "ale_2":
+        fock = FockSpace(models("ale_2"))
+        assert any(g.denominator == 3 for row in fock.model.gram_inv for g in row)
+    else:
+        fock = FockSpace(models("cotangent_g1"), Q(2, 3))
+    model = fock.model
+    reps = _class_reps(model)
+    classes = [model.basis_class(c) for c in reps]
+    classes.append(model.basis_class(reps[0]).scaled(Q(3, 5))
+                   + model.basis_class(reps[-1]).scaled(Q(-7, 2)))
+    vecs = _probe_vectors(fock, 4)
+    words = [w for length in range(1, 5) for w in _signed_tuples(length, 4, 4)]
+    assert len(words) == 80
+    for word in words:
+        for cls in classes:
+            for v in vecs:
+                got = fock.apply_word_tau(word, cls, v)
+                assert got.terms == _reference_word_tau(fock, word, cls, v), (word, cls, v)
+
+
+def test_heisenberg_sweep_rational_pairing():
+    model = _rational_pairing_model()
+    for s in (None, Q(2, 3)):
+        assert heisenberg_witnesses(FockSpace(model, s), max_weight=3, max_index=3) == []

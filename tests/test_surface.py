@@ -241,3 +241,24 @@ def test_engines_refuse_invalid_models(models, monkeypatch):
     FockSpace(good)
     FockSpace(good, 2)
     assert calls == [good]
+
+
+def test_int_tensor_is_memoized_per_model(monkeypatch):
+    model = builtin_model("ale_2")
+    built = []
+    pushforward = model.diagonal_pushforward
+    monkeypatch.setattr(model, "diagonal_pushforward",
+                        lambda a, k: built.append(k) or pushforward(a, k))
+    cls = GradedClass({1: Q(2), 3: Q(-1, 3)})
+    den, tensor = first = model.int_tensor(cls, 3)
+    assert [(Q(num, den), slots) for num, slots in tensor] == pushforward(cls, 3)
+    assert all(type(num) is int for num, _ in tensor)
+    assert model.int_tensor(GradedClass({3: Q(-1, 3), 1: Q(2)}), 3) is first
+    assert model.int_tensor(cls, 2) is not first
+    assert built == [3, 2]
+
+    quotient = model.with_ideal([model.point], suffix="h4")
+    own = quotient.int_tensor(cls, 3)
+    assert own is not first and own == first
+    assert quotient.int_tensor(cls, 3) is own
+    assert built == [3, 2]
