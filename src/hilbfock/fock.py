@@ -194,8 +194,10 @@ class FockSpace:
                 if not cur:
                     break
             row_add_scaled(out, cur, w)
-        scale = self.ann_scale ** sum(1 for i in indices if i > 0) / (den_v * den_t)
-        return FockVector({mono: c * scale for mono, c in out.items()})
+        ann = sum(1 for i in indices if i > 0)
+        num = self.ann_scale.numerator ** ann
+        den = self.ann_scale.denominator ** ann * den_v * den_t
+        return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
 
     def apply_gen_partition(self, lam, cls, v):
         """a_lambda(tau_*(cls)) for a generalized partition lambda, with the

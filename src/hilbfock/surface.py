@@ -283,7 +283,8 @@ class SurfaceModel:
         """tau_{k*}(a) for k >= 1 as (den, [(integer weight, slots), ...]):
         the diagonal_pushforward weights are the integers divided by den.
         Built once per (class, k) on this model object."""
-        key = (tuple(sorted(a.items())), k)
+        # integer key: Fraction hashing and equality run in Python
+        key = (tuple(sorted((i, w.numerator, w.denominator) for i, w in a.items())), k)
         cached = self._int_tensors.get(key)
         if cached is None:
             tensor = self.diagonal_pushforward(a, k)
