@@ -16,15 +16,15 @@ from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
 from .fock import FockSpace, heisenberg_witnesses
 from .models import load_model
-from .orbifold import (verify_marker_vanishing, verify_orb_n_independence,
-                       verify_ring_isomorphism)
 from .partitions import PartitionFunction
 from .rational import parse_q, qstr
 from .reports import RunReport
 from .ring import (RingEngine, fit_polynomial_in_n, verify_a_homomorphism,
                    verify_affine_plane_quotient, verify_fh_ring,
-                   verify_ideal_suite, verify_mod_h4_independence,
-                   verify_n_independence, verify_polynomiality)
+                   verify_ideal_suite, verify_marker_vanishing,
+                   verify_mod_h4_independence, verify_n_independence,
+                   verify_orb_n_independence, verify_polynomiality,
+                   verify_ring_isomorphism)
 from .surface import validate_model
 from .vertex import (SparsePolynomial, lehn_apply, verify_lemma_ks,
                      verify_nonsense1)
@@ -42,6 +42,14 @@ def parse_range(text):
     if lo < 0:
         raise ValueError(f"level {lo} is negative")
     return list(range(lo, hi + 1))
+
+
+def parse_level(text):
+    """A single nonnegative level: a range of several is a usage error."""
+    levels = parse_range(text)
+    if len(levels) > 1:
+        raise ValueError(f"--n takes one level, got the range {text}")
+    return levels[0]
 
 
 def _load_json_arg(text):
@@ -65,7 +73,7 @@ def build_parser():
     def common(p, levels=True, side=False):
         p.add_argument("--model", required=True, help="model file or built-in name")
         if levels:
-            p.add_argument("--n", required=True, help="level or inclusive range a..b")
+            p.add_argument("--n", required=True, help="level")
         if side:
             p.add_argument("--side", choices=("hilbert", "orbifold"),
                            default="hilbert")
@@ -106,7 +114,6 @@ def build_parser():
     p.add_argument("--out", help="also write the report to this path")
     p.add_argument("--s", default="-1", help="deformation parameter t^{1/3}")
     p.add_argument("--triple", help="polynomiality: JSON {rho, sigma, nu} or @file")
-    p.add_argument("--bound-max", type=int, default=4)
     p.add_argument("--norm-bound", type=int, default=5)
     p.add_argument("--max-weight", type=int, default=5)
     p.add_argument("--max-index", type=int, default=4)
@@ -152,7 +159,7 @@ def cmd_validate(args):
 
 def cmd_product(args):
     model = load_model(args.model)
-    n = parse_range(args.n)[0]
+    n = parse_level(args.n)
     engine = _engine(model, args)
     rho = PartitionFunction.from_json(model, _load_json_arg(args.rho))
     sigma = PartitionFunction.from_json(model, _load_json_arg(args.sigma))
@@ -172,7 +179,7 @@ def cmd_product(args):
 
 def cmd_structure_constants(args):
     model = load_model(args.model)
-    n = parse_range(args.n)[0]
+    n = parse_level(args.n)
     engine = _engine(model, args)
     table = _table_json(engine, model, n)
     report = RunReport("structure-constants", model.content_hash,
@@ -205,6 +212,8 @@ def _merged(reps):
 
 
 def _instances(rep):
+    if not rep["instances_checked"]:
+        raise ValueError("the bounds leave no instance to check; widen them")
     return rep["ok"], rep["witnesses"], {"instances_checked": rep["instances_checked"]}
 
 
@@ -214,6 +223,10 @@ def _triples(rep, **extra):
 
 
 def _heisenberg(model, levels, args):
+    # weight 0 (the vacuum) and index 1 are the least that check a bracket
+    if args.max_weight < 0 or args.max_index < 1:
+        raise ValueError("the bounds leave no bracket to check; need "
+                         "--max-weight >= 0 and --max-index >= 1")
     wit = heisenberg_witnesses(FockSpace(model), max_weight=args.max_weight,
                                max_index=args.max_index)
     return not wit, wit, {}
@@ -245,7 +258,7 @@ def _polynomiality(model, levels, args):
                           for k in ("rho", "sigma", "nu"))
         rep = fit_polynomial_in_n(engine, rho, sigma, nu, levels)
         return rep["ok"], rep["witnesses"], rep
-    rep = verify_polynomiality(model, levels, bound_max=args.bound_max)
+    rep = verify_polynomiality(model, levels)
     if not rep["triples_fitted"]:
         raise ValueError(f"no triple has enough levels in {levels[0]}..{levels[-1]} "
                          "for a checked fit; widen --n")
@@ -253,6 +266,8 @@ def _polynomiality(model, levels, args):
 
 
 def _fh_ring(model, levels, args):
+    if args.norm_bound < 0:
+        raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
     rep = verify_fh_ring(model, norm_bound=args.norm_bound,
                          cost_bound=min(args.norm_bound, 5))
     return rep["ok"], rep["witnesses"], {
@@ -301,7 +316,6 @@ REGISTRY = {
         verify_orb_n_independence(model, levels, parse_q(args.s)), s=args.s)),
 }
 VERIFIERS = tuple(REGISTRY)
-NEEDS_LEVELS = {vid for vid, (least, _) in REGISTRY.items() if least}
 
 
 def cmd_verify(args):

@@ -26,14 +26,13 @@ ann_scale^(#annihilations) / (den_v * den_tau).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import factorial
 
 from .errors import EngineError, ModelError, WeightError
 from .linalg import LinearCombination, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
-from .rational import ONE, Q, integer_lift, parse_q, qstr
+from .rational import ONE, Q, integer_lift, qstr
 
 
 def mono_weight(mono):
@@ -73,14 +72,6 @@ class FockVector(LinearCombination):
                 "monomial": [[n, model.basis[c].name] for n, c in mono],
             })
         return out
-
-    @classmethod
-    def from_json(cls, model, obj):
-        terms = {}
-        for item in obj:
-            mono = tuple((int(n), model.index_of(name)) for n, name in item["monomial"])
-            row_add_scaled(terms, {mono: parse_q(item["coeff"])}, ONE)
-        return cls(terms)
 
     def __repr__(self):
         bits = []
@@ -199,11 +190,6 @@ class FockSpace:
         den = self.ann_scale.denominator ** ann * den_v * den_t
         return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
 
-    def apply_gen_partition(self, lam, cls, v):
-        """a_lambda(tau_*(cls)) for a generalized partition lambda, with the
-        fixed creation-before-annihilation operator order."""
-        return self.apply_word_tau(lam.word(), cls, v)
-
     # -- distinguished vectors and bases ------------------------------------------------
 
     def vacuum(self):
@@ -235,11 +221,6 @@ class FockSpace:
         entries.extend((r, unit) for r in unit_parts)
         mono = tuple(sorted(entries, key=lambda e: (-e[0], e[1])))
         return FockVector({mono: unit_normalization(unit_parts)})
-
-    def enumerate_basis(self, n):
-        """All admissible rho at level n over the working classes, in the
-        deterministic (cost, key) order."""
-        return enumerate_partition_functions(self.model, n)
 
     def expand_in_basis(self, v, n):
         """Exact coordinates of v in the level-n basis {b_rho(n)}.
@@ -296,46 +277,14 @@ class FockSpace:
         degs = self.model.degrees
         return sum(2 * (n - 1) + degs[c] for n, c in mono)
 
-    def vector_degree(self, v):
-        """Cohomological degree of a homogeneous vector (None for 0)."""
-        degs = {self.monomial_degree(m) for m in v.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise WeightError(f"vector mixes degrees {sorted(degs)}")
-        return degs.pop()
-
     def enumerate_monomials(self, n, working=None):
-        """All canonical monomials of weight n with labels in the working set."""
-        model = self.model
+        """All canonical monomials of weight n with labels in the working set
+        (every class by default): the monomial of b_rho(n) for each rho over
+        that set, a bijection since the set contains the unit."""
         if working is None:
-            working = list(range(model.dim))
-        working = sorted(working)
-        parities = model.parities
-        out = []
-
-        def labels(t):
-            for combo in combinations_with_replacement(working, t):
-                ok = True
-                for a, b in zip(combo, combo[1:]):
-                    if a == b and parities[a]:
-                        ok = False
-                        break
-                if ok:
-                    yield combo
-
-        def rec(remaining, max_part, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for m in range(min(max_part, remaining), 0, -1):
-                for t in range(1, remaining // m + 1):
-                    for lab in labels(t):
-                        rec(remaining - m * t, m - 1,
-                            acc + [(m, c) for c in lab])
-
-        rec(n, n, [])
-        return out
+            working = list(range(self.model.dim))
+        return [next(iter(self.b_class(rho, n).terms))
+                for rho in enumerate_partition_functions(self.model, n, working)]
 
 
 def heisenberg_witnesses(fock, max_weight=5, max_index=4):

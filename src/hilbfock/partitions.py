@@ -46,18 +46,9 @@ def partitions_with_length(n, k, max_part=None):
     return tuple(out)
 
 
-def strict_partitions_of(n, max_part=None):
-    """Yield partitions of n with pairwise distinct parts."""
-    if n < 0:
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in strict_partitions_of(n - first, first - 1):
-            yield (first,) + rest
+def strict_partitions_of(n):
+    """Yield the partitions of n with pairwise distinct parts."""
+    return (p for p in partitions_of(n) if len(set(p)) == len(p))
 
 
 class GenPartition:
@@ -79,12 +70,6 @@ class GenPartition:
             mult[i] = mult.get(i, 0) + 1
         return cls(mult)
 
-    def length(self):
-        return sum(self.mult.values())
-
-    def weight(self):
-        return sum(i * m for i, m in self.mult.items())
-
     def moment(self):
         """s(.) = sum of i^2 over parts."""
         return sum(i * i * m for i, m in self.mult.items())
@@ -95,9 +80,6 @@ class GenPartition:
         for m in self.mult.values():
             out *= factorial(m)
         return out
-
-    def negate(self):
-        return GenPartition({-i: m for i, m in self.mult.items()})
 
     def word(self):
         """Operator indices in the fixed order: ascending part value, so

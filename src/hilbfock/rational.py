@@ -14,7 +14,6 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is an optional extra
     from fractions import Fraction as Q
 
-ZERO = Q(0)
 ONE = Q(1)
 
 

@@ -40,8 +40,8 @@ class RunReport:
             out["timing_ms"] = self.timing_ms
         return out
 
-    def emit(self, pretty=False, with_timing=False, stream=None):
-        stream = stream or sys.stdout
+    def emit(self, pretty=False, with_timing=False):
+        stream = sys.stdout
         obj = self.to_json(with_timing=with_timing)
         if pretty:
             json.dump(obj, stream, indent=2, sort_keys=True)

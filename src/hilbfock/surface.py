@@ -190,12 +190,6 @@ class SurfaceModel:
     def basis_class(self, i):
         return GradedClass({i: ONE})
 
-    def class_from_json(self, obj):
-        coeffs = {}
-        for item in obj:
-            coeffs[self.index_of(item["name"])] = parse_q(item["coeff"])
-        return GradedClass(coeffs)
-
     def class_to_json(self, g):
         return [{"name": self.basis[i].name, "coeff": qstr(v)}
                 for i, v in sorted(g.items())]
@@ -236,9 +230,6 @@ class SurfaceModel:
         """Coefficient of the point class (the integral is normalized so that
         the point class integrates to 1)."""
         return a.get(self.point)
-
-    def pair(self, i, j):
-        return self.pairing[i][j]
 
     # -- diagonal pushforward ----------------------------------------------------
 
@@ -320,13 +311,6 @@ class SurfaceModel:
             {ij: dict(coeffs) for ij, coeffs in self.table.items()},
             self.unit, self.point, self.euler, self.canonical,
             ideal=classes, name=f"{self.name}+{suffix}")
-
-    def without_ideal(self):
-        return SurfaceModel(
-            self.basis,
-            {ij: dict(coeffs) for ij, coeffs in self.table.items()},
-            self.unit, self.point, self.euler, self.canonical,
-            ideal=[], name=f"{self.name}-bar")
 
     # -- validation ---------------------------------------------------------------
 

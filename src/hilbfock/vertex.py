@@ -30,6 +30,8 @@ from .rational import ONE, Q, parse_q, qstr
 MAIN = "main"
 EULER = "euler"
 K_IDEAL = "k_ideal"
+# the oracle sweeps report at most this many violations
+MAX_WITNESSES = 5
 
 
 class TermFamily:
@@ -355,11 +357,11 @@ def _probe_vectors(fock, max_weight):
     return uniq
 
 
-def verify_lemma_ks(model, part="both", ksum_max=5, weight_max=5, s=None,
-                    max_witnesses=5):
-    """Sweep the transposition/contraction oracle over every instance with
-    2 <= k+s <= ksum_max whose total index weight is at most weight_max, all
-    representative label pairs, against the deterministic probe family."""
+def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
+    """Sweep both parts of the transposition/contraction oracle over every
+    instance with 2 <= k+s <= ksum_max whose total index weight is at most
+    weight_max, all representative label pairs, against the deterministic
+    probe family."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
@@ -368,7 +370,7 @@ def verify_lemma_ks(model, part="both", ksum_max=5, weight_max=5, s=None,
     checked = 0
 
     def note(kind, **info):
-        if len(witnesses) < max_witnesses:
+        if len(witnesses) < MAX_WITNESSES:
             info["part"] = kind
             witnesses.append(info)
 
@@ -380,50 +382,48 @@ def verify_lemma_ks(model, part="both", ksum_max=5, weight_max=5, s=None,
         # final weight below zero kills both sides identically
         return w + word_sum_neg - word_sum_pos >= 0
 
-    if part in ("i", "both"):
-        for m, tuples in shapes.items():
-            for combined in tuples:
-                cre = -sum(i for i in combined if i < 0)
-                ann = sum(i for i in combined if i > 0)
-                todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
-                if not todo:
-                    continue
-                for k in range(1, m):
-                    ns, ms = combined[:k], combined[k:]
-                    for ca in reps:
-                        alpha = model.basis_class(ca)
-                        for cb in reps:
-                            beta = model.basis_class(cb)
-                            diff = lemma_ks_part_i(fock, ns, ms, alpha, beta)
-                            for vi in todo:
-                                checked += 1
-                                if not diff(vecs[vi]).is_zero():
-                                    note("i", ns=ns, ms=ms,
-                                         alpha=model.basis[ca].name,
-                                         beta=model.basis[cb].name)
-                                    break
-    if part in ("ii", "both"):
-        for m, tuples in shapes.items():
-            for ns in tuples:
-                cre = -sum(i for i in ns if i < 0)
-                ann = sum(i for i in ns if i > 0)
-                todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
-                if not todo:
-                    continue
-                for j in range(m - 1):
-                    for ca in reps:
-                        alpha = model.basis_class(ca)
-                        diff = lemma_ks_part_ii(fock, ns, j, alpha)
+    for m, tuples in shapes.items():
+        for combined in tuples:
+            cre = -sum(i for i in combined if i < 0)
+            ann = sum(i for i in combined if i > 0)
+            todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
+            if not todo:
+                continue
+            for k in range(1, m):
+                ns, ms = combined[:k], combined[k:]
+                for ca in reps:
+                    alpha = model.basis_class(ca)
+                    for cb in reps:
+                        beta = model.basis_class(cb)
+                        diff = lemma_ks_part_i(fock, ns, ms, alpha, beta)
                         for vi in todo:
                             checked += 1
                             if not diff(vecs[vi]).is_zero():
-                                note("ii", ns=ns, j=j, alpha=model.basis[ca].name)
+                                note("i", ns=ns, ms=ms,
+                                     alpha=model.basis[ca].name,
+                                     beta=model.basis[cb].name)
                                 break
+    for m, tuples in shapes.items():
+        for ns in tuples:
+            cre = -sum(i for i in ns if i < 0)
+            ann = sum(i for i in ns if i > 0)
+            todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
+            if not todo:
+                continue
+            for j in range(m - 1):
+                for ca in reps:
+                    alpha = model.basis_class(ca)
+                    diff = lemma_ks_part_ii(fock, ns, j, alpha)
+                    for vi in todo:
+                        checked += 1
+                        if not diff(vecs[vi]).is_zero():
+                            note("ii", ns=ns, j=j, alpha=model.basis[ca].name)
+                            break
     return {"ok": not witnesses, "instances_checked": checked,
             "witnesses": witnesses}
 
 
-def verify_nonsense1(model, k_max=2, b_max=3, n_max=4, max_witnesses=5):
+def verify_nonsense1(model, k_max=2, b_max=3, n_max=4):
     """Sweep the increasing-map expansion against direct operator application
     for degree-shift operators with exactly vanishing higher commutators."""
     from itertools import product as iproduct
@@ -458,7 +458,7 @@ def verify_nonsense1(model, k_max=2, b_max=3, n_max=4, max_witnesses=5):
                                                        creations)
                         checked += 1
                         if direct != expanded:
-                            if len(witnesses) < max_witnesses:
+                            if len(witnesses) < MAX_WITNESSES:
                                 witnesses.append({
                                     "k": k, "alpha": model.basis[c0].name,
                                     "shape": shape,
@@ -494,10 +494,6 @@ class SparsePolynomial(LinearCombination):
     @classmethod
     def monomial(cls, exps, coeff=ONE):
         return cls({_exps_key(exps): Q(coeff)})
-
-    def grading(self):
-        """Degrees sum(i*e_i) present in the polynomial."""
-        return {sum(v * e for v, e in m) for m in self.terms}
 
     def to_json(self):
         return {"terms": [

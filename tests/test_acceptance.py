@@ -5,12 +5,11 @@ terminal summary."""
 from conftest import record_criterion
 from hilbfock.fock import FockSpace, heisenberg_witnesses
 from hilbfock.models import BUILTIN
-from hilbfock.orbifold import (verify_marker_vanishing,
-                               verify_ring_isomorphism)
 from hilbfock.ring import (verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
-                           verify_ideal_suite, verify_mod_h4_independence,
-                           verify_n_independence, verify_polynomiality)
+                           verify_ideal_suite, verify_marker_vanishing,
+                           verify_mod_h4_independence, verify_n_independence,
+                           verify_polynomiality, verify_ring_isomorphism)
 from hilbfock.vertex import verify_lemma_ks, verify_nonsense1
 
 

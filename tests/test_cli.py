@@ -281,6 +281,18 @@ def test_hostile_inputs_exit_2(tmp_path):
         assert_usage_error(res)
         assert "not homogeneous" in res.stderr
 
+    # bounds under which a verifier checks nothing, and level ranges given to
+    # commands that compute at one level
+    for args in (("verify", "heisenberg", "--model", "c2", "--max-weight", "-1"),
+                 ("verify", "heisenberg", "--model", "c2", "--max-index", "0"),
+                 ("verify", "lemma-ks", "--model", "toy_b2_1", "--max-weight", "1"),
+                 ("verify", "fh-ring", "--model", "c2", "--norm-bound", "-1"),
+                 ("structure-constants", "--model", "c2", "--n", "2..5"),
+                 ("product", "--model", "c2", "--n", "2..4",
+                  "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
+                 ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
+        assert_usage_error(run_cli(*args))
+
 
 _FUZZ_MODEL = {"name": "toy", "basis": [{"name": "1", "degree": 0},
                                         {"name": "h", "degree": 2},

@@ -1,0 +1,40 @@
+"""Every function, method and class defined in src/hilbfock is used there.
+
+A definition that nothing in the package refers to by name is either dead
+or serves only the tests; either way it does not belong in the library.
+"""
+
+import ast
+from pathlib import Path
+
+import hilbfock
+
+SRC = Path(hilbfock.__file__).resolve().parent
+
+# reference oracles that tests compare the production path against
+ORACLES = {"chern_class_partition_sums"}  # the closed partition sums for G_k
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_definition_is_referenced_in_src():
+    defined = {}
+    used = set()
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{fname}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exempt = {"main"} | set(hilbfock.__all__) | ORACLES
+    unused = sorted(f"{name} ({where})" for name, where in defined.items()
+                    if name not in used and name not in exempt
+                    and not (name.startswith("__") and name.endswith("__")))
+    assert not unused, "defined in src/hilbfock but referenced nowhere there: " \
+        + ", ".join(unused)

@@ -25,9 +25,9 @@ def test_express_single_part(engines):
     eng = engines("c2")
     rho = PartitionFunction({0: (1,)})
     for n in (2, 3, 5):
-        expr = eng.express_report(rho, n)
         # one word, pivot coefficient -1 with this normalization
-        assert expr == {((1, 0),): Q(-1)}
+        assert eng.express(rho, n) == {((1, 0),): Q(-1)}
+        assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == eng.b_vec(rho, n)
 
 
 def test_express_roundtrip_everywhere(engines):
@@ -35,7 +35,9 @@ def test_express_roundtrip_everywhere(engines):
         eng = engines(name)
         for n in range(nmax + 1):
             for rho in eng.basis(n):
-                eng.express_report(rho, n)
+                # the words of the expression, applied to the unit, give b_rho(n)
+                assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == \
+                    eng.b_vec(rho, n), (name, n, rho)
 
 
 def test_unit_row(engines):
@@ -266,7 +268,7 @@ def test_literal_cup_absorption_k_trivial(models):
     """For a vanishing canonical class the ambient cup product is exactly
     computable, so the absorption can also be checked literally."""
     model = models("ale_2")
-    eng = RingEngine(model.without_ideal())
+    eng = RingEngine(model.with_ideal([]))
     n = 2
     fock = eng.fock
     basis = eng.basis(n)

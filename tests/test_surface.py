@@ -25,11 +25,11 @@ def brute_force_tau2(model):
             row = {}
             for (i, j) in pairs:
                 sign = -1 if (model.parities[j] and model.parities[a]) else 1
-                coeff = sign * model.pair(i, a) * model.pair(j, b)
+                coeff = sign * model.pairing[i][a] * model.pairing[j][b]
                 if coeff:
                     row[(i, j)] = coeff
             rows.append(row)
-            rhs.append(model.pair(a, b))
+            rhs.append(model.pairing[a][b])
     # dense Gaussian elimination over the pair index set
     cols = sorted(set(k for row in rows for k in row))
     col_pos = {c: k for k, c in enumerate(cols)}
@@ -115,8 +115,8 @@ def test_pairing_identity_all_k(name, models):
             total = Q(0)
             for (i, j), w in model.tau_basis(model.unit, 2).items():
                 sign = -1 if (model.parities[j] and model.parities[a]) else 1
-                total += w * sign * model.pair(i, a) * model.pair(j, b)
-            assert total == model.pair(a, b)
+                total += w * sign * model.pairing[i][a] * model.pairing[j][b]
+            assert total == model.pairing[a][b]
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -122,7 +122,8 @@ def test_degree_shift_homogeneous(models):
                 g = chern_class(f, k, model.basis_class(c), n)
                 if g.is_zero():
                     continue
-                assert f.vector_degree(g) == 2 * k + model.degrees[c]
+                assert {f.monomial_degree(m) for m in g.terms} == \
+                    {2 * k + model.degrees[c]}
                 assert g.constant_weight() == n
 
 
@@ -253,7 +254,11 @@ def test_lehn_matches_brute_force(k, exps, coeff):
 def test_lehn_grading():
     poly = SparsePolynomial.monomial({1: 2, 3: 1})
     image = lehn_apply(1, poly)
-    assert image.grading() <= poly.grading()
+
+    def grading(p):
+        return {sum(v * e for v, e in m) for m in p.terms}
+
+    assert grading(image) <= grading(poly)
 
 
 def test_phi_map(models):
