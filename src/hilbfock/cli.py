@@ -67,56 +67,54 @@ def build_parser():
                         help="include wall-clock timing in the report")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
-
-    def common(p, levels=True, side=False):
+    def add_parser(subs, name, cmd, levels=True, side=False, **kw):
+        # no abbreviations: --n must not stand for --norm-bound
+        p = subs.add_parser(name, parents=[shared], allow_abbrev=False, **kw)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--model", required=True, help="model file or built-in name")
         if levels:
             p.add_argument("--n", required=True, help="level")
         if side:
             p.add_argument("--side", choices=("hilbert", "orbifold"),
                            default="hilbert")
-            p.add_argument("--s", default="-1",
-                           help="deformation parameter t^{1/3} as p/q")
+            p.add_argument("--s", help="deformation parameter t^{1/3} as p/q "
+                           "(orbifold side only; default -1)")
         p.add_argument("--out", help="also write the report/table to this path")
+        return p
 
-    p = add_parser("validate", help="check the model invariants")
-    common(p, levels=False)
+    p = add_parser(sub, "validate", cmd_validate, levels=False,
+                   help="check the model invariants")
     p.add_argument("--check-euler", action="store_true",
                    help="also warn on Euler-characteristic inconsistencies")
 
-    p = add_parser("product", help="expand one basis product")
-    common(p, side=True)
+    p = add_parser(sub, "product", cmd_product, side=True, help="expand one basis product")
     p.add_argument("--rho", required=True, help="JSON {class: [parts..]} or @file")
     p.add_argument("--sigma", required=True, help="JSON {class: [parts..]} or @file")
     p.add_argument("--dump", help="write the raw product vector JSON here")
 
-    p = add_parser("structure-constants", help="full table at one level")
-    common(p, side=True)
+    add_parser(sub, "structure-constants", cmd_structure_constants, side=True,
+               help="full table at one level")
 
-    p = add_parser("orb-structure-constants",
-                       help="deformed-product table at one level")
-    common(p)
+    p = add_parser(sub, "orb-structure-constants", cmd_structure_constants,
+                   help="deformed-product table at one level")
     p.add_argument("--s", default="-1", help="deformation parameter t^{1/3}")
     p.set_defaults(side="orbifold")
 
-    p = add_parser("lehn-apply",
+    p = sub.add_parser("lehn-apply", parents=[shared],
                        help="apply the degree-k differential operator to a polynomial")
+    p.set_defaults(cmd=cmd_lehn)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--poly", required=True, help="polynomial JSON file ('-' for stdin)")
     p.add_argument("--out", help="write the image polynomial here")
 
-    p = add_parser("verify", help="run a named theorem verifier")
-    p.add_argument("id", choices=VERIFIERS)
-    p.add_argument("--model", required=True, help="model file or built-in name")
-    p.add_argument("--n", help="level or inclusive range a..b (per-verifier)")
-    p.add_argument("--out", help="also write the report to this path")
-    p.add_argument("--s", default="-1", help="deformation parameter t^{1/3}")
-    p.add_argument("--triple", help="polynomiality: JSON {rho, sigma, nu} or @file")
-    p.add_argument("--norm-bound", type=int, default=5)
-    p.add_argument("--max-weight", type=int, default=5)
-    p.add_argument("--max-index", type=int, default=4)
+    # one sub-parser per verifier with only the options it reads (n is None if unread)
+    ids = sub.add_parser("verify", help="run a named theorem verifier (options "
+                         "follow the id)").add_subparsers(dest="id", required=True)
+    for vid, (_, options, _) in REGISTRY.items():
+        p = add_parser(ids, vid, cmd_verify, levels=False)
+        p.set_defaults(n=None)
+        for option in options:
+            p.add_argument(option, **VERIFY_OPTIONS[option])
     return top
 
 
@@ -142,8 +140,12 @@ def _table_json(engine, model, n):
 
 
 def _engine(model, args):
-    """The ring engine of the requested side: s only applies to the orbifold."""
-    return RingEngine(model, parse_q(args.s) if args.side == "orbifold" else None)
+    """The ring engine of the requested side; s (default -1) is for the orbifold only."""
+    if args.side == "orbifold":
+        return RingEngine(model, parse_q("-1" if args.s is None else args.s))
+    if args.s is not None:
+        raise ValueError("--s applies only with --side orbifold")
+    return RingEngine(model)
 
 
 def cmd_validate(args):
@@ -296,32 +298,41 @@ def _ring_isom(model, levels, args):
     return ok, witnesses, details
 
 
-# verifier id -> (least number of levels --n must give, run)
+# the options a verifier may read, each declared once
+VERIFY_OPTIONS = {
+    "--n": {"help": "level or inclusive range a..b"},
+    "--s": {"default": "-1", "help": "deformation parameter t^{1/3}"},
+    "--triple": {"help": "JSON {rho, sigma, nu} or @file: fit this one triple"},
+    "--norm-bound": {"type": int, "default": 5},
+    "--max-weight": {"type": int, "default": 5},
+    "--max-index": {"type": int, "default": 4},
+}
+
+# verifier id -> (least number of levels --n must give, options it reads, run)
 REGISTRY = {
-    "heisenberg": (0, _heisenberg),
-    "lemma-ks": (0, lambda model, levels, args: _instances(
+    "heisenberg": (0, ("--max-weight", "--max-index"), _heisenberg),
+    "lemma-ks": (0, ("--max-weight",), lambda model, levels, args: _instances(
         verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))),
-    "nonsense1": (0, lambda model, levels, args: _instances(verify_nonsense1(model))),
-    "ideal": (1, _ideal_suite(("absorb", "contains"))),
-    "ideal-generators": (1, _ideal_suite(("generate",))),
-    "n-independence": (2, _n_independence),
-    "mod-h4-independence": (2, lambda model, levels, args: _triples(
+    "nonsense1": (0, (), lambda model, levels, args: _instances(verify_nonsense1(model))),
+    "ideal": (1, ("--n",), _ideal_suite(("absorb", "contains"))),
+    "ideal-generators": (1, ("--n",), _ideal_suite(("generate",))),
+    "n-independence": (2, ("--n",), _n_independence),
+    "mod-h4-independence": (2, ("--n",), lambda model, levels, args: _triples(
         verify_mod_h4_independence(model, levels))),
-    "polynomiality": (1, _polynomiality),
-    "fh-ring": (0, _fh_ring),
-    "c2-quotient": (1, _c2_quotient),
-    "a-homomorphism": (1, _a_homomorphism),
-    "ring-isom": (1, _ring_isom),
-    "orb-n-independence": (2, lambda model, levels, args: _triples(
+    "polynomiality": (1, ("--n", "--triple"), _polynomiality),
+    "fh-ring": (0, ("--norm-bound",), _fh_ring),
+    "c2-quotient": (1, ("--n",), _c2_quotient),
+    "a-homomorphism": (1, ("--n",), _a_homomorphism),
+    "ring-isom": (1, ("--n",), _ring_isom),
+    "orb-n-independence": (2, ("--n", "--s"), lambda model, levels, args: _triples(
         verify_orb_n_independence(model, levels, parse_q(args.s)), s=args.s)),
 }
-VERIFIERS = tuple(REGISTRY)
 
 
 def cmd_verify(args):
     model = load_model(args.model)
     vid = args.id
-    least, run = REGISTRY[vid]
+    least, _, run = REGISTRY[vid]
     levels = parse_range(args.n) if args.n else None
     if least and len(levels or ()) < least:
         raise ValueError(f"verifier {vid!r} needs --n" +
@@ -336,18 +347,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        if args.command == "validate":
-            report, table = cmd_validate(args)
-        elif args.command == "product":
-            report, table = cmd_product(args)
-        elif args.command in ("structure-constants", "orb-structure-constants"):
-            report, table = cmd_structure_constants(args)
-        elif args.command == "lehn-apply":
-            report, table = cmd_lehn(args)
-        elif args.command == "verify":
-            report, table = cmd_verify(args)
-        else:  # pragma: no cover
-            raise ModelError(f"unknown command {args.command!r}")
+        report, table = args.cmd(args)
     except UnknownCoefficientsError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3

@@ -125,26 +125,17 @@ class SurfaceModel:
         return coeffs.get(self.point, Q(0))
 
     def _invert_pairing(self):
-        n = self.dim
-        # Gauss-Jordan on the augmented matrix
-        aug = [[self.pairing[i][j] for j in range(n)] + [ONE if j == i else Q(0) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if aug[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                return None  # degenerate pairing; validate() reports it
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Q(1) / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+        """The inverse of the pairing matrix: reduce the rows of [pairing | 1]
+        to [1 | inverse].  None when the pairing is degenerate, which
+        validate() reports."""
+        ech = Echelon()
+        for i, prow in enumerate(self.pairing):
+            ech.insert({**{(0, j): v for j, v in enumerate(prow) if v}, (1, i): ONE})
+        if any((0, j) not in ech.rows for j in range(self.dim)):
+            return None
+        ech.back_reduce()
+        return [[ech.rows[(0, i)].get((1, j), Q(0)) for j in range(self.dim)]
+                for i in range(self.dim)]
 
     def _saturate_ideal(self):
         """Saturate the declared generators to a multiplicatively closed span

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hilbfock.cli import main, parse_range
+from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
 
@@ -292,6 +292,78 @@ def test_hostile_inputs_exit_2(tmp_path):
                   "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
+
+
+# a passing run of each verifier, to which an option it does not read is added
+_VERIFY_BASE = {
+    "heisenberg": "--model toy_b2_1 --max-weight 1 --max-index 1",
+    "lemma-ks": "--model toy_b2_1 --max-weight 2",
+    "nonsense1": "--model toy_b2_1",
+    "ideal": "--model c2 --n 2",
+    "ideal-generators": "--model c2 --n 2",
+    "n-independence": "--model c2 --n 2..3",
+    "mod-h4-independence": "--model toy_b2_1 --n 2..3",
+    "polynomiality": "--model toy_b2_1 --n 3..6",
+    "fh-ring": "--model c2 --norm-bound 1",
+    "c2-quotient": "--model c2 --n 2",
+    "a-homomorphism": "--model c2 --n 2",
+    "ring-isom": "--model c2 --n 2",
+    "orb-n-independence": "--model c2 --n 2..3",
+}
+_OPTION_VALUE = {"--n": "2", "--s": "1/2", "--triple": '{"rho":{},"sigma":{},"nu":{}}',
+                 "--norm-bound": "3", "--max-weight": "2", "--max-index": "2"}
+
+
+def test_unread_option_cases_cover_the_registry():
+    assert set(_VERIFY_BASE) == set(REGISTRY)
+    assert set(_OPTION_VALUE) == set(VERIFY_OPTIONS)
+
+
+@pytest.mark.parametrize("vid, option", [
+    (vid, option) for vid, (_, reads, _) in REGISTRY.items()
+    for option in VERIFY_OPTIONS if option not in reads])
+def test_verify_rejects_an_option_it_does_not_read(vid, option, capsys):
+    base = ["verify", vid, *_VERIFY_BASE[vid].split()]
+    build_parser().parse_args(base)
+    with pytest.raises(SystemExit) as exc:
+        main(base + [option, _OPTION_VALUE[option]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("heisenberg", "--model", "toy_b2_1", "--n", "2..9",
+     "--max-weight", "1", "--max-index", "1"),
+    ("nonsense1", "--model", "toy_b2_1", "--n", "7", "--max-weight", "9",
+     "--s", "5", "--norm-bound", "3"),
+])
+def test_verify_ignored_options_are_usage_errors(args):
+    res = run_cli("verify", *args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "unrecognized arguments" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("structure-constants", "--model", "c2", "--n", "2", "--s", "1/2"),
+    ("structure-constants", "--model", "c2", "--n", "2", "--side", "hilbert", "--s", "-1"),
+    ("product", "--model", "c2", "--n", "2", "--rho", "{}", "--sigma", "{}", "--s", "1/2"),
+])
+def test_s_off_the_orbifold_side_is_usage_error(args):
+    res = run_cli(*args)
+    assert_usage_error(res)
+    assert "--side orbifold" in res.stderr
+
+
+def test_orbifold_side_defaults_to_s_minus_1(tmp_path, capsys):
+    tables = []
+    for extra in ([], ["--s", "-1"]):
+        out = tmp_path / f"t{len(tables)}.json"
+        assert main(["structure-constants", "--model", "c2", "--n", "2",
+                     "--side", "orbifold", "--out", str(out), *extra]) == 0
+        tables.append(out.read_text())
+    capsys.readouterr()
+    assert tables[0] == tables[1] and json.loads(tables[0])["side"] == "orbifold"
 
 
 _FUZZ_MODEL = {"name": "toy", "basis": [{"name": "1", "degree": 0},

@@ -195,6 +195,20 @@ def test_degenerate_pairing_reported():
     assert any("degenerate" in d for d in diags)
 
 
+def test_gram_inv_inverts_pairing(models):
+    for name in ALL:
+        model = models(name)
+        dim = model.dim
+        product = [[sum(model.gram_inv[i][k] * model.pairing[k][j] for k in range(dim))
+                    for j in range(dim)] for i in range(dim)]
+        assert product == [[Q(int(i == j)) for j in range(dim)] for i in range(dim)], name
+    # h.h = 0 leaves the row of h zero: no inverse, and validation says so
+    basis = [BasisElement("1", 0), BasisElement("h", 2), BasisElement("x", 4)]
+    model = SurfaceModel(basis, {}, 0, 2, GradedClass(), GradedClass())
+    assert model.gram_inv is None
+    assert "Frobenius pairing degenerate" in validate_model(model)
+
+
 def test_nonassociative_table_reported():
     basis = [BasisElement("1", 0), BasisElement("h", 2), BasisElement("x", 4)]
     products = {(1, 1): {2: Q(1)}, (1, 2): {}, (2, 1): {}}
