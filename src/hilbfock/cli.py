@@ -148,6 +148,13 @@ def _engine(model, args):
     return RingEngine(model)
 
 
+def _side_params(engine):
+    """The report params naming the ring: the side, and s on the orbifold side."""
+    if engine.side == "orbifold":
+        return {"side": engine.side, "s": qstr(engine.fock.s)}
+    return {"side": engine.side}
+
+
 def cmd_validate(args):
     model = load_model(args.model)
     diags = validate_model(model, check_euler=args.check_euler)
@@ -174,7 +181,7 @@ def cmd_product(args):
     expansion = [{"nu": nu.to_json(model), "coeff": qstr(c)}
                  for nu, c in sorted(coords.items(), key=lambda t: t[0].key())]
     return RunReport("product", model.content_hash,
-                     {"n": n, "side": args.side,
+                     {"n": n, **_side_params(engine),
                       "rho": rho.to_json(model), "sigma": sigma.to_json(model)},
                      "pass", details={"expansion": expansion}), None
 
@@ -185,7 +192,7 @@ def cmd_structure_constants(args):
     engine = _engine(model, args)
     table = _table_json(engine, model, n)
     report = RunReport("structure-constants", model.content_hash,
-                       {"n": n, "side": engine.side}, "pass",
+                       {"n": n, **_side_params(engine)}, "pass",
                        details={"entries": len(table["table"])})
     return report, table
 

@@ -205,18 +205,22 @@ def chern_class_partition_sums(fock, k, alpha, n):
 # -- commutator oracles ---------------------------------------------------------
 
 
-def lemma_ks_part_i(fock, ns, ms, alpha, beta):
+def lemma_ks_part_i(fock, ns, ms, alpha, beta, direct=None):
     """Contraction formula for [a_{n_1}..a_{n_k}(tau alpha), a_{m_1}..a_{m_s}(tau beta)].
 
     Returns a function of a Fock vector computing rhs - lhs (zero iff the
-    oracle matches on that vector)."""
+    oracle matches on that vector).  Every word that acts on the vector
+    itself goes through direct(word, cls, v), by default
+    fock.apply_word_tau; the returned function hands its argument to direct
+    only, so a caller's direct may take any handle of the vector."""
     model = fock.model
     p = model.class_parity(alpha) * model.class_parity(beta)
     ab = model.mul(alpha, beta)
+    direct = direct or fock.apply_word_tau
 
     def difference(v):
-        av = fock.apply_word_tau(ns, alpha, fock.apply_word_tau(ms, beta, v))
-        bv = fock.apply_word_tau(ms, beta, fock.apply_word_tau(ns, alpha, v))
+        av = fock.apply_word_tau(ns, alpha, direct(ms, beta, v))
+        bv = fock.apply_word_tau(ms, beta, direct(ns, alpha, v))
         lhs = av - bv.scaled((-1) ** p)
         rhs = {}
         for t, nt in enumerate(ns):
@@ -224,27 +228,27 @@ def lemma_ks_part_i(fock, ns, ms, alpha, beta):
                 if nt != -mj:
                     continue
                 word = ms[:j] + tuple(nu for u, nu in enumerate(ns) if u != t) + ms[j + 1:]
-                row_add_scaled(rhs, fock.apply_word_tau(word, ab, v).terms,
-                               fock.kappa * nt)
+                row_add_scaled(rhs, direct(word, ab, v).terms, fock.kappa * nt)
         return FockVector(row_add_scaled(rhs, lhs.terms, -1))
 
     return difference
 
 
-def lemma_ks_part_ii(fock, ns, j, alpha):
+def lemma_ks_part_ii(fock, ns, j, alpha, direct=None):
     """Adjacent transposition inside a_{n_1}..a_{n_k}(tau alpha) with the
-    Euler-class correction.  Returns the defect function of a vector."""
+    Euler-class correction.  Returns the defect function of a vector; every
+    word goes through direct as in lemma_ks_part_i."""
     model = fock.model
     e_alpha = model.mul(model.euler, alpha)
+    direct = direct or fock.apply_word_tau
 
     def difference(v):
-        lhs = fock.apply_word_tau(ns, alpha, v)
+        lhs = direct(ns, alpha, v)
         swapped = ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:]
-        rhs = dict(fock.apply_word_tau(swapped, alpha, v).terms)
+        rhs = dict(direct(swapped, alpha, v).terms)
         if ns[j] == -ns[j + 1]:
             rest = ns[:j] + ns[j + 2:]
-            row_add_scaled(rhs, fock.apply_word_tau(rest, e_alpha, v).terms,
-                           fock.kappa * ns[j])
+            row_add_scaled(rhs, direct(rest, e_alpha, v).terms, fock.kappa * ns[j])
         return FockVector(row_add_scaled(rhs, lhs.terms, -1))
 
     return difference
@@ -361,13 +365,37 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     """Sweep both parts of the transposition/contraction oracle over every
     instance with 2 <= k+s <= ksum_max whose total index weight is at most
     weight_max, all representative label pairs, against the deterministic
-    probe family."""
+    probe family.
+
+    Words that act on a probe vector itself are applied once per sweep: the
+    parts get the probe's index and an applier that memoizes on (word,
+    class key, probe index), with each class key built once per instance.
+    Words applied to an intermediate vector are not memoized.  The memo is
+    local to this call and freed when it returns."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
     witnesses = []
     checked = 0
+    memo = {}
+
+    def on_probes():
+        # one applier per instance; it holds each class it keys, so the
+        # class's id cannot be reused while the applier lives
+        class_keys = {}
+
+        def direct(word, cls, vi):
+            held = class_keys.get(id(cls))
+            if held is None:
+                held = class_keys[id(cls)] = (cls, cls.key())
+            key = (word, held[1], vi)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = fock.apply_word_tau(word, cls, vecs[vi])
+            return out
+
+        return direct
 
     def note(kind, **info):
         if len(witnesses) < MAX_WITNESSES:
@@ -395,10 +423,11 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
                     alpha = model.basis_class(ca)
                     for cb in reps:
                         beta = model.basis_class(cb)
-                        diff = lemma_ks_part_i(fock, ns, ms, alpha, beta)
+                        diff = lemma_ks_part_i(fock, ns, ms, alpha, beta,
+                                               on_probes())
                         for vi in todo:
                             checked += 1
-                            if not diff(vecs[vi]).is_zero():
+                            if not diff(vi).is_zero():
                                 note("i", ns=ns, ms=ms,
                                      alpha=model.basis[ca].name,
                                      beta=model.basis[cb].name)
@@ -413,10 +442,10 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
             for j in range(m - 1):
                 for ca in reps:
                     alpha = model.basis_class(ca)
-                    diff = lemma_ks_part_ii(fock, ns, j, alpha)
+                    diff = lemma_ks_part_ii(fock, ns, j, alpha, on_probes())
                     for vi in todo:
                         checked += 1
-                        if not diff(vecs[vi]).is_zero():
+                        if not diff(vi).is_zero():
                             note("ii", ns=ns, j=j, alpha=model.basis[ca].name)
                             break
     return {"ok": not witnesses, "instances_checked": checked,

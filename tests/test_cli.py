@@ -366,6 +366,18 @@ def test_orbifold_side_defaults_to_s_minus_1(tmp_path, capsys):
     assert tables[0] == tables[1] and json.loads(tables[0])["side"] == "orbifold"
 
 
+def test_orbifold_reports_name_s(capsys):
+    reports = []
+    for s in ("1/2", "2"):
+        assert main(["structure-constants", "--model", "c2", "--n", "3",
+                     "--side", "orbifold", "--s", s]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] != reports[1]
+    assert [json.loads(r)["params"]["s"] for r in reports] == ["1/2", "2"]
+    assert main(["structure-constants", "--model", "c2", "--n", "3"]) == 0
+    assert "s" not in json.loads(capsys.readouterr().out)["params"]
+
+
 _FUZZ_MODEL = {"name": "toy", "basis": [{"name": "1", "degree": 0},
                                         {"name": "h", "degree": 2},
                                         {"name": "x", "degree": 4}],

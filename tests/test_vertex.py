@@ -1,9 +1,12 @@
 """Degree-shift operators, their oracles, and the polynomial-side operators."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbfock import vertex
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
 from hilbfock.rational import Q
@@ -176,6 +179,59 @@ def test_lemma_ks_sweeps_small(models):
     assert rep["ok"] and rep["instances_checked"] > 0
     rep = verify_lemma_ks(models("odd_toy"), ksum_max=3, weight_max=4)
     assert rep["ok"]
+
+
+def test_lemma_ks_sweep_catches_injected_faults(models, monkeypatch):
+    """Through the probe memo the sweep still fails on a wrong contraction
+    scale (part i) and on a wrong Euler correction (part ii)."""
+    toy = models("toy_b2_1")
+    real_init = FockSpace.__init__
+
+    def doubled_kappa(self, model, s=None):
+        real_init(self, model, s)
+        self.kappa = 2 * self.kappa   # the brackets keep the true ann_scale
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FockSpace, "__init__", doubled_kappa)
+        rep = verify_lemma_ks(toy, ksum_max=3, weight_max=3)
+    assert not rep["ok"] and rep["witnesses"][0]["part"] == "i"
+    monkeypatch.setattr(toy, "euler", toy.euler.scaled(2))
+    rep = verify_lemma_ks(toy, ksum_max=3, weight_max=3)
+    assert not rep["ok"] and {w["part"] for w in rep["witnesses"]} == {"ii"}
+
+
+def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
+    """No (word, class, probe vector) triple is applied twice in one sweep,
+    and the memo leaves the instance count as it was without it."""
+    probes = []
+    real_probes = vertex._probe_vectors
+
+    def recording_probes(fock, max_weight):
+        probes[:] = real_probes(fock, max_weight)
+        return probes
+
+    on_probes = Counter()
+    calls = Counter()
+    real_apply = FockSpace.apply_word_tau
+
+    def counting_apply(self, word, cls, v):
+        calls["all"] += 1
+        for vi, probe in enumerate(probes):
+            if v is probe:
+                on_probes[(word, cls.key(), vi)] += 1
+        return real_apply(self, word, cls, v)
+
+    monkeypatch.setattr(vertex, "_probe_vectors", recording_probes)
+    monkeypatch.setattr(FockSpace, "apply_word_tau", counting_apply)
+    # instances as counted without the memo; calls were 17,316 and 47,848
+    for name, checked, applied in (("toy_b2_1", 4200, 7351),
+                                   ("odd_toy", 11320, 20318)):
+        on_probes.clear()
+        calls.clear()
+        rep = verify_lemma_ks(models(name), ksum_max=5, weight_max=3)
+        assert rep["ok"] and rep["instances_checked"] == checked
+        assert on_probes and max(on_probes.values()) == 1
+        assert calls["all"] == applied
 
 
 def test_nonsense1_two_term_case(models):
