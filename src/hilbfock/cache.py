@@ -47,5 +47,6 @@ def store(key, obj):
     # a private temp file per writer, so concurrent writers never interleave
     fd, tmp = tempfile.mkstemp(dir=sub, prefix=key, suffix=".tmp")
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        # json.dumps encodes in C without indent; json.dump never does
+        fh.write(json.dumps(obj, sort_keys=True))
     os.replace(tmp, os.path.join(sub, key + ".json"))

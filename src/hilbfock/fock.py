@@ -163,20 +163,26 @@ class FockSpace:
             raise EngineError("Heisenberg index 0 is not an operator")
         return self.apply_word_tau((n,), cls, v)
 
-    def apply_word_tau(self, indices, cls, v):
+    def apply_word_tau(self, indices, cls, v, drop=frozenset()):
         """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) applied to v.
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
         The word runs on integer numerators; rationals enter once, in the
         final scale (see the module docstring).  k = 1 is a_{i_1}(cls).
+
+        The creations left of the first annihilation act last, so a label
+        they create stays in every monomial they make.  Slot tuples that
+        create a label of drop there are skipped: pass the labels that the
+        caller's reduction deletes anyway.
         """
         k = len(indices)
         if k == 0:
             return v.scaled(self.model.integrate(cls))
         den_v, nums = integer_lift(list(v.terms.values()))
         start = dict(zip(v.terms, nums))
-        den_t, tensor = self.model.int_tensor(cls, k)
+        lead = next((j for j, i in enumerate(indices) if i > 0), k) if drop else 0
+        den_t, tensor = self.model.int_tensor(cls, k, drop, lead)
         out = {}
         for w, slots in tensor:
             cur = start

@@ -7,9 +7,13 @@ degree-shift operators, evaluated on the level-n unit.  Multiplying by
 b_rho(n) then means applying those operator words.  For a model with a
 restriction ideal everything happens in the quotient: applications are
 reduced after every operator, which is legitimate because the ideal subspace
-absorbs the operators.  The same engine with a rational flavour s = t^{1/3}
-is the deformed symmetric-product side; at s = -1 it must reproduce the
-Hilbert-scheme ring, which the comparison verifiers check.
+absorbs the operators.  A generator is memoized per single monomial, reduced
+and with its canonical-class markers checked, and applies to a vector as the
+weighted sum over its monomials; in a quotient its rational-weight terms
+skip creating ideal labels, which the reduction would delete.  The same
+engine with a rational flavour s = t^{1/3} is the deformed symmetric-product
+side; at s = -1 it must reproduce the Hilbert-scheme ring, which the
+comparison verifiers check.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ class RingEngine:
                 "self-intersection; the ambient ring is only consistent for "
                 "coherent models")
         self._ops = {}
+        self._gen = {}
         self._expr = {}
         self._word_on_b = {}
         self._products = {}
@@ -111,16 +116,31 @@ class RingEngine:
         return op
 
     def apply_generator(self, factor, v):
-        """One degree-shift operator on v, reduced in a quotient; every
-        canonical-class marker term must vanish under reduction."""
-        fock = self.fock
-        known, markers = apply_operator(fock, self.operator(*factor), v)
-        for mv in markers:
-            if not fock.reduce(mv).is_zero():
-                raise EngineError(
-                    "canonical-class marker term failed to vanish "
-                    "under reduction; ideal is not K-closed")
-        return fock.reduce(known) if self.quotient else known
+        """One degree-shift operator on v, reduced in a quotient: the sum of
+        its memoized values on the monomials of v."""
+        out = {}
+        for mono, w in v.terms.items():
+            row_add_scaled(out, self._generator_on(factor, mono).terms, w)
+        return FockVector(out)
+
+    def _generator_on(self, factor, mono):
+        """The operator on one monomial, reduced in a quotient, where every
+        canonical-class marker term must vanish under reduction.  Memoized
+        per (factor, monomial) for the life of the engine."""
+        key = (factor, mono)
+        got = self._gen.get(key)
+        if got is None:
+            fock = self.fock
+            known, markers = apply_operator(fock, self.operator(*factor),
+                                            FockVector({mono: ONE}),
+                                            self.model.ideal_pivots)
+            for mv in markers:
+                if not fock.reduce(mv).is_zero():
+                    raise EngineError(
+                        "canonical-class marker term failed to vanish "
+                        "under reduction; ideal is not K-closed")
+            got = self._gen[key] = fock.reduce(known) if self.quotient else known
+        return got
 
     def apply_word(self, word, v):
         for f in reversed(word):

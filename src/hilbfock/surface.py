@@ -50,13 +50,15 @@ class BasisElement:
 class GradedClass(LinearCombination):
     """Sparse exact-rational coefficient vector over a model basis.
 
-    Zero coefficients are never stored; instances are treated as immutable.
+    Zero coefficients are never stored; instances are treated as immutable,
+    so the content key is built once, on first use.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
 
     def __init__(self, coeffs=None):
         self.terms = {i: Q(v) for i, v in (coeffs or {}).items() if v}
+        self._key = None
 
     def get(self, i):
         return self.terms.get(i, Q(0))
@@ -65,7 +67,9 @@ class GradedClass(LinearCombination):
         return hash(self.key())
 
     def key(self):
-        return tuple(sorted((i, qstr(v)) for i, v in self.terms.items()))
+        if self._key is None:
+            self._key = tuple(sorted((i, qstr(v)) for i, v in self.terms.items()))
+        return self._key
 
     def __repr__(self):
         return f"GradedClass({ {i: qstr(v) for i, v in sorted(self.terms.items())} })"
@@ -261,17 +265,26 @@ class SurfaceModel:
             row_add_scaled(out, self.tau_basis(b, k), coeff)
         return [(w, slots) for slots, w in out.items()]
 
-    def int_tensor(self, a, k):
+    def int_tensor(self, a, k, drop=frozenset(), lead=0):
         """tau_{k*}(a) for k >= 1 as (den, [(integer weight, slots), ...]):
         the diagonal_pushforward weights are the integers divided by den.
-        Built once per (class, k) on this model object."""
-        # integer key: Fraction hashing and equality run in Python
-        key = (tuple(sorted((i, w.numerator, w.denominator) for i, w in a.items())), k)
+        With a label set drop and lead > 0, the slot tuples that carry a
+        label of drop in one of their first lead slots are left out; den
+        stays that of the whole tensor.  Built once per (class, k, drop,
+        lead) on this model object."""
+        if not (drop and lead):
+            drop, lead = frozenset(), 0
+        key = (a.key(), k, drop, lead)
         cached = self._int_tensors.get(key)
         if cached is None:
-            tensor = self.diagonal_pushforward(a, k)
-            den, nums = integer_lift([w for w, _ in tensor])
-            cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
+            if lead:
+                den, whole = self.int_tensor(a, k)
+                cached = (den, [(num, slots) for num, slots in whole
+                                if drop.isdisjoint(slots[:lead])])
+            else:
+                tensor = self.diagonal_pushforward(a, k)
+                den, nums = integer_lift([w for w, _ in tensor])
+                cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
             self._int_tensors[key] = cached
         return cached
 

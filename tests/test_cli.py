@@ -13,7 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
+from hilbfock.cli import (REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range,
+                          write_table)
+from hilbfock.errors import EngineError
+from hilbfock.models import BUILTIN, builtin_model
+from hilbfock.ring import RingEngine
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
 
@@ -125,9 +129,47 @@ def test_structure_constants_cache(tmp_path):
     r2 = run_cli("structure-constants", "--model", "c2", "--n", "3",
                  "--out", str(out2), env=env)
     assert r2.returncode == 0
-    assert out1.read_text() == out2.read_text()
+    # the second table comes from the cache, through the same writer
+    assert out1.read_bytes() == out2.read_bytes()
     table = json.loads(out1.read_text())
     assert table["n"] == 3 and table["table"]
+    assert out1.read_text() == json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("structure-constants", "--model", "c2", "--n", "1"),
+    ("lehn-apply", "--k", "1", "--poly", "-"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, argv):
+    res = subprocess.run(RUN + list(argv) + ["--out", str(tmp_path / "no" / "t.json")],
+                         input='{"terms": []}', capture_output=True, text=True)
+    assert_usage_error(res)
+
+
+def test_table_writer_bytes_equal_json_dump():
+    """write_table writes the bytes of json.dump(indent=2, sort_keys=True)
+    and a newline for every built-in table that computes at n <= 3, on the
+    Hilbert side and on the orbifold side at s = 2."""
+    written = empty_rows = with_s = 0
+    for name in BUILTIN:
+        model = builtin_model(name)
+        for s in (None, 2):
+            try:
+                eng = RingEngine(model, s)
+            except EngineError:
+                continue
+            for n in range(4):
+                try:
+                    obj = eng.structure_constants(n).to_json(model)
+                except EngineError:
+                    continue
+                fh = io.StringIO()
+                write_table(obj, fh)
+                assert fh.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+                written += 1
+                empty_rows += sum(not row["entries"] for row in obj["table"])
+                with_s += "s" in obj
+    assert written > 40 and empty_rows and with_s
 
 
 def test_orb_structure_constants(tmp_path):

@@ -14,6 +14,7 @@ from hilbfock.ring import (FHRing, LehnEngine, RingEngine,
                            verify_affine_plane_quotient, verify_fh_ring,
                            verify_ideal_suite, verify_mod_h4_independence,
                            verify_n_independence, verify_polynomiality)
+from hilbfock.vertex import apply_operator
 
 
 def test_express_unit(engines):
@@ -115,6 +116,34 @@ def test_cup_requires_reduced_labels(engines, models):
     v = eng.fock.apply_heisenberg(-2, h, eng.fock.vacuum())
     with pytest.raises(EngineError):
         eng.cup(v, v, 2)
+
+
+def _generator_on_whole_vector(eng, factor, v):
+    """The reference body of apply_generator: the whole vector through
+    apply_operator with no label filter, the marker check, then reduce."""
+    fock = eng.fock
+    known, markers = apply_operator(fock, eng.operator(*factor), v)
+    assert all(fock.reduce(mv).is_zero() for mv in markers)
+    return fock.reduce(known)
+
+
+@pytest.mark.parametrize("s", [None, 2])
+@pytest.mark.parametrize("name", ["c2", "ale_1", "ale_2", "cotangent_g1"])
+def test_memoized_generator_matches_whole_vector_reference(models, name, s):
+    """Summing the per-monomial memo over a vector gives what the operator
+    gives on the whole vector, cold (a multi-term vector first) and warm."""
+    model = models(name)
+    for n in range(1, 4):
+        eng = RingEngine(model, s)
+        basis = [eng.b_vec(rho, n) for rho in eng.basis(n)]
+        mixed = FockVector({mono: Q(i, 7) for i, b in enumerate(basis, 1)
+                            for mono in b.terms})
+        assert len(mixed.terms) == len(basis)
+        for k in range(n):
+            for c in model.working_classes():
+                for v in [mixed] + basis:
+                    assert (eng.apply_generator((k, c), v)
+                            == _generator_on_whole_vector(eng, (k, c), v))
 
 
 @pytest.mark.parametrize("name,nmax", [("toy_b2_1", 3), ("ale_2", 3), ("c2", 3)])

@@ -76,6 +76,30 @@ def test_marker_check_path(models):
     assert out == f.reduce(known)
 
 
+def test_label_filter_leaves_markers_unpruned(models):
+    """The engine's label filter prunes only the rational-weight families:
+    the markers come back as without it, and after reduction so does the
+    known part."""
+    c2 = models("c2")
+    eng = RingEngine(c2)
+    f = eng.fock
+    n = 3
+    marked = pruned = 0
+    for k in range(n):
+        for c in c2.working_classes():
+            op = eng.operator(k, c)
+            for rho in eng.basis(n):
+                v = eng.b_vec(rho, n)
+                known, marks = apply_operator(f, op, v, c2.ideal_pivots)
+                full, full_marks = apply_operator(f, op, v)
+                assert marks == full_marks
+                assert f.reduce(known) == f.reduce(full)
+                marked += bool(marks)
+                pruned += known != full
+    # the markers are nonzero upstairs, and the filter did skip terms
+    assert marked and pruned
+
+
 def test_chern_class_examples(models):
     toy = models("toy_b2_1")
     f = FockSpace(toy)
