@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for computed tables.
+"""Content-addressed on-disk cache for computed tables, as file text.
 
 Enabled by the HILBFOCK_CACHE_DIR environment variable; keys are digests of
 the package version, the model content hash and the computation parameters,
@@ -27,18 +27,21 @@ def cache_key(model_hash, kind, **params):
 
 
 def load(key):
+    """The text stored under key, or None: a file that is not JSON is a miss."""
     root = cache_dir()
     if not root:
         return None
     path = os.path.join(root, key[:2], key + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        json.loads(text)
     except (OSError, ValueError):
         return None
+    return text
 
 
-def store(key, obj):
+def store(key, text):
     root = cache_dir()
     if not root:
         return
@@ -47,6 +50,5 @@ def store(key, obj):
     # a private temp file per writer, so concurrent writers never interleave
     fd, tmp = tempfile.mkstemp(dir=sub, prefix=key, suffix=".tmp")
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        # json.dumps encodes in C without indent; json.dump never does
-        fh.write(json.dumps(obj, sort_keys=True))
+        fh.write(text)
     os.replace(tmp, os.path.join(sub, key + ".json"))

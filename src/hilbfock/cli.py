@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
-from json.encoder import encode_basestring_ascii
 
 from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
@@ -120,81 +118,28 @@ def build_parser():
     return top
 
 
-def _dump(obj, fh):
-    json.dump(obj, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def _leaf_renderer(pad):
-    """json.dumps(pf, indent=2, sort_keys=True) nested at the indent pad,
-    rendered once per distinct partition function pf."""
-    memo = {}
-
-    def render(pf):
-        key = repr(pf)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = json.dumps(pf, indent=2, sort_keys=True).replace(
-                "\n", "\n" + pad)
-        return got
-
-    return render
-
-
-def write_table(table, fh):
-    """Write a structure table {n, s?, side, table: [{entries: [{coeff, nu}],
-    rho, sigma}]} to fh, one row at a time, with the bytes of _dump(table,
-    fh).  json.dump runs the pure-Python encoder whenever it indents; here
-    only the distinct partition functions go through it."""
-    nu_at, pf_at = _leaf_renderer(" " * 10), _leaf_renderer(" " * 6)
-    fh.write("{")
-    for i, key in enumerate(sorted(table)):
-        fh.write(("," if i else "") + "\n  " + encode_basestring_ascii(key) + ": ")
-        value = table[key]
-        if key != "table":
-            fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
-            continue
-        if not value:
-            fh.write("[]")
-            continue
-        fh.write("[")
-        for r, row in enumerate(value):
-            entries = row["entries"]
-            if entries:
-                entries = "[\n" + ",\n".join(
-                    '        {\n          "coeff": ' + encode_basestring_ascii(e["coeff"])
-                    + ',\n          "nu": ' + nu_at(e["nu"]) + "\n        }"
-                    for e in entries) + "\n      ]"
-            else:
-                entries = "[]"
-            fh.write(("," if r else "") + '\n    {\n      "entries": ' + entries
-                     + ',\n      "rho": ' + pf_at(row["rho"])
-                     + ',\n      "sigma": ' + pf_at(row["sigma"]) + "\n    }")
-        fh.write("\n  ]")
-    fh.write("\n}\n")
-
-
-def _emit(report, args, write_out=None):
-    """Print the report; with --out, also write write_out's file, or else
-    the report, to that path."""
+def _emit(report, args, text=None):
+    """Print the report; with --out, also write text, or else the indented
+    report, to that path."""
     if args.out:
+        if text is None:
+            text = json.dumps(report.to_json(with_timing=args.timing), indent=2,
+                              sort_keys=True) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:
-            if write_out is None:
-                _dump(report.to_json(with_timing=args.timing), fh)
-            else:
-                write_out(fh)
+            fh.write(text)
     report.emit(pretty=args.pretty, with_timing=args.timing)
 
 
-def _table_json(engine, model, n):
-    key = cache.cache_key(model.content_hash, "structure-table",
+def _table_text(engine, model, n):
+    """The structure-table file: the cached text, or else the rendered text,
+    which is then stored."""
+    key = cache.cache_key(model.content_hash, "structure-table-text",
                           n=n, side=engine.side, s=qstr(engine.fock.kappa))
-    cached = cache.load(key)
-    if cached is not None:
-        return cached
-    obj = engine.structure_constants(n).to_json(model)
-    cache.store(key, obj)
-    return obj
+    text = cache.load(key)
+    if text is None:
+        text = engine.structure_constants(n).render(model)
+        cache.store(key, text)
+    return text
 
 
 def _engine(model, args):
@@ -248,11 +193,10 @@ def cmd_structure_constants(args):
     model = load_model(args.model)
     n = parse_level(args.n)
     engine = _engine(model, args)
-    table = _table_json(engine, model, n)
-    report = RunReport("structure-constants", model.content_hash,
-                       {"n": n, **_side_params(engine)}, "pass",
-                       details={"entries": len(table["table"])})
-    return report, partial(write_table, table)
+    text = _table_text(engine, model, n)
+    return RunReport("structure-constants", model.content_hash,
+                     {"n": n, **_side_params(engine)}, "pass",
+                     details={"entries": len(engine.basis(n)) ** 2}), text
 
 
 def cmd_lehn(args):
@@ -263,8 +207,9 @@ def cmd_lehn(args):
             obj = json.load(fh)
     image = lehn_apply(args.k, SparsePolynomial.from_json(obj))
     out = image.to_json()
+    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     return RunReport("lehn-apply", "-", {"k": args.k}, "pass",
-                     details={"image": out}), partial(_dump, out)
+                     details={"image": out}), text
 
 
 # -- verifiers: each maps (model, levels, args) to (ok, witnesses, details) -----
@@ -408,9 +353,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report, write_out = args.cmd(args)
+        report, text = args.cmd(args)
         report.timing_ms = int((time.monotonic() - started) * 1000)
-        _emit(report, args, write_out)
+        _emit(report, args, text)
     except UnknownCoefficientsError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3

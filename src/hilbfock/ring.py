@@ -18,6 +18,7 @@ comparison verifiers check.
 
 from __future__ import annotations
 
+import json
 from math import factorial
 
 from .errors import (EliminationError, EngineError, ModelError,
@@ -43,20 +44,41 @@ class StructureTable:
     def get(self, rho, sigma):
         return self.entries[(rho, sigma)]
 
-    def to_json(self, model):
-        items = []
-        for (rho, sigma) in sorted(self.entries, key=lambda p: (p[0].key(), p[1].key())):
-            prods = self.entries[(rho, sigma)]
-            items.append({
-                "rho": rho.to_json(model),
-                "sigma": sigma.to_json(model),
-                "entries": [{"nu": nu.to_json(model), "coeff": qstr(c)}
-                            for nu, c in sorted(prods.items(), key=lambda t: t[0].key())],
-            })
-        out = {"n": self.n, "side": self.side, "table": items}
+    def render(self, model):
+        """The table file: the bytes of json.dumps(obj, indent=2, sort_keys=True)
+        and a newline for obj = {n, s?, side, table: [{entries: [{coeff, nu}],
+        rho, sigma}]}, rows by (rho, sigma) and entries by nu.  json.dumps runs
+        the pure-Python encoder whenever it indents; here only the distinct
+        partition functions go through it, once per indent level."""
+        def encoder(pad):
+            memo = {}
+
+            def encode(pf):
+                got = memo.get(pf)
+                if got is None:
+                    got = memo[pf] = json.dumps(pf.to_json(model), indent=2,
+                                                sort_keys=True).replace("\n", "\n" + pad)
+                return got
+            return encode
+
+        def array(items, pad):
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+        nu_at, pf_at = encoder(" " * 10), encoder(" " * 6)
+        rows = []
+        for rho, sigma in sorted(self.entries, key=lambda p: (p[0].key(), p[1].key())):
+            prods = sorted(self.entries[(rho, sigma)].items(), key=lambda t: t[0].key())
+            entries = array(['        {\n          "coeff": "' + qstr(c)
+                             + '",\n          "nu": ' + nu_at(nu) + "\n        }"
+                             for nu, c in prods], " " * 6)
+            rows.append('    {\n      "entries": ' + entries + ',\n      "rho": '
+                        + pf_at(rho) + ',\n      "sigma": ' + pf_at(sigma) + "\n    }")
+        head = [f'  "n": {json.dumps(self.n)}']
         if self.s is not None:
-            out["s"] = qstr(self.s)
-        return out
+            head.append(f'  "s": {json.dumps(qstr(self.s))}')
+        head.append(f'  "side": {json.dumps(self.side)}')
+        head.append('  "table": ' + array(rows, "  "))
+        return "{\n" + ",\n".join(head) + "\n}\n"
 
 
 class RingEngine:
@@ -82,7 +104,7 @@ class RingEngine:
         self._word_on_b = {}
         self._products = {}
         self._basis = {}
-        self._tables = {}
+        self._degrees = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -98,6 +120,13 @@ class RingEngine:
 
     def b_vec(self, rho, n):
         return self.fock.b_class(rho, n)
+
+    def degree(self, rho):
+        """The cohomological degree of rho, computed once per engine."""
+        got = self._degrees.get(rho)
+        if got is None:
+            got = self._degrees[rho] = rho.degree(self.model)
+        return got
 
     def operator(self, k, c):
         """The degree-shift operator of (k, basis class c).  Canonical-class
@@ -221,13 +250,21 @@ class RingEngine:
         if got is not None:
             return got
         coords = self.fock.expand_in_basis(self.product_vector(rho, sigma, n), n)
-        target = rho.degree(self.model) + sigma.degree(self.model)
+        degree = self.degree
+        target = degree(rho) + degree(sigma)
         for nu in coords:
-            if nu.degree(self.model) != target:
+            if degree(nu) != target:
                 raise EngineError(
                     f"degree additivity violated in {rho!r} . {sigma!r} at {nu!r}")
         self._products[key] = coords
         return coords
+
+    def b_times(self, rho, v, n):
+        """b_rho(n) . v: the generator words of b_rho(n) applied to v, weighted."""
+        out = {}
+        for word, cw in self.express(rho, n).items():
+            row_add_scaled(out, self.apply_word(word, v).terms, cw)
+        return FockVector(out)
 
     def cup(self, u, v, n):
         """Bilinear cup product of two weight-n vectors (reduced labels)."""
@@ -237,14 +274,10 @@ class RingEngine:
                 raise WeightError("cup product needs two vectors of the same level")
         out = {}
         for rho, cu in self.fock.expand_in_basis(u, n).items():
-            for word, cw in self.express(rho, n).items():
-                row_add_scaled(out, self.apply_word(word, v).terms, cu * cw)
+            row_add_scaled(out, self.b_times(rho, v, n).terms, cu)
         return FockVector(out)
 
     def structure_constants(self, n):
-        got = self._tables.get(n)
-        if got is not None:
-            return got
         basis = self.basis(n)
         entries = {}
         for rho in basis:
@@ -253,13 +286,12 @@ class RingEngine:
         table = StructureTable(n, self.side, None if self.fock.kappa == Q(-1)
                                else self.fock.kappa, entries)
         self._check_supercommutativity(table)
-        self._tables[n] = table
         return table
 
     def _check_supercommutativity(self, table):
-        model = self.model
+        degree = self.degree
         for (rho, sigma), prods in table.entries.items():
-            sign = -1 if (rho.degree(model) % 2 and sigma.degree(model) % 2) else 1
+            sign = -1 if (degree(rho) % 2 and degree(sigma) % 2) else 1
             mirror = table.entries[(sigma, rho)]
             flipped = {nu: c * sign for nu, c in mirror.items()}
             if prods != flipped:
@@ -562,18 +594,11 @@ class FHRing:
         if not probe["ok"]:
             raise EngineError("structure constants failed to stabilize "
                               f"between levels {n_probe} and {n_probe + 1}")
-        self._mult = {}
 
     def mult(self, rho, sigma):
         """Stable structure constants of b_rho . b_sigma (level-free)."""
-        key = (rho, sigma)
-        got = self._mult.get(key)
-        if got is None:
-            unit = self.model.unit
-            n = rho.cost(unit) + sigma.cost(unit)
-            got = self.engine.b_product(rho, sigma, max(n, 1))
-            self._mult[key] = got
-        return got
+        unit = self.model.unit
+        return self.engine.b_product(rho, sigma, max(rho.cost(unit) + sigma.cost(unit), 1))
 
     def single(self, r, c):
         """The one-part symbol b_{r,c}."""
@@ -605,12 +630,8 @@ def monomial_vectors(engine, rhos, n_eval):
         else:
             del restparts[c]
         rest = PartitionFunction(restparts)
-        single = PartitionFunction({c: (r,)})
-        out = {}
-        for word, cw in engine.express(single, n_eval).items():
-            row_add_scaled(out, engine.apply_word(word, vec(rest)).terms, cw)
-        cache[rho] = FockVector(out)
-        return cache[rho]
+        got = cache[rho] = engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
+        return got
 
     return {rho: vec(rho) for rho in rhos}
 

@@ -1,8 +1,15 @@
-"""The on-disk table cache: versioned keys and private temp files."""
+"""The on-disk table cache: versioned keys, private temp files, and file
+text that only a table of this release's format is read back as."""
 
+import json
 import os
 
+import pytest
+
 from hilbfock import cache
+from hilbfock.cli import main
+from hilbfock.models import builtin_model
+from hilbfock.ring import RingEngine
 
 
 def test_cache_key_includes_version(monkeypatch):
@@ -29,10 +36,56 @@ def test_store_uses_private_temp_file(tmp_path, monkeypatch):
         real_replace(src, dst)
 
     monkeypatch.setattr(cache.os, "replace", spy)
-    cache.store(key, {"n": 1})
-    cache.store(key, {"n": 2})
+    cache.store(key, '{"n": 1}\n')
+    cache.store(key, '{\n  "n": 2\n}\n')
     assert len(set(temps)) == 2
     assert all(os.path.dirname(t) == str(final.parent) for t in temps)
-    assert cache.load(key) == {"n": 2}
+    assert cache.load(key) == '{\n  "n": 2\n}\n'
     assert sorted(p.name for p in final.parent.iterdir()) == [
         final.name, key + ".json.tmp"]
+
+
+@pytest.fixture
+def c2_table(tmp_path, monkeypatch, capsys):
+    """Run structure-constants for c2 at n=3 against a cache under tmp_path:
+    returns the model, the fresh table text and a runner giving the --out
+    text and the report."""
+    monkeypatch.setenv("HILBFOCK_CACHE_DIR", str(tmp_path / "cache"))
+    model = builtin_model("c2")
+    fresh = RingEngine(model).structure_constants(3).render(model)
+    out = tmp_path / "t.json"
+
+    def run():
+        assert main(["structure-constants", "--model", "c2", "--n", "3",
+                     "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8"), capsys.readouterr().out
+
+    return model, fresh, run
+
+
+def test_old_compact_entry_is_not_read_back(tmp_path, c2_table):
+    """A compact-JSON table stored under the key of the dict-storing cache
+    (kind 'structure-table') is never read back as file bytes."""
+    model, fresh, run = c2_table
+    old_key = cache.cache_key(model.content_hash, "structure-table",
+                              n=3, side="hilbert", s="-1")
+    compact = json.dumps(json.loads(fresh), sort_keys=True)
+    cache.store(old_key, compact)
+    text, _ = run()
+    assert text == fresh != compact
+    assert cache.load(old_key) == compact
+    assert sorted(f.read_text(encoding="utf-8") for f in
+                  (tmp_path / "cache").rglob("*.json")) == sorted([compact, fresh])
+
+
+def test_damaged_entry_is_a_miss(tmp_path, c2_table):
+    """A cached file that is not JSON is recomputed, byte for byte, and
+    stored again."""
+    _, fresh, run = c2_table
+    text, report = run()
+    assert text == fresh
+    (entry,) = (tmp_path / "cache").rglob("*.json")
+    entry.write_text(fresh[:len(fresh) // 2], encoding="utf-8")
+    again, report_again = run()
+    assert again == fresh and report_again == report
+    assert entry.read_text(encoding="utf-8") == fresh

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hilbfock.cli import (REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range,
-                          write_table)
+from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
 from hilbfock.errors import EngineError
 from hilbfock.models import BUILTIN, builtin_model
+from hilbfock.rational import qstr
 from hilbfock.ring import RingEngine
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
@@ -116,24 +116,30 @@ def test_report_determinism():
     assert "timing_ms" not in json.loads(a.stdout)
 
 
-def test_structure_constants_cache(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("--model", "c2", "--n", "3"),
+    ("--model", "ale_2", "--n", "3", "--side", "orbifold", "--s", "1/2"),
+], ids=["c2", "ale_2-orbifold"])
+def test_structure_constants_cache(tmp_path, argv):
     cache_dir = tmp_path / "cache"
     out1 = tmp_path / "t1.json"
     out2 = tmp_path / "t2.json"
     env = {"HILBFOCK_CACHE_DIR": str(cache_dir)}
-    r1 = run_cli("structure-constants", "--model", "c2", "--n", "3",
-                 "--out", str(out1), env=env)
+    r1 = run_cli("structure-constants", *argv, "--out", str(out1), env=env)
     assert r1.returncode == 0
     cached_files = list(cache_dir.rglob("*.json"))
-    assert cached_files
-    r2 = run_cli("structure-constants", "--model", "c2", "--n", "3",
-                 "--out", str(out2), env=env)
+    assert len(cached_files) == 1
+    # the cache holds the table file's bytes
+    assert cached_files[0].read_bytes() == out1.read_bytes()
+    r2 = run_cli("structure-constants", *argv, "--out", str(out2), env=env)
     assert r2.returncode == 0
-    # the second table comes from the cache, through the same writer
+    # the second table and report come from the cache
     assert out1.read_bytes() == out2.read_bytes()
+    assert r1.stdout == r2.stdout
     table = json.loads(out1.read_text())
     assert table["n"] == 3 and table["table"]
     assert out1.read_text() == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    assert json.loads(r1.stdout)["details"]["entries"] == len(table["table"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -146,10 +152,28 @@ def test_unwritable_out_is_usage_error(tmp_path, argv):
     assert_usage_error(res)
 
 
+def _table_obj(table, model):
+    """The structure-table file as a JSON object, built independently of
+    StructureTable.render."""
+    items = []
+    for (rho, sigma) in sorted(table.entries, key=lambda p: (p[0].key(), p[1].key())):
+        prods = table.entries[(rho, sigma)]
+        items.append({
+            "rho": rho.to_json(model),
+            "sigma": sigma.to_json(model),
+            "entries": [{"nu": nu.to_json(model), "coeff": qstr(c)}
+                        for nu, c in sorted(prods.items(), key=lambda t: t[0].key())],
+        })
+    out = {"n": table.n, "side": table.side, "table": items}
+    if table.s is not None:
+        out["s"] = qstr(table.s)
+    return out
+
+
 def test_table_writer_bytes_equal_json_dump():
-    """write_table writes the bytes of json.dump(indent=2, sort_keys=True)
-    and a newline for every built-in table that computes at n <= 3, on the
-    Hilbert side and on the orbifold side at s = 2."""
+    """StructureTable.render gives the bytes of json.dumps(indent=2,
+    sort_keys=True) and a newline for every built-in table that computes at
+    n <= 3, on the Hilbert side and on the orbifold side at s = 2."""
     written = empty_rows = with_s = 0
     for name in BUILTIN:
         model = builtin_model(name)
@@ -160,12 +184,11 @@ def test_table_writer_bytes_equal_json_dump():
                 continue
             for n in range(4):
                 try:
-                    obj = eng.structure_constants(n).to_json(model)
+                    table = eng.structure_constants(n)
                 except EngineError:
                     continue
-                fh = io.StringIO()
-                write_table(obj, fh)
-                assert fh.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+                obj = _table_obj(table, model)
+                assert table.render(model) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
                 written += 1
                 empty_rows += sum(not row["entries"] for row in obj["table"])
                 with_s += "s" in obj
