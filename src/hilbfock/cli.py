@@ -132,8 +132,8 @@ def _emit(report, args, text=None):
 
 def _table_text(engine, model, n):
     """The structure-table file: the cached text, or else the rendered text,
-    which is then stored."""
-    key = cache.cache_key(model.content_hash, "structure-table-text",
+    which is then stored.  The kind changes whenever the file text does."""
+    key = cache.cache_key(model.content_hash, "structure-table-file",
                           n=n, side=engine.side, s=qstr(engine.fock.kappa))
     text = cache.load(key)
     if text is None:

@@ -26,6 +26,7 @@ ann_scale^(#annihilations) / (den_v * den_tau).
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 from .errors import EngineError, ModelError, WeightError
@@ -51,9 +52,6 @@ class FockVector(LinearCombination):
     @classmethod
     def monomial(cls, mono, coeff=ONE):
         return cls({tuple(mono): Q(coeff)})
-
-    def __hash__(self):
-        return hash(tuple(sorted((m, qstr(v)) for m, v in self.terms.items())))
 
     def constant_weight(self):
         """The common weight of all monomials; WeightError if mixed, None if 0."""
@@ -308,15 +306,10 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
     ann_scale = fock.ann_scale
     monos = [m for w in range(max_weight + 1) for m in fock.enumerate_monomials(w)]
     indices = [i for i in range(-max_index, max_index + 1) if i]
-    single = {}
 
+    @cache
     def app(idx, c, mono):
-        key = (idx, c, mono)
-        res = single.get(key)
-        if res is None:
-            res = fock.apply_basis_raw(idx, c, {mono: 1})
-            single[key] = res
-        return res
+        return fock.apply_basis_raw(idx, c, {mono: 1})
 
     def compose(idx, c, terms):
         out = {}

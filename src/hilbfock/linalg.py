@@ -5,13 +5,32 @@ elimination rows) is a dict mapping hashable keys to nonzero rationals, and
 row_add_scaled is the one place that adds them.  An Echelon keeps normalized
 rows keyed by pivot column (the smallest key in the row); inserting a row
 reduces it first, so rank and span-membership queries are incremental.
+memoized is the one memo of the engine methods.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import wraps
 
 from .rational import ONE, Q
+
+
+def memoized(method):
+    """Memoize a method per object on its positional arguments.  The table
+    lives in the object's __dict__, so each engine or model owns its memo
+    and a fresh object starts empty; a call that raises stores nothing.
+    The method never returns None."""
+    name = "_memo_" + method.__name__
+
+    @wraps(method)
+    def wrapper(self, *args):
+        memo = self.__dict__.setdefault(name, {})
+        got = memo.get(args)
+        if got is None:
+            got = memo[args] = method(self, *args)
+        return got
+    return wrapper
 
 
 def row_scaled(row, s):

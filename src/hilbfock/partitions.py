@@ -8,7 +8,7 @@ linear bases.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 from .rational import ONE, Q
@@ -28,7 +28,7 @@ def partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@cache
 def partitions_with_length(n, k, max_part=None):
     """All partitions of n with exactly k parts, as descending tuples."""
     if k < 0 or n < 0:
@@ -106,7 +106,7 @@ class PartitionFunction:
     partitions are not stored.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("parts", "_key")
+    __slots__ = ("parts", "_key", "_hash")
 
     def __init__(self, parts):
         norm = {}
@@ -119,6 +119,7 @@ class PartitionFunction:
             norm[c] = p
         self.parts = norm
         self._key = tuple(sorted(norm.items()))
+        self._hash = hash(self._key)
 
     EMPTY: "PartitionFunction"
 
@@ -165,7 +166,7 @@ class PartitionFunction:
         return isinstance(other, PartitionFunction) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"PartitionFunction({dict(self._key)!r})"

@@ -19,12 +19,13 @@ comparison verifiers check.
 from __future__ import annotations
 
 import json
+from functools import cache
 from math import factorial
 
 from .errors import (EliminationError, EngineError, ModelError,
                      UnknownCoefficientsError, WeightError)
 from .fock import FockSpace, FockVector
-from .linalg import Echelon, row_add_scaled
+from .linalg import Echelon, memoized, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
 from .rational import ONE, Q, qstr
@@ -51,14 +52,10 @@ class StructureTable:
         the pure-Python encoder whenever it indents; here only the distinct
         partition functions go through it, once per indent level."""
         def encoder(pad):
-            memo = {}
-
+            @cache
             def encode(pf):
-                got = memo.get(pf)
-                if got is None:
-                    got = memo[pf] = json.dumps(pf.to_json(model), indent=2,
-                                                sort_keys=True).replace("\n", "\n" + pad)
-                return got
+                return json.dumps(pf.to_json(model), indent=2,
+                                  sort_keys=True).replace("\n", "\n" + pad)
             return encode
 
         def array(items, pad):
@@ -98,50 +95,29 @@ class RingEngine:
                 "declared Euler class differs from the pairing "
                 "self-intersection; the ambient ring is only consistent for "
                 "coherent models")
-        self._ops = {}
-        self._gen = {}
-        self._expr = {}
-        self._word_on_b = {}
-        self._products = {}
-        self._basis = {}
-        self._degrees = {}
 
     # -- plumbing -------------------------------------------------------------
 
+    @memoized
     def basis(self, n):
-        got = self._basis.get(n)
-        if got is None:
-            got = enumerate_partition_functions(self.model, n)
-            self._basis[n] = got
-        return got
+        return enumerate_partition_functions(self.model, n)
 
-    def unit_vec(self, n):
-        return self.fock.unit(n)
-
-    def b_vec(self, rho, n):
-        return self.fock.b_class(rho, n)
-
+    @memoized
     def degree(self, rho):
         """The cohomological degree of rho, computed once per engine."""
-        got = self._degrees.get(rho)
-        if got is None:
-            got = self._degrees[rho] = rho.degree(self.model)
-        return got
+        return rho.degree(self.model)
 
+    @memoized
     def operator(self, k, c):
         """The degree-shift operator of (k, basis class c).  Canonical-class
         families are accepted only modulo an ideal containing K."""
-        key = (k, c)
-        op = self._ops.get(key)
-        if op is None:
-            model = self.model
-            op = chern_operator(self.fock, k, model.basis_class(c))
-            if op.has_unknown_terms and not (
-                    self.quotient and model.reduce_class(model.canonical).is_zero()):
-                raise UnknownCoefficientsError(
-                    "unknown universal coefficients required (the restriction "
-                    "ideal does not contain the canonical class)")
-            self._ops[key] = op
+        model = self.model
+        op = chern_operator(self.fock, k, model.basis_class(c))
+        if op.has_unknown_terms and not (
+                self.quotient and model.reduce_class(model.canonical).is_zero()):
+            raise UnknownCoefficientsError(
+                "unknown universal coefficients required (the restriction "
+                "ideal does not contain the canonical class)")
         return op
 
     def apply_generator(self, factor, v):
@@ -152,24 +128,21 @@ class RingEngine:
             row_add_scaled(out, self._generator_on(factor, mono).terms, w)
         return FockVector(out)
 
+    @memoized
     def _generator_on(self, factor, mono):
         """The operator on one monomial, reduced in a quotient, where every
         canonical-class marker term must vanish under reduction.  Memoized
         per (factor, monomial) for the life of the engine."""
-        key = (factor, mono)
-        got = self._gen.get(key)
-        if got is None:
-            fock = self.fock
-            known, markers = apply_operator(fock, self.operator(*factor),
-                                            FockVector({mono: ONE}),
-                                            self.model.ideal_pivots)
-            for mv in markers:
-                if not fock.reduce(mv).is_zero():
-                    raise EngineError(
-                        "canonical-class marker term failed to vanish "
-                        "under reduction; ideal is not K-closed")
-            got = self._gen[key] = fock.reduce(known) if self.quotient else known
-        return got
+        fock = self.fock
+        known, markers = apply_operator(fock, self.operator(*factor),
+                                        FockVector({mono: ONE}),
+                                        self.model.ideal_pivots)
+        for mv in markers:
+            if not fock.reduce(mv).is_zero():
+                raise EngineError(
+                    "canonical-class marker term failed to vanish "
+                    "under reduction; ideal is not K-closed")
+        return fock.reduce(known) if self.quotient else known
 
     def apply_word(self, word, v):
         for f in reversed(word):
@@ -191,22 +164,17 @@ class RingEngine:
 
     # -- the triangular elimination ------------------------------------------------
 
+    @memoized
     def express(self, rho, n):
         """b_rho(n) as an exact combination of generator words (word -> weight)."""
-        key = (rho, n)
-        got = self._expr.get(key)
-        if got is not None:
-            return got
-        unit = self.model.unit
         if not rho.parts:
-            expr = {(): ONE}
-            self._expr[key] = expr
-            return expr
+            return {(): ONE}
+        unit = self.model.unit
         cost = rho.cost(unit)
         if cost > n:
             raise WeightError(f"basis class is zero at level {n}")
         word = self.generator_word(rho)
-        val = self.apply_word(word, self.unit_vec(n))
+        val = self.apply_word(word, self.fock.unit(n))
         coords = self.fock.expand_in_basis(val, n)
         lead = coords.pop(rho, None)
         if not lead:
@@ -219,22 +187,15 @@ class RingEngine:
         expr = {word: inv}
         for nu, c in coords.items():
             row_add_scaled(expr, self.express(nu, n), -(c * inv))
-        self._expr[key] = expr
         return expr
 
     # -- products ---------------------------------------------------------------
 
+    @memoized
     def word_on_basis(self, word, sigma, n):
-        key = (word, sigma, n)
-        got = self._word_on_b.get(key)
-        if got is None:
-            if word:
-                tail = self.word_on_basis(word[1:], sigma, n)
-                got = self.apply_generator(word[0], tail)
-            else:
-                got = self.b_vec(sigma, n)
-            self._word_on_b[key] = got
-        return got
+        if not word:
+            return self.fock.b_class(sigma, n)
+        return self.apply_generator(word[0], self.word_on_basis(word[1:], sigma, n))
 
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
@@ -243,12 +204,9 @@ class RingEngine:
             row_add_scaled(out, self.word_on_basis(word, sigma, n).terms, cw)
         return FockVector(out)
 
+    @memoized
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
-        key = (rho, sigma, n)
-        got = self._products.get(key)
-        if got is not None:
-            return got
         coords = self.fock.expand_in_basis(self.product_vector(rho, sigma, n), n)
         degree = self.degree
         target = degree(rho) + degree(sigma)
@@ -256,7 +214,6 @@ class RingEngine:
             if degree(nu) != target:
                 raise EngineError(
                     f"degree additivity violated in {rho!r} . {sigma!r} at {nu!r}")
-        self._products[key] = coords
         return coords
 
     def b_times(self, rho, v, n):
@@ -283,8 +240,7 @@ class RingEngine:
         for rho in basis:
             for sigma in basis:
                 entries[(rho, sigma)] = self.b_product(rho, sigma, n)
-        table = StructureTable(n, self.side, None if self.fock.kappa == Q(-1)
-                               else self.fock.kappa, entries)
+        table = StructureTable(n, self.side, self.fock.s, entries)
         self._check_supercommutativity(table)
         return table
 
@@ -459,14 +415,13 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     all_monos = fock.enumerate_monomials(n)
     ideal_monos = [m for m in all_monos if any(c in pivots for _, c in m)]
     witnesses = []
-    ops = {}
+
+    @cache
+    def operator(k, c):
+        return chern_operator(fock, k, model.basis_class(c))
 
     def known_and_markers(k, c, vec):
-        op = ops.get((k, c))
-        if op is None:
-            op = chern_operator(fock, k, model.basis_class(c))
-            ops[(k, c)] = op
-        return apply_operator(fock, op, vec)
+        return apply_operator(fock, operator(k, c), vec)
 
     # (i) the subspace absorbs the operators
     if "absorb" in parts:
@@ -490,9 +445,8 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
                                       "alpha": model.basis[c].name})
 
     # (iii) generation: the span of all products equals the subspace, degreewise
-    marker_free = not any(
-        chern_operator(fock, 0, model.basis_class(c)).has_unknown_terms
-        for c in pivots)
+    marker_free = not any(operator(k, c).has_unknown_terms
+                          for c in pivots for k in range(n))
     ranks = {}
     if "generate" in parts:
         by_degree = {}
@@ -557,16 +511,16 @@ def verify_a_homomorphism(engine, n):
     fock = engine.fock
     witnesses = []
     for rho in engine.basis(n):
-        img = fock.annihilate_point(engine.b_vec(rho, n + 1))
-        if img != engine.b_vec(rho, n):
+        img = fock.annihilate_point(fock.b_class(rho, n + 1))
+        if img != fock.b_class(rho, n):
             witnesses.append({"part": "basis-image", "rho": rho.to_json(engine.model)})
     upper = engine.basis(n + 1)
     for rho in upper:
         for sigma in upper:
             prod_up = engine.product_vector(rho, sigma, n + 1)
             lhs = fock.annihilate_point(prod_up)
-            rx = fock.annihilate_point(engine.b_vec(rho, n + 1))
-            sx = fock.annihilate_point(engine.b_vec(sigma, n + 1))
+            rx = fock.annihilate_point(fock.b_class(rho, n + 1))
+            sx = fock.annihilate_point(fock.b_class(sigma, n + 1))
             if rx.is_zero() or sx.is_zero():
                 rhs = FockVector.zero()
             else:
@@ -608,18 +562,16 @@ class FHRing:
 def monomial_vectors(engine, rhos, n_eval):
     """Evaluate the products prod b_{r,c} indexed by each rho at a common
     level, recursively sharing prefixes."""
-    cache = {PartitionFunction.EMPTY: engine.unit_vec(n_eval)}
-
     def factors(rho):
         out = []
         for c, parts in sorted(rho.parts.items()):
             out.extend((r, c) for r in parts)
         return out
 
+    @cache
     def vec(rho):
-        got = cache.get(rho)
-        if got is not None:
-            return got
+        if not rho.parts:
+            return engine.fock.unit(n_eval)
         fs = factors(rho)
         r, c = fs[0]
         restparts = dict(rho.parts)
@@ -630,8 +582,7 @@ def monomial_vectors(engine, rhos, n_eval):
         else:
             del restparts[c]
         rest = PartitionFunction(restparts)
-        got = cache[rho] = engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
-        return got
+        return engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
 
     return {rho: vec(rho) for rho in rhos}
 
@@ -685,8 +636,8 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=5):
     # the tower commutes: annihilating a point steps the evaluation level down
     tower_n = fh.n_probe
     for rho in engine.basis(tower_n):
-        step = engine.fock.annihilate_point(engine.b_vec(rho, tower_n + 1))
-        if step != engine.b_vec(rho, tower_n):
+        step = engine.fock.annihilate_point(engine.fock.b_class(rho, tower_n + 1))
+        if step != engine.fock.b_class(rho, tower_n):
             witnesses.append({"part": "tower", "rho": rho.to_json(model)})
 
     return {"ok": not witnesses,
@@ -741,8 +692,8 @@ def verify_ring_isomorphism(model, n):
     # each deformed distinguished class equals its Hilbert namesake
     for k in range(n):
         for c in model.working_classes():
-            o_vec = orb.apply_generator((k, c), orb.unit_vec(n))
-            g_vec = hilb.apply_generator((k, c), hilb.unit_vec(n))
+            o_vec = orb.apply_generator((k, c), orb.fock.unit(n))
+            g_vec = hilb.apply_generator((k, c), hilb.fock.unit(n))
             if o_vec != g_vec:
                 witnesses.append({"part": "theta-class", "k": k,
                                   "alpha": model.basis[c].name})
@@ -800,10 +751,6 @@ class LehnEngine:
     degree-preserving differential operators; shares no normal-ordering code
     with the Fock side, so it is an independent route to the quotient ring."""
 
-    def __init__(self):
-        self._expr = {}
-        self._products = {}
-
     @staticmethod
     def unit_poly(n):
         return SparsePolynomial.monomial({1: n}, Q(1, factorial(n)))
@@ -834,15 +781,10 @@ class LehnEngine:
             row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
         return coords
 
+    @memoized
     def express(self, rho, n, unit):
-        key = (rho, n)
-        got = self._expr.get(key)
-        if got is not None:
-            return got
         if not rho.parts:
-            expr = {(): ONE}
-            self._expr[key] = expr
-            return expr
+            return {(): ONE}
         word = tuple(sorted((r for r in rho.parts[unit]), reverse=True))
         val = self.unit_poly(n)
         for k in reversed(word):
@@ -858,23 +800,18 @@ class LehnEngine:
         expr = {word: inv}
         for nu, c in coords.items():
             row_add_scaled(expr, self.express(nu, n, unit), -(c * inv))
-        self._expr[key] = expr
         return expr
 
+    @memoized
     def b_product(self, rho, sigma, n, unit):
-        key = (rho, sigma, n)
-        got = self._products.get(key)
-        if got is None:
-            out = {}
-            target = self.b_poly(sigma, n, unit)
-            for word, cw in self.express(rho, n, unit).items():
-                val = target
-                for k in reversed(word):
-                    val = lehn_apply(k, val)
-                row_add_scaled(out, val.terms, cw)
-            got = self.expand(SparsePolynomial(out), n, unit)
-            self._products[key] = got
-        return got
+        out = {}
+        target = self.b_poly(sigma, n, unit)
+        for word, cw in self.express(rho, n, unit).items():
+            val = target
+            for k in reversed(word):
+                val = lehn_apply(k, val)
+            row_add_scaled(out, val.terms, cw)
+        return self.expand(SparsePolynomial(out), n, unit)
 
 
 def verify_affine_plane_quotient(model, n):
@@ -899,7 +836,7 @@ def verify_affine_plane_quotient(model, n):
                 })
     # one-term normal forms of the distinguished classes
     for k in range(n):
-        got = engine.apply_generator((k, unit), engine.unit_vec(n))
+        got = engine.apply_generator((k, unit), engine.fock.unit(n))
         mono = tuple(sorted([(k + 1, unit)] + [(1, unit)] * (n - k - 1),
                             key=lambda e: (-e[0], e[1])))
         want = FockVector.monomial(mono, Q((-1) ** k, factorial(k + 1)

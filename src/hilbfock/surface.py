@@ -16,7 +16,7 @@ import hashlib
 import json
 
 from .errors import ModelError
-from .linalg import Echelon, LinearCombination, row_add_scaled
+from .linalg import Echelon, LinearCombination, memoized, row_add_scaled
 from .rational import ONE, Q, integer_lift, parse_q, qstr
 
 
@@ -101,7 +101,6 @@ class SurfaceModel:
         self.pair_num = [nums[i * self.dim:(i + 1) * self.dim] for i in range(self.dim)]
         self.gram_inv = self._invert_pairing()
         self.ideal_pivots = self._saturate_ideal()
-        self._tau = {}
         self._int_tensors = {}
         self._valid = False
         self.content_hash = hashlib.sha256(
@@ -228,12 +227,9 @@ class SurfaceModel:
 
     # -- diagonal pushforward ----------------------------------------------------
 
+    @memoized
     def tau_basis(self, b, k):
         """tau_{k*} of the b-th basis element as a dict slots -> weight."""
-        key = (b, k)
-        cached = self._tau.get(key)
-        if cached is not None:
-            return cached
         if self.gram_inv is None:
             raise ModelError("degenerate Frobenius pairing")
         out = {}
@@ -252,7 +248,6 @@ class SurfaceModel:
                 tail = slots[1:]
                 row_add_scaled(out, {pair + tail: w2 for pair, w2
                                      in self.tau_basis(slots[0], 2).items()}, w)
-        self._tau[key] = out
         return out
 
     def diagonal_pushforward(self, a, k):
@@ -274,6 +269,8 @@ class SurfaceModel:
         lead) on this model object."""
         if not (drop and lead):
             drop, lead = frozenset(), 0
+        # hand-rolled: the key is the canonical form, a.key() with (drop,
+        # lead) collapsed, not the arguments as passed
         key = (a.key(), k, drop, lead)
         cached = self._int_tensors.get(key)
         if cached is None:

@@ -83,22 +83,23 @@ def chern_operator(fock, k, alpha):
 
     On the Hilbert side canonical-class families are included (tagged, with
     unevaluated weights) exactly when their coefficient classes are nonzero;
-    the deformed side has none.
+    the deformed side has none.  This is the one place that decides which
+    families act: a family of length below 2 has no nonempty weight-zero
+    generalized partition, so it is left out.
     """
     model = fock.model
     families = []
-    if not alpha.is_zero():
-        families.append(TermFamily(k + 2, alpha, MAIN))
-        e_alpha = model.mul(model.euler, alpha)
-        if not e_alpha.is_zero():
-            families.append(TermFamily(k, e_alpha, EULER, -fock.kappa))
-        if fock.s is None:
-            k_alpha = model.mul(model.canonical, alpha)
-            if not k_alpha.is_zero():
-                families.append(TermFamily(k + 1, k_alpha, K_IDEAL))
-            k2_alpha = model.mul(model.canonical, k_alpha)
-            if not k2_alpha.is_zero():
-                families.append(TermFamily(k, k2_alpha, K_IDEAL))
+
+    def add(ell, cls, tag, scale=ONE):
+        if ell >= 2 and not cls.is_zero():
+            families.append(TermFamily(ell, cls, tag, scale))
+
+    add(k + 2, alpha, MAIN)
+    add(k, model.mul(model.euler, alpha), EULER, -fock.kappa)
+    if fock.s is None:
+        k_alpha = model.mul(model.canonical, alpha)
+        add(k + 1, k_alpha, K_IDEAL)
+        add(k, model.mul(model.canonical, k_alpha), K_IDEAL)
     return OperatorExpression(model, k, alpha, families)
 
 
@@ -139,8 +140,6 @@ def apply_operator(fock, op, v, drop=frozenset()):
         group = FockVector(terms)
         subsets = _submultisets(parts)
         for fam in op.families:
-            if fam.ell < 2:
-                continue
             for pos in subsets:
                 neg_len = fam.ell - len(pos)
                 if neg_len < 1:
@@ -385,6 +384,8 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     checked = 0
     memo = {}
 
+    # hand-rolled: keyed on cls.key(), since the sweep builds fresh class
+    # objects and hashing those would pay GradedClass.__eq__ on every hit
     def on_probes(word, cls, vi):
         key = (word, cls.key(), vi)
         out = memo.get(key)

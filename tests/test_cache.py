@@ -9,7 +9,7 @@ import pytest
 from hilbfock import cache
 from hilbfock.cli import main
 from hilbfock.models import builtin_model
-from hilbfock.ring import RingEngine
+from hilbfock.ring import RingEngine, StructureTable
 
 
 def test_cache_key_includes_version(monkeypatch):
@@ -76,6 +76,26 @@ def test_old_compact_entry_is_not_read_back(tmp_path, c2_table):
     assert cache.load(old_key) == compact
     assert sorted(f.read_text(encoding="utf-8") for f in
                   (tmp_path / "cache").rglob("*.json")) == sorted([compact, fresh])
+
+
+def test_table_without_s_is_not_read_back(tmp_path, monkeypatch, capsys):
+    """An orbifold table at s = -1 cached before it recorded its s (kind
+    'structure-table-text') is never read back; the file has "s": "-1"."""
+    monkeypatch.setenv("HILBFOCK_CACHE_DIR", str(tmp_path / "cache"))
+    model = builtin_model("ale_1")
+    table = RingEngine(model, -1).structure_constants(2)
+    old_text = StructureTable(table.n, table.side, None, table.entries).render(model)
+    assert '"s"' not in old_text
+    old_key = cache.cache_key(model.content_hash, "structure-table-text",
+                              n=2, side="orbifold", s="-1")
+    cache.store(old_key, old_text)
+    out = tmp_path / "t.json"
+    assert main(["structure-constants", "--model", "ale_1", "--n", "2",
+                 "--side", "orbifold", "--s", "-1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    assert text == table.render(model) != old_text
+    assert json.loads(text)["s"] == "-1"
 
 
 def test_damaged_entry_is_a_miss(tmp_path, c2_table):

@@ -216,6 +216,20 @@ def test_lehn_apply_cli(tmp_path, capsys):
     assert image == {"terms": [{"coeff": "-1", "monomial": {"2": 1}}]}
 
 
+def test_p2_computes_at_level_one(tmp_path, capsys):
+    """At n = 1 no canonical-class family acts, so p2 is not gated: its
+    ring is H*(P^2), where h.h = x."""
+    assert main(["product", "--model", "p2", "--n", "1",
+                 "--rho", '{"h": [1]}', "--sigma", '{"h": [1]}']) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["details"]["expansion"] == [{"coeff": "1", "nu": {"x": [1]}}]
+    out = tmp_path / "t.json"
+    assert main(["structure-constants", "--model", "p2", "--n", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(json.loads(out.read_text())["table"]) == 9
+
+
 def test_verify_ring_isom_cli():
     res = run_cli("verify", "ring-isom", "--model", "ale_2", "--n", "2")
     assert res.returncode == 0

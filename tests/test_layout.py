@@ -20,6 +20,27 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _is_function_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else \
+        getattr(target, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_no_function_cache_on_methods():
+    """functools.cache on a method keys on self in one class-level table,
+    which keeps every engine alive for the life of the process; methods use
+    linalg.memoized, whose table lives on the object."""
+    offenders = []
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.args.args and node.args.args[0].arg == "self" \
+                    and any(map(_is_function_cache, node.decorator_list)):
+                offenders.append(f"{node.name} ({fname}:{node.lineno})")
+    assert not offenders, "functools cache on a method: " + ", ".join(offenders)
+
+
 def test_every_definition_is_referenced_in_src():
     defined = {}
     used = set()

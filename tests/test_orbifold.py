@@ -81,7 +81,7 @@ def test_single_deformed_operator_helper(models):
         for c in range(model.dim):
             for n in (1, 3):
                 assert chern_class(orb.fock, k, model.basis_class(c), n) == \
-                    orb.apply_generator((k, c), orb.unit_vec(n))
+                    orb.apply_generator((k, c), orb.fock.unit(n))
 
 
 def test_level_one_is_surface_and_s_independent(models):

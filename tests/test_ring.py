@@ -30,7 +30,8 @@ def test_express_single_part(engines):
     for n in (2, 3, 5):
         # one word, pivot coefficient -1 with this normalization
         assert eng.express(rho, n) == {((1, 0),): Q(-1)}
-        assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == eng.b_vec(rho, n)
+        assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == \
+            eng.fock.b_class(rho, n)
 
 
 def test_express_roundtrip_everywhere(engines):
@@ -40,7 +41,7 @@ def test_express_roundtrip_everywhere(engines):
             for rho in eng.basis(n):
                 # the words of the expression, applied to the unit, give b_rho(n)
                 assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == \
-                    eng.b_vec(rho, n), (name, n, rho)
+                    eng.fock.b_class(rho, n), (name, n, rho)
 
 
 def test_unit_row(engines):
@@ -48,8 +49,8 @@ def test_unit_row(engines):
     empty = PartitionFunction({})
     for sigma in eng.basis(3):
         assert eng.b_product(empty, sigma, 3) == {sigma: Q(1)}
-        v = eng.b_vec(sigma, 3)
-        assert eng.cup(eng.unit_vec(3), v, 3) == v
+        v = eng.fock.b_class(sigma, 3)
+        assert eng.cup(eng.fock.unit(3), v, 3) == v
 
 
 def test_level_one_collapses_to_surface(models, engines):
@@ -108,7 +109,7 @@ def test_k3_point_class_square(engines, models):
 def test_cup_rejects_weight_mixture(engines):
     eng = engines("c2")
     with pytest.raises(WeightError):
-        eng.cup(eng.unit_vec(2), eng.unit_vec(3), 2)
+        eng.cup(eng.fock.unit(2), eng.fock.unit(3), 2)
 
 
 def test_cup_requires_reduced_labels(engines, models):
@@ -137,7 +138,7 @@ def test_memoized_generator_matches_whole_vector_reference(models, name, s):
     model = models(name)
     for n in range(1, 4):
         eng = RingEngine(model, s)
-        basis = [eng.b_vec(rho, n) for rho in eng.basis(n)]
+        basis = [eng.fock.b_class(rho, n) for rho in eng.basis(n)]
         mixed = FockVector({mono: Q(i, 7) for i, b in enumerate(basis, 1)
                             for mono in b.terms})
         assert len(mixed.terms) == len(basis)
@@ -191,8 +192,8 @@ def test_associativity_sampled_cotangent(engines):
     for r in sample[:5]:
         for s in sample[:5]:
             for t in sample[:3]:
-                u = eng.cup(eng.product_vector(r, s, n), eng.b_vec(t, n), n)
-                v = eng.cup(eng.b_vec(r, n), eng.product_vector(s, t, n), n)
+                u = eng.cup(eng.product_vector(r, s, n), eng.fock.b_class(t, n), n)
+                v = eng.cup(eng.fock.b_class(r, n), eng.product_vector(s, t, n), n)
                 assert u == v
 
 
@@ -204,8 +205,8 @@ def test_associativity_sampled_level_four(engines):
     for r in sample:
         for s in sample[:3]:
             for t in sample[:2]:
-                u = eng.cup(eng.product_vector(r, s, n), eng.b_vec(t, n), n)
-                v = eng.cup(eng.b_vec(r, n), eng.product_vector(s, t, n), n)
+                u = eng.cup(eng.product_vector(r, s, n), eng.fock.b_class(t, n), n)
+                v = eng.cup(eng.fock.b_class(r, n), eng.product_vector(s, t, n), n)
                 assert u == v
 
 
@@ -225,6 +226,35 @@ def test_structure_table_shape_and_json(engines, models):
     obj = json.loads(table.render(model))
     assert obj["n"] == 2 and obj["side"] == "hilbert" and "s" not in obj
     assert len(obj["table"]) == len(basis) ** 2
+
+
+def test_memos_are_per_engine(models):
+    """A repeated call returns the memoized object itself, and two engines
+    on one model keep separate memos."""
+    model = models("ale_2")
+    first, second = RingEngine(model), RingEngine(model)
+    rho = PartitionFunction({model.index_of("h1"): (1,)})
+    expr = first.express(rho, 3)
+    prod = first.b_product(rho, rho, 3)
+    assert first.express(rho, 3) is expr
+    assert first.b_product(rho, rho, 3) is prod
+    again = second.b_product(rho, rho, 3)
+    assert again == prod and again is not prod
+    assert second.express(rho, 3) is not expr
+    lehn = LehnEngine()
+    unit = PartitionFunction({model.unit: (1,)})
+    assert lehn.express(unit, 3, model.unit) is lehn.express(unit, 3, model.unit)
+    assert LehnEngine().express(unit, 3, model.unit) is not \
+        lehn.express(unit, 3, model.unit)
+
+
+def test_failed_call_is_not_memoized(models):
+    """A memoized method that raises stores nothing: the gate raises on
+    every call."""
+    eng = RingEngine(models("p2"))
+    for _ in range(2):
+        with pytest.raises(UnknownCoefficientsError):
+            eng.operator(1, 0)
 
 
 def test_n_independence_small(engines):
@@ -351,9 +381,9 @@ def test_monomial_vectors_prefix_sharing(engines):
     rhos = eng.basis(4)
     vecs = monomial_vectors(eng, rhos, 6)
     # the empty product is the unit and single parts are the classes themselves
-    assert vecs[PartitionFunction({})] == eng.unit_vec(6)
+    assert vecs[PartitionFunction({})] == eng.fock.unit(6)
     single = PartitionFunction({0: (1,)})
-    assert vecs[single] == eng.b_vec(single, 6)
+    assert vecs[single] == eng.fock.b_class(single, 6)
 
 
 def test_affine_plane_quotient_small(models):
@@ -373,7 +403,7 @@ def test_lehn_correspondence_c2(engines, models):
     model = models("c2")
     for n in range(0, 7):
         for rho in eng.basis(n):
-            v = eng.b_vec(rho, n)
+            v = eng.fock.b_class(rho, n)
             for k in range(min(n, 4)):
                 shifted = eng.apply_generator((k, model.unit), v)
                 assert phi_map(shifted, model) == lehn_apply(k, phi_map(v, model))
