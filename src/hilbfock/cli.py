@@ -230,6 +230,15 @@ def _triples(rep, **extra):
                                          **extra}
 
 
+def _lemma_ks(model, levels, args):
+    # the sweep checks about (2w)^5/120 index words at --max-weight w, on
+    # probe vectors of w factors: no run above this bound would finish
+    if args.max_weight > 100:
+        raise ValueError(f"--max-weight {args.max_weight} is out of reach; "
+                         "the transposition sweep takes at most 100")
+    return _instances(verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))
+
+
 def _heisenberg(model, levels, args):
     # weight 0 (the vacuum) and index 1 are the least that check a bracket
     if args.max_weight < 0 or args.max_index < 1:
@@ -317,8 +326,7 @@ VERIFY_OPTIONS = {
 # verifier id -> (least number of levels --n must give, options it reads, run)
 REGISTRY = {
     "heisenberg": (0, ("--max-weight", "--max-index"), _heisenberg),
-    "lemma-ks": (0, ("--max-weight",), lambda model, levels, args: _instances(
-        verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))),
+    "lemma-ks": (0, ("--max-weight",), _lemma_ks),
     "nonsense1": (0, (), lambda model, levels, args: _instances(verify_nonsense1(model))),
     "ideal": (1, ("--n",), _ideal_suite(("absorb", "contains"))),
     "ideal-generators": (1, ("--n",), _ideal_suite(("generate",))),

@@ -14,14 +14,18 @@ is the t-deformed orbifold side with s = t^{1/3}: the bracket
 s m delta_{m,-n} int(xy) has scale kappa = s, and there are no canonical
 families.
 
-The operator-word kernel runs on Python ints.  The model stores its pairing
-as integer numerators pair_num over one denominator pair_den, so the raw
-annihilator multiplies by m * pair_num only, and every annihilation owes the
-same rational factor ann_scale = kappa / pair_den.  apply_word_tau puts the
-input vector over the lcm of its denominators, runs every slot tuple of the
-memoized integer Kuenneth tensor in ints, and converts to rationals once per
-call: each surviving term is multiplied by
-ann_scale^(#annihilations) / (den_v * den_tau).
+FockSpace.word_int is the one operator-word loop, and it runs on Python
+ints.  The model stores its pairing as integer numerators pair_num over one
+denominator pair_den, so the raw annihilator multiplies by m * pair_num
+only, and every annihilation owes the same rational factor
+ann_scale = kappa / pair_den.  word_int takes an integer term dict, runs
+every slot tuple of the memoized integer Kuenneth tensor on it, and returns
+a scaled integer vector (out, num, den) whose true value is out * num / den
+with num / den = ann_scale^(#annihilations) / den_tau.  apply_word_tau is
+its rational wrapper: it lifts the input over the lcm of its denominators
+(lift), runs word_int, and builds one rational per surviving term.
+Callers that combine many word images (the transposition oracle) stay in
+scaled integer vectors and meet the rationals only in their result.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ class FockVector(LinearCombination):
             word = "".join(f"a[-{n}]({c})" for n, c in mono) or "|0>"
             bits.append(f"{qstr(self.terms[mono])}*{word}")
         return "FockVector(" + " + ".join(bits) + ")" if bits else "FockVector(0)"
+
+
+def lift(v):
+    """v as a scaled integer vector (terms, 1, den): its coefficients'
+    numerators over their least common denominator."""
+    den, nums = integer_lift(list(v.terms.values()))
+    return dict(zip(v.terms, nums)), 1, den
 
 
 class FockSpace:
@@ -161,13 +172,13 @@ class FockSpace:
             raise EngineError("Heisenberg index 0 is not an operator")
         return self.apply_word_tau((n,), cls, v)
 
-    def apply_word_tau(self, indices, cls, v, drop=frozenset()):
-        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) applied to v.
+    def word_int(self, indices, cls, terms, drop=frozenset()):
+        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on an integer term
+        dict, as a scaled integer vector (out, num, den): the true image is
+        out * num / den (see the module docstring).
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
-        The word runs on integer numerators; rationals enter once, in the
-        final scale (see the module docstring).  k = 1 is a_{i_1}(cls).
 
         The creations left of the first annihilation act last, so a label
         they create stays in every monomial they make.  Slot tuples that
@@ -175,23 +186,37 @@ class FockSpace:
         caller's reduction deletes anyway.
         """
         k = len(indices)
+        if not terms:
+            return {}, 1, 1
         if k == 0:
-            return v.scaled(self.model.integrate(cls))
-        den_v, nums = integer_lift(list(v.terms.values()))
-        start = dict(zip(v.terms, nums))
+            integral = self.model.integrate(cls)
+            if not integral:
+                return {}, 1, 1
+            return dict(terms), integral.numerator, integral.denominator
         lead = next((j for j, i in enumerate(indices) if i > 0), k) if drop else 0
         den_t, tensor = self.model.int_tensor(cls, k, drop, lead)
+        # the raw operator of each factor, rightmost first
+        ops = [(self.create_raw, -i) if i < 0 else (self.annihilate_raw, i)
+               for i in reversed(indices)]
         out = {}
         for w, slots in tensor:
-            cur = start
-            for j in range(k - 1, -1, -1):
-                cur = self.apply_basis_raw(indices[j], slots[j], cur)
+            cur = terms
+            for (op, n), c in zip(ops, reversed(slots)):
+                cur = op(n, c, cur)
                 if not cur:
                     break
             row_add_scaled(out, cur, w)
         ann = sum(1 for i in indices if i > 0)
-        num = self.ann_scale.numerator ** ann
-        den = self.ann_scale.denominator ** ann * den_v * den_t
+        return (out, self.ann_scale.numerator ** ann,
+                self.ann_scale.denominator ** ann * den_t)
+
+    def apply_word_tau(self, indices, cls, v, drop=frozenset()):
+        """The operator of word_int applied to a FockVector, as a FockVector
+        equal term by term to the rational computation.  k = 1 is
+        a_{i_1}(cls)."""
+        terms, _, den_v = lift(v)
+        out, num, den = self.word_int(indices, cls, terms, drop)
+        den *= den_v
         return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
 
     # -- distinguished vectors and bases ------------------------------------------------

@@ -19,10 +19,10 @@ ideal containing K, where each marker must vanish under reduction.
 from __future__ import annotations
 
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .errors import EngineError, UnknownCoefficientsError
-from .fock import FockVector
+from .fock import FockVector, lift
 from .linalg import LinearCombination, row_add_scaled
 from .partitions import GenPartition, partitions_with_length
 from .rational import ONE, Q, parse_q, qstr
@@ -126,7 +126,7 @@ def apply_operator(fock, op, v, drop=frozenset()):
     canonical-class family terms, whose universal weights are unknown.
 
     drop names labels that the caller's reduction deletes: in known, the
-    terms that create one of them are skipped (see apply_word_tau), so known
+    terms that create one of them are skipped (see FockSpace.word_int), so known
     is exact only after that reduction.  The canonical-class families always
     run in full, so that every marker can still be checked.
     """
@@ -209,31 +209,56 @@ def chern_class_partition_sums(fock, k, alpha, n):
 # -- commutator oracles ---------------------------------------------------------
 
 
+def _word_on(fock, word, cls, vec):
+    """The word a_word(tau cls) on a scaled integer vector (terms, num, den),
+    as a scaled integer vector: the scales multiply as int pairs."""
+    terms, num, den = vec
+    out, n, d = fock.word_int(word, cls, terms)
+    return out, num * n, den * d
+
+
+def _on_vector(fock):
+    """The default direct of the oracle parts: a word on a FockVector."""
+    return lambda word, cls, v: _word_on(fock, word, cls, lift(v))
+
+
+def _combine(pieces):
+    """The sum of c * vec over pairs (vec, (cn, cd)) of a scaled integer
+    vector and a rational coefficient cn / cd, added in ints over the lcm of
+    the denominators: a FockVector, empty iff the sum is zero."""
+    scaled = [(terms, num * cn, den * cd)
+              for (terms, num, den), (cn, cd) in pieces if terms]
+    common = lcm(*(den for _, _, den in scaled))
+    out = {}
+    for terms, num, den in scaled:
+        row_add_scaled(out, terms, num * (common // den))
+    return FockVector({mono: Q(c, common) for mono, c in out.items()})
+
+
 def lemma_ks_part_i(fock, ns, ms, alpha, beta, direct=None):
     """Contraction formula for [a_{n_1}..a_{n_k}(tau alpha), a_{m_1}..a_{m_s}(tau beta)].
 
-    Returns a function of a Fock vector computing rhs - lhs (zero iff the
-    oracle matches on that vector).  Every word that acts on the vector
-    itself goes through direct(word, cls, v), by default
-    fock.apply_word_tau; the returned function hands its argument to direct
-    only, so a caller's direct may take any handle of the vector."""
+    Returns a function of a vector computing rhs - lhs as a FockVector,
+    empty iff the oracle matches on that vector.  Every word that acts on
+    the vector itself goes through direct(word, cls, v), which returns a
+    scaled integer vector (terms, num, den); the default lifts a FockVector
+    v and runs fock.word_int.  The returned function hands its argument to
+    direct only, so a caller's direct may take any handle of the vector.
+    The outer words run on the integer terms of the inner ones, and every
+    coefficient of the defect is fixed here, once per instance."""
     model = fock.model
-    p = model.class_parity(alpha) * model.class_parity(beta)
+    sign = (-1) ** (model.class_parity(alpha) * model.class_parity(beta))
     ab = model.mul(alpha, beta)
-    direct = direct or fock.apply_word_tau
+    direct = direct or _on_vector(fock)
+    contractions = [(ms[:j] + ns[:t] + ns[t + 1:] + ms[j + 1:],
+                     (fock.kappa * nt).as_integer_ratio())
+                    for t, nt in enumerate(ns) for j, mj in enumerate(ms) if nt == -mj]
 
     def difference(v):
-        av = fock.apply_word_tau(ns, alpha, direct(ms, beta, v))
-        bv = fock.apply_word_tau(ms, beta, direct(ns, alpha, v))
-        lhs = av - bv.scaled((-1) ** p)
-        rhs = {}
-        for t, nt in enumerate(ns):
-            for j, mj in enumerate(ms):
-                if nt != -mj:
-                    continue
-                word = ms[:j] + tuple(nu for u, nu in enumerate(ns) if u != t) + ms[j + 1:]
-                row_add_scaled(rhs, direct(word, ab, v).terms, fock.kappa * nt)
-        return FockVector(row_add_scaled(rhs, lhs.terms, -1))
+        pieces = [(_word_on(fock, ns, alpha, direct(ms, beta, v)), (-1, 1)),
+                  (_word_on(fock, ms, beta, direct(ns, alpha, v)), (sign, 1))]
+        pieces += [(direct(word, ab, v), c) for word, c in contractions]
+        return _combine(pieces)
 
     return difference
 
@@ -243,17 +268,15 @@ def lemma_ks_part_ii(fock, ns, j, alpha, direct=None):
     Euler-class correction.  Returns the defect function of a vector; every
     word goes through direct as in lemma_ks_part_i."""
     model = fock.model
-    e_alpha = model.mul(model.euler, alpha)
-    direct = direct or fock.apply_word_tau
+    direct = direct or _on_vector(fock)
+    words = [(ns, alpha, (-1, 1)),
+             (ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:], alpha, (1, 1))]
+    if ns[j] == -ns[j + 1]:
+        words.append((ns[:j] + ns[j + 2:], model.mul(model.euler, alpha),
+                      (fock.kappa * ns[j]).as_integer_ratio()))
 
     def difference(v):
-        lhs = direct(ns, alpha, v)
-        swapped = ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:]
-        rhs = dict(direct(swapped, alpha, v).terms)
-        if ns[j] == -ns[j + 1]:
-            rest = ns[:j] + ns[j + 2:]
-            row_add_scaled(rhs, direct(rest, e_alpha, v).terms, fock.kappa * ns[j])
-        return FockVector(row_add_scaled(rhs, lhs.terms, -1))
+        return _combine([(direct(word, cls, v), c) for word, cls, c in words])
 
     return difference
 
@@ -371,17 +394,19 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     weight_max, all representative label pairs, against the deterministic
     probe family.
 
-    Words that act on a probe vector itself are applied once per sweep: the
-    parts get the probe's index and an applier that memoizes on (word,
-    class key, probe index).  Words applied to an intermediate vector are
-    not memoized.  The memo is local to this call and freed when it
-    returns."""
+    The sweep runs in scaled integer vectors.  Each probe is lifted once,
+    and words that act on a probe itself are applied once per sweep: the
+    parts get the probe's index and an applier that memoizes the integer
+    image on (word, class key, probe index).  Words applied to an
+    intermediate vector are not memoized.  The memo is local to this call
+    and freed when it returns."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
     witnesses = []
     checked = 0
+    lifted = [lift(v) for v in vecs]
     memo = {}
 
     # hand-rolled: keyed on cls.key(), since the sweep builds fresh class
@@ -390,7 +415,7 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
         key = (word, cls.key(), vi)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = fock.apply_word_tau(word, cls, vecs[vi])
+            out = memo[key] = _word_on(fock, word, cls, lifted[vi])
         return out
 
     def note(kind, **info):

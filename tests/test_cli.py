@@ -365,6 +365,8 @@ def test_hostile_inputs_exit_2(tmp_path):
     for args in (("verify", "heisenberg", "--model", "c2", "--max-weight", "-1"),
                  ("verify", "heisenberg", "--model", "c2", "--max-index", "0"),
                  ("verify", "lemma-ks", "--model", "toy_b2_1", "--max-weight", "1"),
+                 ("verify", "lemma-ks", "--model", "odd_toy",
+                  "--max-weight", "99999999999999999999"),
                  ("verify", "fh-ring", "--model", "c2", "--norm-bound", "-1"),
                  ("structure-constants", "--model", "c2", "--n", "2..5"),
                  ("product", "--model", "c2", "--n", "2..4",

@@ -1,6 +1,7 @@
 """Normal ordering, basis classes, reduction, and the bracket relation."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -311,8 +312,10 @@ def _reference_word_tau(fock, indices, cls, v):
 
 @pytest.mark.parametrize("setup", ["ale_2", "cotangent_g1 s=2/3", "half_pairing"])
 def test_word_kernel_matches_rational_reference(setup, models):
-    """Every word of weight <= 4 against the probe family, on a model whose
-    Gram inverse has thirds, a deformed space and a pairing with pair_den 2."""
+    """Every word of weight <= 4, the empty word and the empty vector, both
+    through apply_word_tau and as out * num / den of the integer kernel,
+    against the probe family, on a model whose Gram inverse has thirds, a
+    deformed space and a pairing with pair_den 2."""
     from hilbfock.vertex import _class_reps, _probe_vectors, _signed_tuples
     if setup == "half_pairing":
         fock = FockSpace(_rational_pairing_model())
@@ -333,8 +336,31 @@ def test_word_kernel_matches_rational_reference(setup, models):
     for word in words:
         for cls in classes:
             for v in vecs:
+                want = _reference_word_tau(fock, word, cls, v)
                 got = fock.apply_word_tau(word, cls, v)
-                assert got.terms == _reference_word_tau(fock, word, cls, v), (word, cls, v)
+                assert got.terms == want, (word, cls, v)
+                assert _kernel_image(fock, word, cls, v) == want, (word, cls, v)
+    # k = 0 multiplies by the integral; an empty input stays empty
+    for cls in classes:
+        integral = Fraction(model.integrate(cls))
+        for v in vecs:
+            want = {mono: integral * c for mono, c in v.terms.items() if integral}
+            assert fock.apply_word_tau((), cls, v).terms == want
+            assert _kernel_image(fock, (), cls, v) == want
+        for word in [()] + words:
+            assert fock.word_int(word, cls, {})[0] == {}
+            assert fock.apply_word_tau(word, cls, FockVector.zero()).is_zero()
+
+
+def _kernel_image(fock, word, cls, v):
+    """out * num / den of the integer kernel on v's numerators, divided by
+    their common denominator, in plain Fractions."""
+    den_v = lcm(*(c.denominator for c in v.terms.values()))
+    terms = {mono: int(c * den_v) for mono, c in v.terms.items()}
+    out, num, den = fock.word_int(word, cls, terms)
+    assert all(type(c) is int for c in out.values())
+    scale = Fraction(num, den * den_v)
+    return {mono: c * scale for mono, c in out.items() if c}
 
 
 def test_heisenberg_sweep_rational_pairing():

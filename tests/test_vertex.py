@@ -205,6 +205,20 @@ def test_lemma_ks_sweeps_small(models):
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("name, s, checked", [("cotangent_g1", Q(2, 3), 38388),
+                                               ("odd_toy", Q(-7, 2), 11320),
+                                               ("ale_2", None, 9080)])
+def test_lemma_ks_sweeps_with_rational_scales(models, name, s, checked):
+    """A deformed bracket (kappa = s) and a Gram inverse with thirds give
+    the words and the contraction coefficients denominators of their own,
+    which the defect meets over one lcm."""
+    model = models(name)
+    if s is None:
+        assert any(g.denominator == 3 for row in model.gram_inv for g in row)
+    rep = verify_lemma_ks(model, ksum_max=3, weight_max=3, s=s)
+    assert rep == {"ok": True, "instances_checked": checked, "witnesses": []}
+
+
 def test_lemma_ks_sweep_catches_injected_faults(models, monkeypatch):
     """Through the probe memo the sweep still fails on a wrong contraction
     scale (part i) and on a wrong Euler correction (part ii)."""
@@ -225,31 +239,35 @@ def test_lemma_ks_sweep_catches_injected_faults(models, monkeypatch):
 
 
 def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
-    """No (word, class, probe vector) triple is applied twice in one sweep,
-    and the memo leaves the instance count as it was without it."""
+    """No (word, class, probe vector) triple goes through the integer word
+    kernel twice in one sweep, and the memo leaves the instance count as it
+    was without it."""
     probes = []
-    real_probes = vertex._probe_vectors
+    real_lift = vertex.lift
 
-    def recording_probes(fock, max_weight):
-        probes[:] = real_probes(fock, max_weight)
-        return probes
+    def recording_lift(v):
+        got = real_lift(v)
+        probes.append(got[0])
+        return got
 
     on_probes = Counter()
     calls = Counter()
-    real_apply = FockSpace.apply_word_tau
+    real_kernel = FockSpace.word_int
 
-    def counting_apply(self, word, cls, v):
+    def counting_kernel(self, word, cls, terms, drop=frozenset()):
         calls["all"] += 1
         for vi, probe in enumerate(probes):
-            if v is probe:
+            if terms is probe:
                 on_probes[(word, cls.key(), vi)] += 1
-        return real_apply(self, word, cls, v)
+        return real_kernel(self, word, cls, terms, drop)
 
-    monkeypatch.setattr(vertex, "_probe_vectors", recording_probes)
-    monkeypatch.setattr(FockSpace, "apply_word_tau", counting_apply)
-    # instances as counted without the memo; calls were 17,316 and 47,848
+    monkeypatch.setattr(vertex, "lift", recording_lift)
+    monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
+    # instances as counted without the memo, which made 17,316 and 47,848
+    # word calls; every word call, on a probe or not, is one kernel call
     for name, checked, applied in (("toy_b2_1", 4200, 7351),
                                    ("odd_toy", 11320, 20318)):
+        probes.clear()
         on_probes.clear()
         calls.clear()
         rep = verify_lemma_ks(models(name), ksum_max=5, weight_max=3)
