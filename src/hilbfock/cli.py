@@ -30,8 +30,12 @@ from .vertex import (SparsePolynomial, lehn_apply, verify_lemma_ks,
                      verify_nonsense1)
 
 
+# the largest level or weight a command accepts: no run above it would finish
+REACH = 100
+
+
 def parse_range(text):
-    """'a..b' inclusive, or a single integer; levels are nonnegative."""
+    """'a..b' inclusive, or a single integer; levels lie in 0..REACH."""
     if ".." in text:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
@@ -41,6 +45,8 @@ def parse_range(text):
         lo = hi = int(text)
     if lo < 0:
         raise ValueError(f"level {lo} is negative")
+    if hi > REACH:
+        raise ValueError(f"level {hi} is out of reach; levels go up to {REACH}")
     return list(range(lo, hi + 1))
 
 
@@ -233,9 +239,9 @@ def _triples(rep, **extra):
 def _lemma_ks(model, levels, args):
     # the sweep checks about (2w)^5/120 index words at --max-weight w, on
     # probe vectors of w factors: no run above this bound would finish
-    if args.max_weight > 100:
+    if args.max_weight > REACH:
         raise ValueError(f"--max-weight {args.max_weight} is out of reach; "
-                         "the transposition sweep takes at most 100")
+                         f"the transposition sweep takes at most {REACH}")
     return _instances(verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))
 
 
@@ -268,11 +274,15 @@ def _n_independence(model, levels, args):
 def _polynomiality(model, levels, args):
     if args.triple:
         spec = _load_json_arg(args.triple)
+        keys = ("rho", "sigma", "nu")
+        shape = "--triple must be a JSON object {rho, sigma, nu}"
         if not isinstance(spec, dict):
-            raise ValueError("--triple must be a JSON object {rho, sigma, nu}")
+            raise ValueError(shape)
+        missing = [k for k in keys if k not in spec]
+        if missing:
+            raise ValueError(f"{shape}: missing {missing[0]!r}")
         engine = RingEngine(model)
-        rho, sigma, nu = (PartitionFunction.from_json(model, spec[k])
-                          for k in ("rho", "sigma", "nu"))
+        rho, sigma, nu = (PartitionFunction.from_json(model, spec[k]) for k in keys)
         rep = fit_polynomial_in_n(engine, rho, sigma, nu, levels)
         return rep["ok"], rep["witnesses"], rep
     rep = verify_polynomiality(model, levels)

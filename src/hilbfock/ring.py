@@ -345,11 +345,14 @@ def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
     if len(ns) < bound + 3:
         raise EngineError(
             f"need at least {bound + 3} levels for degree bound {bound}, have {len(ns)}")
-    values = []
-    for n in ns:
-        values.append((n, engine.b_product(rho, sigma, n).get(nu, Q(0))))
-    fit_pts = values[:bound + 1]
-    coeffs = lagrange_coefficients(fit_pts)
+    return fit_report([(n, engine.b_product(rho, sigma, n).get(nu, Q(0))) for n in ns],
+                      bound)
+
+
+def fit_report(values, bound):
+    """Interpolate the first bound + 1 of the (level, value) points exactly and
+    check the rest against that polynomial."""
+    coeffs = lagrange_coefficients(values[:bound + 1])
     checked = values[bound + 1:]
     mism = [(n, v) for n, v in checked if poly_eval(coeffs, n) != v]
     return {
@@ -357,15 +360,22 @@ def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
         "bound": bound,
         "degree": max(len(coeffs) - 1, 0),
         "coefficients": [qstr(c) for c in coeffs],
-        "levels": ns,
+        "levels": [n for n, _ in values],
         "extrapolation_checks": len(checked),
         "witnesses": [{"n": n, "value": qstr(v)} for n, v in mism],
     }
 
 
 def verify_polynomiality(model, n_values, bound_max=4):
-    """Run the polynomial fit over every triple from the smallest level whose
-    degree bound is at most bound_max."""
+    """Fit every triple (rho, sigma, nu) whose degree bound is at most
+    bound_max and which has bound + 3 levels from its start on.
+
+    The sweep runs pair by pair.  The bound and the start depend on nu only
+    through its cost, so the triples are counted per cost class of nu.  Each
+    pair's product is computed once per level from the first start on, and
+    only the nu in the support of those products are fitted, in basis order.
+    Every other triple is zero at all its levels, which the zero polynomial
+    fits within any bound."""
     if model.has_ideal:
         raise ModelError("polynomiality is the projective statement")
     if not model.canonical.is_zero():
@@ -374,24 +384,37 @@ def verify_polynomiality(model, n_values, bound_max=4):
             "nonzero canonical class)")
     engine = RingEngine(model)
     ns = sorted(n_values)
-    unit = model.unit
-    base = [(rho, rho.cost(unit), rho.degree(model)) for rho in engine.basis(ns[0])]
-    targets = {}  # degree -> [(nu, cost)] in basis order
-    for nu in engine.basis(ns[-1]):
-        targets.setdefault(nu.degree(model), []).append((nu, nu.cost(unit)))
+    degree = engine.degree
+    top = engine.basis(ns[-1])
+    cost = {nu: nu.cost(model.unit) for nu in top}
+    targets = {}  # degree -> cost -> number of classes
+    for nu in top:
+        by_cost = targets.setdefault(degree(nu), {})
+        by_cost[cost[nu]] = by_cost.get(cost[nu], 0) + 1
+    base = engine.basis(ns[0])
     witnesses = []
     fitted = 0
-    for rho, rho_cost, rho_deg in base:
-        for sigma, sigma_cost, sigma_deg in base:
-            for nu, nu_cost in targets.get(rho_deg + sigma_deg, ()):
-                bound = rho_cost + sigma_cost - nu_cost
-                if bound < 0 or bound > bound_max:
-                    continue
-                start = max(rho_cost, sigma_cost, nu_cost)
-                if sum(1 for n in ns if n >= start) < bound + 3:
-                    continue
-                rep = fit_polynomial_in_n(engine, rho, sigma, nu, ns)
-                fitted += 1
+    for rho in base:
+        for sigma in base:
+            pair_cost = cost[rho] + cost[sigma]
+            starts = {}  # cost of nu -> the first level of its fits
+            for nu_cost, count in targets.get(degree(rho) + degree(sigma), {}).items():
+                bound = pair_cost - nu_cost
+                start = max(cost[rho], cost[sigma], nu_cost)
+                if 0 <= bound <= bound_max and \
+                        sum(1 for n in ns if n >= start) >= bound + 3:
+                    starts[nu_cost] = start
+                    fitted += count
+            if not starts:
+                continue
+            first = min(starts.values())
+            products = [(n, engine.b_product(rho, sigma, n)) for n in ns if n >= first]
+            support = {nu for _, prods in products for nu in prods if cost[nu] in starts}
+            # the basis order is by (cost, key)
+            for nu in sorted(support, key=lambda nu: (cost[nu], nu.key())):
+                start = starts[cost[nu]]
+                rep = fit_report([(n, prods.get(nu, Q(0))) for n, prods in products
+                                  if n >= start], pair_cost - cost[nu])
                 if not rep["ok"]:
                     witnesses.append({
                         "rho": rho.to_json(model), "sigma": sigma.to_json(model),

@@ -37,6 +37,9 @@ def test_parse_range():
         parse_range("5..2")
     with pytest.raises(ValueError):
         parse_range("-3")
+    assert parse_range("99..100") == [99, 100]
+    with pytest.raises(ValueError, match="out of reach"):
+        parse_range("101")
 
 
 def test_validate_pass(capsys):
@@ -285,6 +288,25 @@ def test_level_comparison_needs_two_levels(vid, model, n):
     res = run_cli("verify", vid, "--model", model, "--n", n)
     assert_usage_error(res)
     assert "at least 2 levels" in res.stderr
+
+
+@pytest.mark.parametrize("vid, model, n", [
+    ("polynomiality", "toy_b2_1", "3..99999999999999999999"),
+    ("n-independence", "c2", "2..99999999999999999999"),
+    ("n-independence", "c2", "2..101"),
+])
+def test_level_above_the_reach_is_usage_error(vid, model, n):
+    res = run_cli("verify", vid, "--model", model, "--n", n)
+    assert_usage_error(res)
+    assert "out of reach" in res.stderr
+
+
+def test_triple_with_a_missing_key_is_usage_error():
+    res = run_cli("verify", "polynomiality", "--model", "toy_b2_1", "--n", "3..9",
+                  "--triple", '{"rho":{}}')
+    assert_usage_error(res)
+    assert res.stderr == ("error: --triple must be a JSON object {rho, sigma, nu}: "
+                          "missing 'sigma'\n")
 
 
 def test_polynomiality_without_a_fit_is_usage_error():

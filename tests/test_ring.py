@@ -307,6 +307,71 @@ def test_polynomiality_gate(models):
         verify_polynomiality(models("c2"), range(3, 10))
 
 
+def per_triple_polynomiality(model, n_values, bound_max=4):
+    """The reference sweep: fit_polynomial_in_n on every triple in basis
+    order whose bound is in 0..bound_max and which has bound + 3 levels."""
+    engine = RingEngine(model)
+    ns = sorted(n_values)
+    unit = model.unit
+    base = [(rho, rho.cost(unit), rho.degree(model)) for rho in engine.basis(ns[0])]
+    targets = {}
+    for nu in engine.basis(ns[-1]):
+        targets.setdefault(nu.degree(model), []).append((nu, nu.cost(unit)))
+    witnesses = []
+    fitted = 0
+    for rho, rho_cost, rho_deg in base:
+        for sigma, sigma_cost, sigma_deg in base:
+            for nu, nu_cost in targets.get(rho_deg + sigma_deg, ()):
+                bound = rho_cost + sigma_cost - nu_cost
+                start = max(rho_cost, sigma_cost, nu_cost)
+                if not 0 <= bound <= bound_max or \
+                        sum(1 for n in ns if n >= start) < bound + 3:
+                    continue
+                rep = fit_polynomial_in_n(engine, rho, sigma, nu, ns)
+                fitted += 1
+                if not rep["ok"]:
+                    witnesses.append({
+                        "rho": rho.to_json(model), "sigma": sigma.to_json(model),
+                        "nu": nu.to_json(model), "report": rep,
+                    })
+    return {"ok": not witnesses, "levels": ns, "triples_fitted": fitted,
+            "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("name", ["toy_b2_1", "k3_like"])
+def test_polynomiality_sweep_matches_per_triple_fits(models, name):
+    ns = range(3, 7)
+    assert verify_polynomiality(models(name), ns) == \
+        per_triple_polynomiality(models(name), ns)
+
+
+def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
+    """A constant that is nonzero at one level only is reported, with the same
+    witness bytes as the per-triple reference gives."""
+    model = models("toy_b2_1")
+    rho = PartitionFunction.from_json(model, {"h": [1]})
+    nu = PartitionFunction.from_json(model, {"h": [2]})
+    ns, bad = range(3, 8), 5
+    b_product = RingEngine.b_product
+    engine = RingEngine(model)
+    assert all(nu not in b_product(engine, rho, rho, n) for n in ns)
+
+    def perturbed(self, r, s, n):
+        prods = b_product(self, r, s, n)
+        if (r, s, n) == (rho, rho, bad):
+            prods = {**prods, nu: prods.get(nu, Q(0)) + 1}
+        return prods
+
+    monkeypatch.setattr(RingEngine, "b_product", perturbed)
+    got = verify_polynomiality(model, ns)
+    want = per_triple_polynomiality(model, ns)
+    assert not got["ok"] and got["triples_fitted"] == want["triples_fitted"]
+    assert [(w["rho"], w["sigma"], w["nu"]) for w in got["witnesses"]] == \
+        [({"h": [1]}, {"h": [1]}, {"h": [2]})]
+    assert got == want
+    assert json.dumps(got["witnesses"]) == json.dumps(want["witnesses"])
+
+
 def test_ideal_suite_small(models):
     for name in ("ale_2", "c2"):
         rep = verify_ideal_suite(models(name), 2)
