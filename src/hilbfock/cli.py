@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -56,6 +57,18 @@ def parse_level(text):
     if len(levels) > 1:
         raise ValueError(f"--n takes one level, got the range {text}")
     return levels[0]
+
+
+def _basis_arg(model, obj):
+    """A partition function that names a basis class: no class of the
+    restriction ideal, no repeated part on an odd class."""
+    rho = PartitionFunction.from_json(model, obj)
+    for c, parts in rho.parts.items():
+        if c in model.ideal_pivots:
+            raise ValueError(f"class {model.basis[c].name!r} is in the restriction ideal")
+        if model.parities[c] and len(set(parts)) < len(parts):
+            raise ValueError(f"odd class {model.basis[c].name!r} has a repeated part")
+    return rho
 
 
 def _load_json_arg(text):
@@ -179,8 +192,7 @@ def cmd_product(args):
     model = load_model(args.model)
     n = parse_level(args.n)
     engine = _engine(model, args)
-    rho = PartitionFunction.from_json(model, _load_json_arg(args.rho))
-    sigma = PartitionFunction.from_json(model, _load_json_arg(args.sigma))
+    rho, sigma = (_basis_arg(model, _load_json_arg(a)) for a in (args.rho, args.sigma))
     coords = engine.b_product(rho, sigma, n)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
@@ -282,7 +294,7 @@ def _polynomiality(model, levels, args):
         if missing:
             raise ValueError(f"{shape}: missing {missing[0]!r}")
         engine = RingEngine(model)
-        rho, sigma, nu = (PartitionFunction.from_json(model, spec[k]) for k in keys)
+        rho, sigma, nu = (_basis_arg(model, spec[k]) for k in keys)
         rep = fit_polynomial_in_n(engine, rho, sigma, nu, levels)
         return rep["ok"], rep["witnesses"], rep
     rep = verify_polynomiality(model, levels)
@@ -368,6 +380,11 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a token such as -7/2 as an option: glue it to --s
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--s" and re.fullmatch(r"-\d+/\d+", argv[i]):
+            argv[i - 1:i + 1] = ["--s=" + argv[i]]
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:

@@ -14,18 +14,16 @@ is the t-deformed orbifold side with s = t^{1/3}: the bracket
 s m delta_{m,-n} int(xy) has scale kappa = s, and there are no canonical
 families.
 
-FockSpace.word_int is the one operator-word loop, and it runs on Python
+FockSpace.run_word is the one operator-word loop, and it runs on Python
 ints.  The model stores its pairing as integer numerators pair_num over one
 denominator pair_den, so the raw annihilator multiplies by m * pair_num
 only, and every annihilation owes the same rational factor
-ann_scale = kappa / pair_den.  word_int takes an integer term dict, runs
-every slot tuple of the memoized integer Kuenneth tensor on it, and returns
-a scaled integer vector (out, num, den) whose true value is out * num / den
-with num / den = ann_scale^(#annihilations) / den_tau.  apply_word_tau is
-its rational wrapper: it lifts the input over the lcm of its denominators
-(lift), runs word_int, and builds one rational per surviving term.
-Callers that combine many word images (the transposition oracle) stay in
-scaled integer vectors and meet the rationals only in their result.
+ann_scale = kappa / pair_den.  word_plan resolves a word once (raw
+operators, integer Kuenneth tensor, scale ann_scale^(#annihilations) /
+den_tau); word_int runs it on an integer term dict, giving a scaled integer
+vector (out, num, den) worth out * num / den, and apply_word_tau is its
+rational wrapper.  The transposition oracle, the lambda-sum kernel and the
+ring engine stay in integers and meet the rationals only in their results.
 """
 
 from __future__ import annotations
@@ -158,12 +156,6 @@ class FockSpace:
                     sign_w = -sign_w
         return {m_: v for m_, v in out.items() if v}
 
-    def apply_basis_raw(self, idx, c, terms):
-        """a_{idx}(e_c): idx < 0 creates, idx > 0 annihilates."""
-        if idx < 0:
-            return self.create_raw(-idx, c, terms)
-        return self.annihilate_raw(idx, c, terms)
-
     # -- public operator application ------------------------------------------------
 
     def apply_heisenberg(self, n, cls, v):
@@ -179,36 +171,47 @@ class FockSpace:
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
-
-        The creations left of the first annihilation act last, so a label
-        they create stays in every monomial they make.  Slot tuples that
-        create a label of drop there are skipped: pass the labels that the
-        caller's reduction deletes anyway.
+        For drop see word_plan.
         """
-        k = len(indices)
         if not terms:
             return {}, 1, 1
-        if k == 0:
+        if not indices:
             integral = self.model.integrate(cls)
             if not integral:
                 return {}, 1, 1
             return dict(terms), integral.numerator, integral.denominator
+        ops, tensor, num, den = self.word_plan(indices, cls, drop)
+        return self.run_word(ops, tensor, terms, {}), num, den
+
+    def word_plan(self, indices, cls, drop=frozenset()):
+        """A word of k >= 1 factors resolved once, as (ops, tensor, num, den):
+        the raw operator of each factor, rightmost first, the integer
+        Kuenneth tensor, and the scale num / den of its images.  The
+        creations left of the first annihilation act last, so a label they
+        create stays in every monomial they make: the slot tuples that
+        create a label of drop there are left out.  Pass the labels that the
+        caller's reduction deletes anyway."""
+        k = len(indices)
         lead = next((j for j, i in enumerate(indices) if i > 0), k) if drop else 0
         den_t, tensor = self.model.int_tensor(cls, k, drop, lead)
-        # the raw operator of each factor, rightmost first
         ops = [(self.create_raw, -i) if i < 0 else (self.annihilate_raw, i)
                for i in reversed(indices)]
-        out = {}
+        ann = sum(1 for i in indices if i > 0)
+        return (ops, tensor, self.ann_scale.numerator ** ann,
+                self.ann_scale.denominator ** ann * den_t)
+
+    def run_word(self, ops, tensor, terms, out, scale=1):
+        """Add scale times the integer image of terms under a resolved word
+        (see word_plan) into the term dict out; returns out."""
         for w, slots in tensor:
             cur = terms
             for (op, n), c in zip(ops, reversed(slots)):
                 cur = op(n, c, cur)
                 if not cur:
                     break
-            row_add_scaled(out, cur, w)
-        ann = sum(1 for i in indices if i > 0)
-        return (out, self.ann_scale.numerator ** ann,
-                self.ann_scale.denominator ** ann * den_t)
+            else:
+                row_add_scaled(out, cur, w * scale)
+        return out
 
     def apply_word_tau(self, indices, cls, v, drop=frozenset()):
         """The operator of word_int applied to a FockVector, as a FockVector
@@ -264,19 +267,14 @@ class FockSpace:
         for mono, w in v.terms.items():
             if mono_weight(mono) != n:
                 raise WeightError(f"monomial of weight {mono_weight(mono)} at level {n}")
-            unit_parts = []
+            if any(cj in pivots for _, cj in mono):
+                raise EngineError("vector is not reduced modulo the ideal")
             parts = {}
-            for nj, cj in mono:
-                if cj in pivots:
-                    raise EngineError("vector is not reduced modulo the ideal")
-                if cj == unit:
-                    unit_parts.append(nj)
-                    if nj >= 2:
-                        parts.setdefault(unit, []).append(nj - 1)
-                else:
-                    parts.setdefault(cj, []).append(nj)
-            rho = PartitionFunction(
-                {c: tuple(sorted(p, reverse=True)) for c, p in parts.items()})
+            for nj, cj in mono:  # a unit part r is the entry (r + 1, unit)
+                if cj != unit or nj >= 2:
+                    parts.setdefault(cj, []).append(nj - (cj == unit))
+            rho = PartitionFunction({c: sorted(p, reverse=True) for c, p in parts.items()})
+            unit_parts = [nj for nj, cj in mono if cj == unit]
             row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
         return coords
 
@@ -334,7 +332,8 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
 
     @cache
     def app(idx, c, mono):
-        return fock.apply_basis_raw(idx, c, {mono: 1})
+        raw = fock.create_raw if idx < 0 else fock.annihilate_raw
+        return raw(abs(idx), c, {mono: 1})
 
     def compose(idx, c, terms):
         out = {}
@@ -345,11 +344,9 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
     witnesses = []
     ops = [(m, i) for m in indices for i in range(dim)]
     for mono in monos:
-        for oi in range(len(ops)):
-            m, i = ops[oi]
+        for oi, (m, i) in enumerate(ops):
             vm = app(m, i, mono)
-            for oj in range(oi, len(ops)):
-                n, j = ops[oj]
+            for n, j in ops[oi:]:
                 lhs = compose(m, i, app(n, j, mono))
                 rhs = compose(n, j, vm)
                 sign = -1 if parities[i] and parities[j] else 1

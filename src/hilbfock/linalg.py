@@ -2,16 +2,18 @@
 
 Every sparse vector in the engine (Fock vectors, polynomials, classes,
 elimination rows) is a dict mapping hashable keys to nonzero rationals, and
-row_add_scaled is the one place that adds them.  An Echelon keeps normalized
-rows keyed by pivot column (the smallest key in the row); inserting a row
-reduces it first, so rank and span-membership queries are incremental.
-memoized is the one memo of the engine methods.
+row_add_scaled is the one place that adds them; combine adds integer term
+dicts with rational scales over one common denominator.  An Echelon keeps
+normalized rows keyed by pivot column (the smallest key in the row);
+inserting a row reduces it first, so rank and span-membership queries are
+incremental.  memoized is the one memo of the engine methods.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from functools import wraps
+from math import lcm
 
 from .rational import ONE, Q
 
@@ -52,6 +54,16 @@ def row_add_scaled(dst, src, s):
             else:
                 del dst[k]
     return dst
+
+
+def combine(pieces):
+    """(out, lcm): the sum of num / den * terms over triples (terms, num, den)
+    of integer term dicts and scales, in ints over the lcm of the dens."""
+    common = lcm(*(den for _, _, den in pieces))
+    out = {}
+    for terms, num, den in pieces:
+        row_add_scaled(out, terms, num * (common // den))
+    return out, common
 
 
 class LinearCombination:

@@ -8,8 +8,9 @@ linear bases.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .rational import ONE, Q
 
@@ -29,21 +30,9 @@ def partitions_of(n, max_part=None):
 
 
 @cache
-def partitions_with_length(n, k, max_part=None):
+def partitions_with_length(n, k):
     """All partitions of n with exactly k parts, as descending tuples."""
-    if k < 0 or n < 0:
-        return ()
-    if max_part is None:
-        max_part = n
-    if k == 0:
-        return ((),) if n == 0 else ()
-    if n < k:
-        return ()
-    out = []
-    for first in range(min(max_part, n - k + 1), 0, -1):
-        for rest in partitions_with_length(n - first, k - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(p for p in partitions_of(n) if len(p) == k)
 
 
 def strict_partitions_of(n):
@@ -65,10 +54,7 @@ class GenPartition:
 
     @classmethod
     def from_parts(cls, parts):
-        mult = {}
-        for i in parts:
-            mult[i] = mult.get(i, 0) + 1
-        return cls(mult)
+        return cls(Counter(parts))
 
     def moment(self):
         """s(.) = sum of i^2 over parts."""
@@ -76,18 +62,12 @@ class GenPartition:
 
     def sym_factor(self):
         """The product of the factorials of the multiplicities."""
-        out = 1
-        for m in self.mult.values():
-            out *= factorial(m)
-        return out
+        return prod(map(factorial, self.mult.values()))
 
     def word(self):
         """Operator indices in the fixed order: ascending part value, so
         creation indices (negative) come before annihilation indices."""
-        out = []
-        for i in sorted(self.mult):
-            out.extend([i] * self.mult[i])
-        return tuple(out)
+        return tuple(i for i in sorted(self.mult) for _ in range(self.mult[i]))
 
     def __eq__(self, other):
         return isinstance(other, GenPartition) and self._key == other._key
@@ -177,13 +157,7 @@ PartitionFunction.EMPTY = PartitionFunction({})
 
 def unit_normalization(unit_parts):
     """1 / prod(r^m_r * m_r!) over the multiplicities of a unit-class part list."""
-    mult = {}
-    for r in unit_parts:
-        mult[r] = mult.get(r, 0) + 1
-    den = 1
-    for r, m in mult.items():
-        den *= r**m * factorial(m)
-    return Q(ONE, den)
+    return Q(ONE, prod(r**m * factorial(m) for r, m in Counter(unit_parts).items()))
 
 
 def enumerate_partition_functions(model, n, working=None):
@@ -198,26 +172,16 @@ def enumerate_partition_functions(model, n, working=None):
             out.append(PartitionFunction(dict(acc)))
             return
         c = working[i]
-        if c == model.unit:
-            # a part r on the unit costs r + 1
-            choices = []
-            for w in range(0, budget + 1):
-                for p in partitions_of(w):
-                    if w + len(p) <= budget:
-                        choices.append((w + len(p), p))
-            for cost, p in choices:
+        gen = strict_partitions_of if model.parities[c] else partitions_of
+        for w in range(0, budget + 1):
+            for p in gen(w):
+                cost = w + len(p) * (c == model.unit)  # a part r on the unit costs r + 1
+                if cost > budget:
+                    continue
                 if p:
                     acc[c] = p
                 rec(i + 1, budget - cost, acc)
                 acc.pop(c, None)
-        else:
-            gen = strict_partitions_of if model.parities[c] else partitions_of
-            for w in range(0, budget + 1):
-                for p in gen(w):
-                    if p:
-                        acc[c] = p
-                    rec(i + 1, budget - w, acc)
-                    acc.pop(c, None)
 
     rec(0, n, {})
     out.sort(key=lambda r: (r.cost(model.unit), r.key()))

@@ -7,30 +7,41 @@ degree-shift operators, evaluated on the level-n unit.  Multiplying by
 b_rho(n) then means applying those operator words.  For a model with a
 restriction ideal everything happens in the quotient: applications are
 reduced after every operator, which is legitimate because the ideal subspace
-absorbs the operators.  A generator is memoized per single monomial, reduced
-and with its canonical-class markers checked, and applies to a vector as the
-weighted sum over its monomials; in a quotient its rational-weight terms
-skip creating ideal labels, which the reduction would delete.  The same
-engine with a rational flavour s = t^{1/3} is the deformed symmetric-product
-side; at s = -1 it must reproduce the Hilbert-scheme ring, which the
-comparison verifiers check.
+absorbs the operators.
+
+Vectors are integers keyed by basis index over one denominator (see
+RingEngine.level).  A generator's row on each basis monomial comes from
+the kernel vertex.operator_int, reduced and with its markers checked;
+word_on_basis and b_product add rows and weights in ints, and only the
+final coordinates become rationals.  In a quotient the rows skip the terms
+that create ideal labels, which the reduction would delete.
+
+The same engine with a rational flavour s = t^{1/3} is the deformed
+symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
+ring, which the comparison verifiers check.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 
 from .errors import (EliminationError, EngineError, ModelError,
                      UnknownCoefficientsError, WeightError)
-from .fock import FockSpace, FockVector
-from .linalg import Echelon, memoized, row_add_scaled
+from .fock import FockSpace, FockVector, lift
+from .linalg import Echelon, combine, memoized, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
 from .rational import ONE, Q, qstr
 from .vertex import (SparsePolynomial, apply_operator, chern_operator,
-                     lehn_apply, phi_map)
+                     lehn_apply, operator_int, phi_map)
+
+
+def _normal(terms, den):
+    """An index vector over its gcd-normalised denominator (RingEngine.level)."""
+    g = gcd(den, *terms.values())
+    return ({i: c // g for i, c in terms.items()}, den // g) if g > 1 else (terms, den)
 
 
 class StructureTable:
@@ -120,36 +131,60 @@ class RingEngine:
                 "ideal does not contain the canonical class)")
         return op
 
-    def apply_generator(self, factor, v):
-        """One degree-shift operator on v, reduced in a quotient: the sum of
-        its memoized values on the monomials of v."""
-        out = {}
-        for mono, w in v.terms.items():
-            row_add_scaled(out, self._generator_on(factor, mono).terms, w)
-        return FockVector(out)
+    @memoized
+    def level(self, n):
+        """(index, monos, norms) of the level-n basis: b_i(n) = monos[i] /
+        norms[i], and index inverts monos.  An index vector (terms, den) is
+        sum(terms[i] * monos[i]) / den with gcd(den, *terms) = 1, den > 0."""
+        monos, norms = [], []
+        for rho in self.basis(n):
+            ((mono, c),) = self.fock.b_class(rho, n).terms.items()
+            monos.append(mono)
+            norms.append(c.denominator)
+        return {mono: i for i, mono in enumerate(monos)}, monos, norms
 
     @memoized
-    def _generator_on(self, factor, mono):
-        """The operator on one monomial, reduced in a quotient, where every
-        canonical-class marker term must vanish under reduction.  Memoized
-        per (factor, monomial) for the life of the engine."""
-        fock = self.fock
-        known, markers = apply_operator(fock, self.operator(*factor),
-                                        FockVector({mono: ONE}),
-                                        self.model.ideal_pivots)
-        for mv in markers:
-            if not fock.reduce(mv).is_zero():
-                raise EngineError(
-                    "canonical-class marker term failed to vanish "
-                    "under reduction; ideal is not K-closed")
-        return fock.reduce(known) if self.quotient else known
+    def generator_rows(self, factor, n):
+        """Row i: the generator on the i-th basis monomial, as an index
+        vector; generator_on fills each row when it first needs it."""
+        return [None] * len(self.basis(n))
+
+    def generator_on(self, factor, vec, n):
+        """One degree-shift operator on a level-n index vector, reduced in a
+        quotient: its rows added up in ints."""
+        terms, den = vec
+        rows = self.generator_rows(factor, n)
+        for i in terms:
+            if rows[i] is None:
+                index, monos, _ = self.level(n)
+                out, d, markers = operator_int(self.fock, self.operator(*factor),
+                                                 {monos[i]: 1}, self.model.ideal_pivots)
+                if not all(self.fock.in_ideal(FockVector(mv)) for mv, _, _ in markers):
+                    raise EngineError("canonical-class marker term failed to vanish "
+                                      "under reduction; ideal is not K-closed")
+                # the reduction: an image monomial outside the basis has an ideal label
+                rows[i] = _normal({index[m]: c for m, c in out.items() if m in index}, d)
+        out, common = combine([(rows[i][0], c, rows[i][1]) for i, c in terms.items()])
+        return _normal(out, den * common)
+
+    def apply_generator(self, factor, v):
+        """One degree-shift operator on a reduced vector of one level."""
+        return self.apply_word((factor,), v)
 
     def apply_word(self, word, v):
+        """A word of degree-shift operators, rightmost first, on a reduced
+        vector of one level."""
+        if v.is_zero():
+            return v
+        n = v.constant_weight()
+        index, monos, _ = self.level(n)
+        terms, _, den = lift(v)
+        if not index.keys() >= terms.keys():
+            raise EngineError("vector is not reduced modulo the ideal")
+        vec = ({index[m]: c for m, c in terms.items()}, den)
         for f in reversed(word):
-            if v.is_zero():
-                break
-            v = self.apply_generator(f, v)
-        return v
+            vec = self.generator_on(f, vec, n)
+        return FockVector({monos[i]: Q(c, vec[1]) for i, c in vec[0].items()})
 
     def generator_word(self, rho):
         """The word whose evaluation has leading term a nonzero multiple of
@@ -174,8 +209,7 @@ class RingEngine:
         if cost > n:
             raise WeightError(f"basis class is zero at level {n}")
         word = self.generator_word(rho)
-        val = self.apply_word(word, self.fock.unit(n))
-        coords = self.fock.expand_in_basis(val, n)
+        coords = self.coordinates(self.word_on_basis(word, PartitionFunction.EMPTY, n), n)
         lead = coords.pop(rho, None)
         if not lead:
             raise EliminationError(f"lost the leading term of {rho!r} at level {n}")
@@ -191,23 +225,43 @@ class RingEngine:
 
     # -- products ---------------------------------------------------------------
 
+    def coordinates(self, vec, n):
+        """A level-n index vector in the basis {b_rho(n)}: its integers become
+        rationals here only."""
+        basis, norms = self.basis(n), self.level(n)[2]
+        return {basis[i]: Q(c * norms[i], vec[1]) for i, c in vec[0].items()}
+
     @memoized
     def word_on_basis(self, word, sigma, n):
-        if not word:
-            return self.fock.b_class(sigma, n)
-        return self.apply_generator(word[0], self.word_on_basis(word[1:], sigma, n))
+        """The generator word applied to b_sigma(n), as an index vector; zero
+        when b_sigma(n) is zero by cost."""
+        if word:
+            return self.generator_on(word[0], self.word_on_basis(word[1:], sigma, n), n)
+        if sigma.cost(self.model.unit) > n:
+            return {}, 1
+        index, _, norms = self.level(n)
+        i = index.get(next(iter(self.fock.b_class(sigma, n).terms), None))
+        if i is None:
+            raise EngineError(f"{sigma!r} is not a basis class at level {n}")
+        return {i: 1}, norms[i]
+
+    def product_index(self, rho, sigma, n):
+        """b_rho(n) . b_sigma(n) as an index vector, (out, den): the words of
+        express on b_sigma(n), weighted in ints."""
+        return combine([(terms, w.numerator, w.denominator * d)
+                        for word, w in self.express(rho, n).items()
+                        for terms, d in [self.word_on_basis(word, sigma, n)]])
 
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
-        out = {}
-        for word, cw in self.express(rho, n).items():
-            row_add_scaled(out, self.word_on_basis(word, sigma, n).terms, cw)
-        return FockVector(out)
+        terms, den = self.product_index(rho, sigma, n)
+        monos = self.level(n)[1]
+        return FockVector({monos[i]: Q(c, den) for i, c in terms.items()})
 
     @memoized
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
-        coords = self.fock.expand_in_basis(self.product_vector(rho, sigma, n), n)
+        coords = self.coordinates(self.product_index(rho, sigma, n), n)
         degree = self.degree
         target = degree(rho) + degree(sigma)
         for nu in coords:
@@ -247,10 +301,10 @@ class RingEngine:
     def _check_supercommutativity(self, table):
         degree = self.degree
         for (rho, sigma), prods in table.entries.items():
-            sign = -1 if (degree(rho) % 2 and degree(sigma) % 2) else 1
             mirror = table.entries[(sigma, rho)]
-            flipped = {nu: c * sign for nu, c in mirror.items()}
-            if prods != flipped:
+            if degree(rho) % 2 and degree(sigma) % 2:
+                mirror = {nu: -c for nu, c in mirror.items()}
+            if prods != mirror:
                 raise EngineError(
                     f"super-commutativity violated for ({rho!r}, {sigma!r})")
 
@@ -337,11 +391,9 @@ def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
     """Fit the structure constant of a fixed triple as a polynomial in the
     level, verify the degree bound, and exactly check the leftover points."""
     unit = engine.model.unit
-    bound = rho.cost(unit) + sigma.cost(unit) - nu.cost(unit)
+    bound = max(0, rho.cost(unit) + sigma.cost(unit) - nu.cost(unit))
     start = max(rho.cost(unit), sigma.cost(unit), nu.cost(unit))
     ns = [n for n in sorted(n_values) if n >= start]
-    if bound < 0:
-        bound = 0
     if len(ns) < bound + 3:
         raise EngineError(
             f"need at least {bound + 3} levels for degree bound {bound}, have {len(ns)}")
@@ -443,17 +495,18 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     def operator(k, c):
         return chern_operator(fock, k, model.basis_class(c))
 
-    def known_and_markers(k, c, vec):
-        return apply_operator(fock, operator(k, c), vec)
+    def images(k, c, vec):
+        """The known part and the markers of the operator on vec, and whether
+        one of them leaves the subspace."""
+        known, marks = apply_operator(fock, operator(k, c), vec)
+        return known, marks, not all(map(fock.in_ideal, [known, *marks]))
 
     # (i) the subspace absorbs the operators
     if "absorb" in parts:
         for mono in ideal_monos:
-            vec = FockVector.monomial(mono)
             for c in range(model.dim):
                 for k in range(n):
-                    known, marks = known_and_markers(k, c, vec)
-                    if not fock.in_ideal(known) or not all(fock.in_ideal(mv) for mv in marks):
+                    if images(k, c, FockVector.monomial(mono))[2]:
                         witnesses.append({"part": "absorb", "k": k,
                                           "alpha": model.basis[c].name,
                                           "monomial": str(mono)})
@@ -462,8 +515,7 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     if "contains" in parts:
         for c in sorted(pivots):
             for k in range(n):
-                known, marks = known_and_markers(k, c, fock.unit(n))
-                if not fock.in_ideal(known) or not all(fock.in_ideal(mv) for mv in marks):
+                if images(k, c, fock.unit(n))[2]:
                     witnesses.append({"part": "contains", "k": k,
                                       "alpha": model.basis[c].name})
 
@@ -491,27 +543,17 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
                     continue
                 echelons[d].insert(row)
 
-        done = False
-        for c in sorted(pivots):
-            for k in range(n):
-                for mono in all_monos:
-                    known, marks = known_and_markers(k, c, FockVector.monomial(mono))
-                    if not fock.in_ideal(known) or not all(fock.in_ideal(mv)
-                                                           for mv in marks):
-                        witnesses.append({"part": "generate", "k": k,
-                                          "alpha": model.basis[c].name,
-                                          "monomial": str(mono),
-                                          "error": "product escapes the subspace"})
-                        continue
-                    feed(known)
-                    for mv in marks:
-                        feed(mv)
-                    if saturated():
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
+        for c, k, mono in ((c, k, mono) for c in sorted(pivots) for k in range(n)
+                           for mono in all_monos):
+            known, marks, escapes = images(k, c, FockVector.monomial(mono))
+            if escapes:
+                witnesses.append({"part": "generate", "k": k,
+                                  "alpha": model.basis[c].name, "monomial": str(mono),
+                                  "error": "product escapes the subspace"})
+                continue
+            for vec in [known, *marks]:
+                feed(vec)
+            if saturated():
                 break
         ranks = {d: (echelons[d].rank(), len(by_degree[d]))
                  for d in sorted(by_degree)}
@@ -544,11 +586,7 @@ def verify_a_homomorphism(engine, n):
             lhs = fock.annihilate_point(prod_up)
             rx = fock.annihilate_point(fock.b_class(rho, n + 1))
             sx = fock.annihilate_point(fock.b_class(sigma, n + 1))
-            if rx.is_zero() or sx.is_zero():
-                rhs = FockVector.zero()
-            else:
-                rhs = engine.cup(rx, sx, n)
-            if lhs != rhs:
+            if lhs != engine.cup(rx, sx, n):
                 witnesses.append({
                     "part": "ring-hom",
                     "rho": rho.to_json(engine.model),
@@ -585,26 +623,14 @@ class FHRing:
 def monomial_vectors(engine, rhos, n_eval):
     """Evaluate the products prod b_{r,c} indexed by each rho at a common
     level, recursively sharing prefixes."""
-    def factors(rho):
-        out = []
-        for c, parts in sorted(rho.parts.items()):
-            out.extend((r, c) for r in parts)
-        return out
-
     @cache
     def vec(rho):
         if not rho.parts:
             return engine.fock.unit(n_eval)
-        fs = factors(rho)
-        r, c = fs[0]
-        restparts = dict(rho.parts)
-        plist = list(restparts[c])
-        plist.remove(r)
-        if plist:
-            restparts[c] = tuple(plist)
-        else:
-            del restparts[c]
-        rest = PartitionFunction(restparts)
+        # peel off the largest part of the first class
+        c = min(rho.parts)
+        r, *others = rho.parts[c]
+        rest = PartitionFunction({**rho.parts, c: others})
         return engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
 
     return {rho: vec(rho) for rho in rhos}

@@ -368,18 +368,13 @@ class SurfaceModel:
         if self.gram_inv is None:
             errors.append("Frobenius pairing degenerate")
 
-        try:
-            ce = self.class_degree(self.canonical)
-            if ce not in (None, 2):
-                errors.append("canonical class must have degree 2")
-        except ValueError:
-            errors.append("canonical class is not homogeneous")
-        try:
-            ee = self.class_degree(self.euler)
-            if ee not in (None, 4):
-                errors.append("Euler class must have degree 4")
-        except ValueError:
-            errors.append("Euler class is not homogeneous")
+        for what, cls, want in (("canonical", self.canonical, 2),
+                                ("Euler", self.euler, 4)):
+            try:
+                if self.class_degree(cls) not in (None, want):
+                    errors.append(f"{what} class must have degree {want}")
+            except ValueError:
+                errors.append(f"{what} class is not homogeneous")
 
         if check_euler:
             b1 = sum(1 for d in deg if d == 1)

@@ -14,6 +14,10 @@ families exist on the Hilbert side only and are never evaluated: operator
 application hands their unit-weight term values back as markers, and the
 caller decides what they mean.  The ring engine accepts them only modulo an
 ideal containing K, where each marker must vanish under reduction.
+
+operator_int is the lambda-sum kernel: an operator resolves each lambda
+term once per part multiset (OperatorExpression.plan), and apply_operator
+is its rational wrapper.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import factorial, lcm
 
 from .errors import EngineError, UnknownCoefficientsError
 from .fock import FockVector, lift
-from .linalg import LinearCombination, row_add_scaled
+from .linalg import LinearCombination, combine, memoized, row_add_scaled
 from .partitions import GenPartition, partitions_with_length
 from .rational import ONE, Q, parse_q, qstr
 
@@ -62,15 +66,36 @@ class TermFamily:
 class OperatorExpression:
     """A degree-shift operator in normally ordered lambda-sum form."""
 
-    __slots__ = ("k", "alpha", "families", "parity", "degree_shift")
-
     def __init__(self, model, k, alpha, families):
         self.k = k
         self.alpha = alpha
         self.families = families
         self.parity = model.class_parity(alpha)
-        deg = model.class_degree(alpha)
-        self.degree_shift = None if deg is None else 2 * k + deg
+
+    @memoized
+    def plan(self, fock, parts, drop):
+        """The lambda-sum on the monomials of one part multiset, resolved once
+        per Fock space as (known, den, markers): known lists the rational-
+        weight terms as (ops, tensor, scale) of FockSpace.word_plan with drop,
+        scale / den = weight * ann_scale^#annihilations / den_tau over the lcm
+        den; markers lists the canonical-class terms' plans without drop."""
+        known, markers = [], []
+        for fam in self.families:
+            for pos in _submultisets(parts):
+                neg_len = fam.ell - len(pos)
+                if neg_len < 1:
+                    continue
+                for neg in partitions_with_length(sum(pos), neg_len):
+                    lam = GenPartition.from_parts([-r for r in neg] + list(pos))
+                    weight = fam.weight_of(lam)
+                    if weight is None:
+                        markers.append(fock.word_plan(lam.word(), fam.cls))
+                    elif weight:
+                        ops, tensor, num, den = fock.word_plan(lam.word(), fam.cls, drop)
+                        known.append((ops, tensor, weight * Q(num, den)))
+        den = lcm(*(q.denominator for _, _, q in known))
+        return ([(ops, tensor, q.numerator * (den // q.denominator))
+                 for ops, tensor, q in known], den, markers)
 
     @property
     def has_unknown_terms(self):
@@ -118,48 +143,41 @@ def _submultisets(mult_items):
     return [tuple(sorted(s, reverse=True)) for s in out if s]
 
 
+def operator_int(fock, op, terms, drop=frozenset()):
+    """The kernel of apply_operator: op on an integer term dict whose
+    monomials share one part multiset, through that multiset's plan, as
+    (out, den, markers): the known part is out / den, and markers lists the
+    nonzero canonical-class term values as scaled integer vectors."""
+    known, den, marks = op.plan(fock, _parts_multiset(next(iter(terms))), drop)
+    out = {}
+    for ops, tensor, scale in known:
+        fock.run_word(ops, tensor, terms, out, scale)
+    markers = [(mv, num, d) for ops, tensor, num, d in marks
+               if (mv := fock.run_word(ops, tensor, terms, {}))]
+    return out, den, markers
+
+
 def apply_operator(fock, op, v, drop=frozenset()):
-    """Apply an OperatorExpression to a Fock vector.
-
-    Returns (known, markers): known is the sum of the terms with rational
-    weights, and markers lists the nonzero unit-weight values of the
-    canonical-class family terms, whose universal weights are unknown.
-
-    drop names labels that the caller's reduction deletes: in known, the
-    terms that create one of them are skipped (see FockSpace.word_int), so known
-    is exact only after that reduction.  The canonical-class families always
-    run in full, so that every marker can still be checked.
+    """Apply an OperatorExpression to a Fock vector: the rational wrapper of
+    operator_int, run on each part multiset of v.  Returns (known, markers):
+    known sums the terms with rational weights, and markers lists the
+    nonzero unit-weight values of the canonical-class terms, whose universal
+    weights are unknown.  drop names labels that the caller's reduction
+    deletes: known skips the terms that create one of them (see
+    FockSpace.word_plan), so it is exact only after that reduction.  The
+    canonical-class terms always run in full, so every marker can be checked.
     """
+    terms, _, den_v = lift(v)
     groups = {}
-    for mono, w in v.terms.items():
+    for mono, w in terms.items():
         groups.setdefault(_parts_multiset(mono), {})[mono] = w
-
     out = {}
     markers = []
-    for parts, terms in groups.items():
-        group = FockVector(terms)
-        subsets = _submultisets(parts)
-        for fam in op.families:
-            for pos in subsets:
-                neg_len = fam.ell - len(pos)
-                if neg_len < 1:
-                    continue
-                w = sum(pos)
-                for neg in partitions_with_length(w, neg_len):
-                    mult = {}
-                    for r in neg:
-                        mult[-r] = mult.get(-r, 0) + 1
-                    for r in pos:
-                        mult[r] = mult.get(r, 0) + 1
-                    lam = GenPartition(mult)
-                    weight = fam.weight_of(lam)
-                    if weight is None:
-                        val = fock.apply_word_tau(lam.word(), fam.cls, group)
-                        if not val.is_zero():
-                            markers.append(val)
-                    elif weight:
-                        val = fock.apply_word_tau(lam.word(), fam.cls, group, drop)
-                        row_add_scaled(out, val.terms, weight)
+    for group in groups.values():
+        known, den, marks = operator_int(fock, op, group, drop)
+        row_add_scaled(out, known, Q(1, den * den_v))
+        markers += [FockVector({mono: Q(c * num, d * den_v) for mono, c in mv.items()})
+                    for mv, num, d in marks]
     return FockVector(out), markers
 
 
@@ -175,35 +193,6 @@ def chern_class(fock, k, alpha, n):
             "unknown universal coefficients required (canonical class "
             "does not vanish; compute modulo an ideal containing it)")
     return apply_operator(fock, op, fock.unit(n))[0]
-
-
-def chern_class_partition_sums(fock, k, alpha, n):
-    """Independent route to G_k(alpha, n): the closed creation-only partition
-    sums (no canonical families; exact when K alpha = 0 = K^2 alpha).
-
-    Used as a cross-check oracle against the operator route.
-    """
-    model = fock.model
-    out = {}
-    e_alpha = model.mul(model.euler, alpha)
-    for j in range(0, k + 1):
-        base = fock.unit(n - j - 1)
-        if base.is_zero():
-            continue
-        for lam in partitions_with_length(j + 1, k - j + 1):
-            sym = GenPartition.from_parts(lam).sym_factor()
-            coeff = Q((-1) ** j, sym * factorial(j + 1))
-            word = tuple(sorted(-r for r in lam))
-            row_add_scaled(out, fock.apply_word_tau(word, alpha, base).terms, coeff)
-        if e_alpha.is_zero():
-            continue
-        for lam in partitions_with_length(j + 1, k - j - 1):
-            gp = GenPartition.from_parts(lam)
-            coeff = Q((-1) ** (j + 1) * (j + 1 + gp.moment() - 2),
-                      24 * gp.sym_factor() * factorial(j + 1))
-            word = tuple(sorted(-r for r in lam))
-            row_add_scaled(out, fock.apply_word_tau(word, e_alpha, base).terms, coeff)
-    return FockVector(out)
 
 
 # -- commutator oracles ---------------------------------------------------------
@@ -226,12 +215,8 @@ def _combine(pieces):
     """The sum of c * vec over pairs (vec, (cn, cd)) of a scaled integer
     vector and a rational coefficient cn / cd, added in ints over the lcm of
     the denominators: a FockVector, empty iff the sum is zero."""
-    scaled = [(terms, num * cn, den * cd)
-              for (terms, num, den), (cn, cd) in pieces if terms]
-    common = lcm(*(den for _, _, den in scaled))
-    out = {}
-    for terms, num, den in scaled:
-        row_add_scaled(out, terms, num * (common // den))
+    out, common = combine([(terms, num * cn, den * cd)
+                           for (terms, num, den), (cn, cd) in pieces if terms])
     return FockVector({mono: Q(c, common) for mono, c in out.items()})
 
 
@@ -378,14 +363,11 @@ def _probe_vectors(fock, max_weight):
             v = fock.apply_heisenberg(-2, model.basis_class(c1), base)
             if not v.is_zero():
                 vecs.append(v)
-    uniq = []
-    seen = set()
+    uniq = {}
     for v in vecs:
-        key = tuple(sorted(v.terms))
-        if key and key not in seen:
-            seen.add(key)
-            uniq.append(v)
-    return uniq
+        if v.terms:
+            uniq.setdefault(tuple(sorted(v.terms)), v)
+    return list(uniq.values())
 
 
 def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
@@ -427,15 +409,14 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
               for m in range(2, ksum_max + 1)}
     weights = [v.constant_weight() for v in vecs]
 
-    def viable(word_sum_neg, word_sum_pos, w):
-        # final weight below zero kills both sides identically
-        return w + word_sum_neg - word_sum_pos >= 0
+    def viable(word):
+        # the probes the word keeps at weight >= 0: a final weight below zero
+        # kills both sides identically
+        return [vi for vi, w in enumerate(weights) if w >= sum(word)]
 
     for m, tuples in shapes.items():
         for combined in tuples:
-            cre = -sum(i for i in combined if i < 0)
-            ann = sum(i for i in combined if i > 0)
-            todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
+            todo = viable(combined)
             if not todo:
                 continue
             for k in range(1, m):
@@ -454,9 +435,7 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
                                 break
     for m, tuples in shapes.items():
         for ns in tuples:
-            cre = -sum(i for i in ns if i < 0)
-            ann = sum(i for i in ns if i > 0)
-            todo = [vi for vi, w in enumerate(weights) if viable(cre, ann, w)]
+            todo = viable(ns)
             if not todo:
                 continue
             for j in range(m - 1):

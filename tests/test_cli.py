@@ -396,6 +396,35 @@ def test_hostile_inputs_exit_2(tmp_path):
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
 
+    # a class of the restriction ideal, or a repeated part on an odd class,
+    # names no basis class: rejected by name, as rho, sigma or nu
+    triple = {"rho": {}, "sigma": {}, "nu": {}}
+    for model, cls, parts in (("c2", "x", [1]), ("c2", "h", [1]), ("odd_toy", "u", [1, 1])):
+        bad = json.dumps({cls: parts})
+        for args in (("product", "--n", "2", "--rho", "{}", "--sigma", bad),
+                     ("product", "--n", "2", "--rho", bad, "--sigma", "{}"),
+                     ("verify", "polynomiality", "--n", "3..6", "--triple",
+                      json.dumps({**triple, "nu": {cls: parts}}))):
+            res = run_cli(*args, "--model", model)
+            assert_usage_error(res)
+            assert repr(cls) in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("product", "--model", "toy_b2_1", "--n", "2", "--side", "orbifold",
+     "--rho", '{"h": [1]}', "--sigma", '{"h": [1]}'),
+    ("structure-constants", "--model", "c2", "--n", "2", "--side", "orbifold"),
+    ("orb-structure-constants", "--model", "c2", "--n", "2"),
+    ("verify", "orb-n-independence", "--model", "c2", "--n", "2..3"),
+])
+@pytest.mark.parametrize("s", ["-7/2", "-2/3"])
+def test_negative_rational_s_is_a_value(args, s):
+    """--s followed by a negative fraction reads it as the value, with the
+    output of --s=<value>."""
+    spaced, joined = run_cli(*args, "--s", s), run_cli(*args, f"--s={s}")
+    assert spaced.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout and f'"s":"{s}"' in spaced.stdout
+
 
 # a passing run of each verifier, to which an option it does not read is added
 _VERIFY_BASE = {

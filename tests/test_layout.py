@@ -11,9 +11,6 @@ import hilbfock
 
 SRC = Path(hilbfock.__file__).resolve().parent
 
-# reference oracles that tests compare the production path against
-ORACLES = {"chern_class_partition_sums"}  # the closed partition sums for G_k
-
 
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -53,7 +50,7 @@ def test_every_definition_is_referenced_in_src():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    exempt = {"main"} | set(hilbfock.__all__) | ORACLES
+    exempt = {"main"} | set(hilbfock.__all__)
     unused = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in used and name not in exempt
                     and not (name.startswith("__") and name.endswith("__")))

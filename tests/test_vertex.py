@@ -1,6 +1,7 @@
 """Degree-shift operators, their oracles, and the polynomial-side operators."""
 
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from hilbfock import vertex
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
+from hilbfock.linalg import row_add_scaled
+from hilbfock.partitions import GenPartition, partitions_with_length
 from hilbfock.rational import Q
 from hilbfock.ring import RingEngine
 from hilbfock.vertex import (EULER, K_IDEAL, MAIN, SparsePolynomial,
-                             apply_operator, chern_class,
-                             chern_class_partition_sums, chern_operator,
+                             apply_operator, chern_class, chern_operator,
                              lehn_apply, lemma_ks_part_i, lemma_ks_part_ii,
                              nonsense1_expansion, phi_map, verify_lemma_ks,
                              verify_nonsense1)
@@ -117,7 +119,6 @@ def test_chern_class_mod_full_ideal(models):
     k3 = models("k3_like")
     quot = k3.with_ideal([i for i in range(k3.dim) if k3.degrees[i] > 0])
     f = FockSpace(quot)
-    from math import factorial
     for n in (2, 3, 4):
         for k in range(n):
             got = f.reduce(chern_class(f, k, quot.basis_class(quot.unit), n))
@@ -126,6 +127,33 @@ def test_chern_class_mod_full_ideal(models):
             want = FockVector.monomial(
                 mono, Q((-1) ** k, factorial(k + 1) * factorial(n - k - 1)))
             assert got == want, (n, k)
+
+
+def chern_class_partition_sums(fock, k, alpha, n):
+    """Independent route to G_k(alpha, n): the closed creation-only partition
+    sums (no canonical families; exact when K alpha = 0 = K^2 alpha), a
+    cross-check oracle against the operator route."""
+    model = fock.model
+    out = {}
+    e_alpha = model.mul(model.euler, alpha)
+    for j in range(0, k + 1):
+        base = fock.unit(n - j - 1)
+        if base.is_zero():
+            continue
+        for lam in partitions_with_length(j + 1, k - j + 1):
+            sym = GenPartition.from_parts(lam).sym_factor()
+            coeff = Q((-1) ** j, sym * factorial(j + 1))
+            word = tuple(sorted(-r for r in lam))
+            row_add_scaled(out, fock.apply_word_tau(word, alpha, base).terms, coeff)
+        if e_alpha.is_zero():
+            continue
+        for lam in partitions_with_length(j + 1, k - j - 1):
+            gp = GenPartition.from_parts(lam)
+            coeff = Q((-1) ** (j + 1) * (j + 1 + gp.moment() - 2),
+                      24 * gp.sym_factor() * factorial(j + 1))
+            word = tuple(sorted(-r for r in lam))
+            row_add_scaled(out, fock.apply_word_tau(word, e_alpha, base).terms, coeff)
+    return FockVector(out)
 
 
 @pytest.mark.parametrize("name", ["toy_b2_1", "odd_toy", "k3_like"])
