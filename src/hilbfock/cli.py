@@ -8,6 +8,7 @@ violation, 2 usage/model error, 3 computability-gate rejection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -78,6 +79,7 @@ def _load_json_arg(text):
     return json.loads(text)
 
 
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(prog="hilbfock", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
@@ -248,15 +250,6 @@ def _triples(rep, **extra):
                                          **extra}
 
 
-def _lemma_ks(model, levels, args):
-    # the sweep checks about (2w)^5/120 index words at --max-weight w, on
-    # probe vectors of w factors: no run above this bound would finish
-    if args.max_weight > REACH:
-        raise ValueError(f"--max-weight {args.max_weight} is out of reach; "
-                         f"the transposition sweep takes at most {REACH}")
-    return _instances(verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))
-
-
 def _heisenberg(model, levels, args):
     # weight 0 (the vacuum) and index 1 are the least that check a bracket
     if args.max_weight < 0 or args.max_index < 1:
@@ -348,7 +341,8 @@ VERIFY_OPTIONS = {
 # verifier id -> (least number of levels --n must give, options it reads, run)
 REGISTRY = {
     "heisenberg": (0, ("--max-weight", "--max-index"), _heisenberg),
-    "lemma-ks": (0, ("--max-weight",), _lemma_ks),
+    "lemma-ks": (0, ("--max-weight",), lambda model, levels, args: _instances(
+        verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))),
     "nonsense1": (0, (), lambda model, levels, args: _instances(verify_nonsense1(model))),
     "ideal": (1, ("--n",), _ideal_suite(("absorb", "contains"))),
     "ideal-generators": (1, ("--n",), _ideal_suite(("generate",))),
@@ -368,7 +362,14 @@ REGISTRY = {
 def cmd_verify(args):
     model = load_model(args.model)
     vid = args.id
-    least, _, run = REGISTRY[vid]
+    least, options, run = REGISTRY[vid]
+    # an integer bound is a level, a weight or an index: no run above REACH
+    # would finish (lemma-ks alone checks about (2w)^5/120 words at weight w)
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if VERIFY_OPTIONS[option].get("type") is int and value > REACH:
+            raise ValueError(f"{option} {value} is out of reach; "
+                             f"verifiers take at most {REACH}")
     levels = parse_range(args.n) if args.n else None
     if least and len(levels or ()) < least:
         raise ValueError(f"verifier {vid!r} needs --n" +

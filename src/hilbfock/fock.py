@@ -24,6 +24,9 @@ den_tau); word_int runs it on an integer term dict, giving a scaled integer
 vector (out, num, den) worth out * num / den, and apply_word_tau is its
 rational wrapper.  The transposition oracle, the lambda-sum kernel and the
 ring engine stay in integers and meet the rationals only in their results.
+
+FockSpace builds the basis classes b_rho(n) but reads no vector back in
+that basis: RingEngine.level is the one decoder from monomials to rho.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from math import factorial
 
 from .errors import EngineError, ModelError, WeightError
 from .linalg import LinearCombination, row_add_scaled
-from .partitions import (PartitionFunction, enumerate_partition_functions,
-                         unit_normalization)
+from .partitions import enumerate_partition_functions, unit_normalization
 from .rational import ONE, Q, integer_lift, qstr
 
 
@@ -164,14 +166,13 @@ class FockSpace:
             raise EngineError("Heisenberg index 0 is not an operator")
         return self.apply_word_tau((n,), cls, v)
 
-    def word_int(self, indices, cls, terms, drop=frozenset()):
+    def word_int(self, indices, cls, terms):
         """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on an integer term
         dict, as a scaled integer vector (out, num, den): the true image is
         out * num / den (see the module docstring).
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
-        For drop see word_plan.
         """
         if not terms:
             return {}, 1, 1
@@ -180,7 +181,7 @@ class FockSpace:
             if not integral:
                 return {}, 1, 1
             return dict(terms), integral.numerator, integral.denominator
-        ops, tensor, num, den = self.word_plan(indices, cls, drop)
+        ops, tensor, num, den = self.word_plan(indices, cls)
         return self.run_word(ops, tensor, terms, {}), num, den
 
     def word_plan(self, indices, cls, drop=frozenset()):
@@ -213,12 +214,12 @@ class FockSpace:
                 row_add_scaled(out, cur, w * scale)
         return out
 
-    def apply_word_tau(self, indices, cls, v, drop=frozenset()):
+    def apply_word_tau(self, indices, cls, v):
         """The operator of word_int applied to a FockVector, as a FockVector
         equal term by term to the rational computation.  k = 1 is
         a_{i_1}(cls)."""
         terms, _, den_v = lift(v)
-        out, num, den = self.word_int(indices, cls, terms, drop)
+        out, num, den = self.word_int(indices, cls, terms)
         den *= den_v
         return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
 
@@ -253,30 +254,6 @@ class FockSpace:
         entries.extend((r, unit) for r in unit_parts)
         mono = tuple(sorted(entries, key=lambda e: (-e[0], e[1])))
         return FockVector({mono: unit_normalization(unit_parts)})
-
-    def expand_in_basis(self, v, n):
-        """Exact coordinates of v in the level-n basis {b_rho(n)}.
-
-        Monomial labels must lie in the working classes (reduce first when the
-        model has an ideal); each monomial corresponds to exactly one rho.
-        """
-        model = self.model
-        unit = model.unit
-        pivots = model.ideal_pivots
-        coords = {}
-        for mono, w in v.terms.items():
-            if mono_weight(mono) != n:
-                raise WeightError(f"monomial of weight {mono_weight(mono)} at level {n}")
-            if any(cj in pivots for _, cj in mono):
-                raise EngineError("vector is not reduced modulo the ideal")
-            parts = {}
-            for nj, cj in mono:  # a unit part r is the entry (r + 1, unit)
-                if cj != unit or nj >= 2:
-                    parts.setdefault(cj, []).append(nj - (cj == unit))
-            rho = PartitionFunction({c: sorted(p, reverse=True) for c, p in parts.items()})
-            unit_parts = [nj for nj, cj in mono if cj == unit]
-            row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
-        return coords
 
     # -- ideal machinery ------------------------------------------------------------
 

@@ -12,9 +12,12 @@ absorbs the operators.
 Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
 the kernel vertex.operator_int, reduced and with its markers checked;
-word_on_basis and b_product add rows and weights in ints, and only the
-final coordinates become rationals.  In a quotient the rows skip the terms
-that create ideal labels, which the reduction would delete.
+every product (word_on_basis, b_product, b_times, cup) adds rows and
+weights in ints, and only the final coordinates become rationals.  In a
+quotient the rows skip the terms that create ideal labels, which the
+reduction would delete.  Fock vectors meet the engine only at its edge:
+index_vector and fock_vector convert, and level is the one decoder from
+monomials to basis classes.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -29,7 +32,7 @@ from math import factorial, gcd
 
 from .errors import (EliminationError, EngineError, ModelError,
                      UnknownCoefficientsError, WeightError)
-from .fock import FockSpace, FockVector, lift
+from .fock import FockSpace, FockVector, lift, mono_weight
 from .linalg import Echelon, combine, memoized, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
@@ -167,24 +170,35 @@ class RingEngine:
         out, common = combine([(rows[i][0], c, rows[i][1]) for i, c in terms.items()])
         return _normal(out, den * common)
 
-    def apply_generator(self, factor, v):
-        """One degree-shift operator on a reduced vector of one level."""
-        return self.apply_word((factor,), v)
+    def word_on(self, word, vec, n):
+        """A word of degree-shift operators, rightmost first, on a level-n
+        index vector."""
+        for f in reversed(word):
+            vec = self.generator_on(f, vec, n)
+        return vec
+
+    def index_vector(self, v, n):
+        """A reduced level-n Fock vector as an index vector."""
+        index = self.level(n)[0]
+        terms, _, den = lift(v)
+        stray = next(iter(terms.keys() - index.keys()), None)
+        if stray is not None:
+            if mono_weight(stray) != n:
+                raise WeightError(f"monomial of weight {mono_weight(stray)} at level {n}")
+            raise EngineError("vector is not reduced modulo the ideal")
+        return {index[m]: c for m, c in terms.items()}, den
+
+    def fock_vector(self, vec, n):
+        """A level-n index vector as a Fock vector."""
+        monos = self.level(n)[1]
+        return FockVector({monos[i]: Q(c, vec[1]) for i, c in vec[0].items()})
 
     def apply_word(self, word, v):
         """A word of degree-shift operators, rightmost first, on a reduced
         vector of one level."""
-        if v.is_zero():
-            return v
         n = v.constant_weight()
-        index, monos, _ = self.level(n)
-        terms, _, den = lift(v)
-        if not index.keys() >= terms.keys():
-            raise EngineError("vector is not reduced modulo the ideal")
-        vec = ({index[m]: c for m, c in terms.items()}, den)
-        for f in reversed(word):
-            vec = self.generator_on(f, vec, n)
-        return FockVector({monos[i]: Q(c, vec[1]) for i, c in vec[0].items()})
+        return v if n is None else self.fock_vector(
+            self.word_on(word, self.index_vector(v, n), n), n)
 
     def generator_word(self, rho):
         """The word whose evaluation has leading term a nonzero multiple of
@@ -254,9 +268,7 @@ class RingEngine:
 
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
-        terms, den = self.product_index(rho, sigma, n)
-        monos = self.level(n)[1]
-        return FockVector({monos[i]: Q(c, den) for i, c in terms.items()})
+        return self.fock_vector(self.product_index(rho, sigma, n), n)
 
     @memoized
     def b_product(self, rho, sigma, n):
@@ -270,23 +282,20 @@ class RingEngine:
                     f"degree additivity violated in {rho!r} . {sigma!r} at {nu!r}")
         return coords
 
-    def b_times(self, rho, v, n):
-        """b_rho(n) . v: the generator words of b_rho(n) applied to v, weighted."""
-        out = {}
-        for word, cw in self.express(rho, n).items():
-            row_add_scaled(out, self.apply_word(word, v).terms, cw)
-        return FockVector(out)
+    def b_times(self, rho, vec, n):
+        """b_rho(n) . vec for a level-n index vector: the generator words of
+        b_rho(n) applied to vec, weighted in ints."""
+        return combine([(terms, w.numerator, w.denominator * d)
+                        for word, w in self.express(rho, n).items()
+                        for terms, d in [self.word_on(word, vec, n)]])
 
     def cup(self, u, v, n):
-        """Bilinear cup product of two weight-n vectors (reduced labels)."""
-        for vec in (u, v):
-            w = vec.constant_weight()
-            if w is not None and w != n:
-                raise WeightError("cup product needs two vectors of the same level")
-        out = {}
-        for rho, cu in self.fock.expand_in_basis(u, n).items():
-            row_add_scaled(out, self.b_times(rho, v, n).terms, cu)
-        return FockVector(out)
+        """Bilinear cup product of two weight-n Fock vectors (reduced labels)."""
+        vec = self.index_vector(v, n)
+        return self.fock_vector(combine(
+            [(terms, c.numerator, c.denominator * d)
+             for rho, c in self.coordinates(self.index_vector(u, n), n).items()
+             for terms, d in [self.b_times(rho, vec, n)]]), n)
 
     def structure_constants(self, n):
         basis = self.basis(n)
@@ -575,18 +584,15 @@ def verify_a_homomorphism(engine, n):
         raise ModelError("the point-annihilation statement needs an ideal model")
     fock = engine.fock
     witnesses = []
-    for rho in engine.basis(n):
-        img = fock.annihilate_point(fock.b_class(rho, n + 1))
-        if img != fock.b_class(rho, n):
-            witnesses.append({"part": "basis-image", "rho": rho.to_json(engine.model)})
     upper = engine.basis(n + 1)
+    down = {rho: fock.annihilate_point(fock.b_class(rho, n + 1)) for rho in upper}
+    for rho in engine.basis(n):
+        if down[rho] != fock.b_class(rho, n):
+            witnesses.append({"part": "basis-image", "rho": rho.to_json(engine.model)})
     for rho in upper:
         for sigma in upper:
-            prod_up = engine.product_vector(rho, sigma, n + 1)
-            lhs = fock.annihilate_point(prod_up)
-            rx = fock.annihilate_point(fock.b_class(rho, n + 1))
-            sx = fock.annihilate_point(fock.b_class(sigma, n + 1))
-            if lhs != engine.cup(rx, sx, n):
+            lhs = fock.annihilate_point(engine.product_vector(rho, sigma, n + 1))
+            if lhs != engine.cup(down[rho], down[sigma], n):
                 witnesses.append({
                     "part": "ring-hom",
                     "rho": rho.to_json(engine.model),
@@ -621,19 +627,19 @@ class FHRing:
 
 
 def monomial_vectors(engine, rhos, n_eval):
-    """Evaluate the products prod b_{r,c} indexed by each rho at a common
-    level, recursively sharing prefixes."""
+    """The coordinates of the products prod b_{r,c} indexed by each rho at a
+    common level, evaluated as index vectors recursively sharing prefixes."""
     @cache
     def vec(rho):
         if not rho.parts:
-            return engine.fock.unit(n_eval)
+            return engine.word_on_basis((), rho, n_eval)  # the level unit
         # peel off the largest part of the first class
         c = min(rho.parts)
         r, *others = rho.parts[c]
         rest = PartitionFunction({**rho.parts, c: others})
         return engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
 
-    return {rho: vec(rho) for rho in rhos}
+    return {rho: engine.coordinates(vec(rho), n_eval) for rho in rhos}
 
 
 def verify_fh_ring(model, norm_bound=5, cost_bound=5):
@@ -657,9 +663,7 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=5):
     window = [rho for rho in engine.basis(2 * norm_bound)
               if rho.total() <= norm_bound]
     n_eval = 2 * norm_bound
-    vectors = monomial_vectors(engine, window, n_eval)
-    rows = {rho: engine.fock.expand_in_basis(v, n_eval)
-            for rho, v in vectors.items()}
+    rows = monomial_vectors(engine, window, n_eval)
 
     ech = Echelon()
     independent = 0
@@ -676,8 +680,7 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=5):
     gen_rows = monomial_vectors(engine, gen_window, n_eval)
     gen_ech = Echelon()
     for rho in gen_window:
-        gen_ech.insert({nu.key(): c for nu, c in
-                        engine.fock.expand_in_basis(gen_rows[rho], n_eval).items()})
+        gen_ech.insert({nu.key(): c for nu, c in gen_rows[rho].items()})
     for nu in gen_window:
         if not gen_ech.contains({nu.key(): ONE}):
             witnesses.append({"part": "generation", "nu": nu.to_json(model)})
@@ -738,16 +741,9 @@ def verify_ring_isomorphism(model, n):
             if len(witnesses) >= 10:
                 break
 
-    # each deformed distinguished class equals its Hilbert namesake
-    for k in range(n):
-        for c in model.working_classes():
-            o_vec = orb.apply_generator((k, c), orb.fock.unit(n))
-            g_vec = hilb.apply_generator((k, c), hilb.fock.unit(n))
-            if o_vec != g_vec:
-                witnesses.append({"part": "theta-class", "k": k,
-                                  "alpha": model.basis[c].name})
-
-    # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P
+    # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P; at
+    # P = b_empty(n), the level unit, it says that each deformed distinguished
+    # class equals its Hilbert namesake
     basis = hilb.basis(n)
     for k in range(n):
         for c in model.working_classes():
@@ -755,9 +751,9 @@ def verify_ring_isomorphism(model, n):
                 lhs = orb.word_on_basis(((k, c),), sigma, n)
                 rhs = hilb.word_on_basis(((k, c),), sigma, n)
                 if lhs != rhs:
-                    witnesses.append({"part": "theta-product", "k": k,
-                                      "alpha": model.basis[c].name,
-                                      "sigma": sigma.to_json(model)})
+                    where = {"sigma": sigma.to_json(model)} if sigma.parts else {}
+                    witnesses.append({"part": "theta-product" if where else "theta-class",
+                                      "k": k, "alpha": model.basis[c].name, **where})
     return {"ok": not witnesses, "n": n,
             "pairs_compared": len(table_h.entries),
             "witnesses": witnesses[:10]}
@@ -885,7 +881,7 @@ def verify_affine_plane_quotient(model, n):
                 })
     # one-term normal forms of the distinguished classes
     for k in range(n):
-        got = engine.apply_generator((k, unit), engine.fock.unit(n))
+        got = engine.apply_word(((k, unit),), engine.fock.unit(n))
         mono = tuple(sorted([(k + 1, unit)] + [(1, unit)] * (n - k - 1),
                             key=lambda e: (-e[0], e[1])))
         want = FockVector.monomial(mono, Q((-1) ** k, factorial(k + 1)

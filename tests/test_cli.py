@@ -387,14 +387,23 @@ def test_hostile_inputs_exit_2(tmp_path):
     for args in (("verify", "heisenberg", "--model", "c2", "--max-weight", "-1"),
                  ("verify", "heisenberg", "--model", "c2", "--max-index", "0"),
                  ("verify", "lemma-ks", "--model", "toy_b2_1", "--max-weight", "1"),
-                 ("verify", "lemma-ks", "--model", "odd_toy",
-                  "--max-weight", "99999999999999999999"),
                  ("verify", "fh-ring", "--model", "c2", "--norm-bound", "-1"),
                  ("structure-constants", "--model", "c2", "--n", "2..5"),
                  ("product", "--model", "c2", "--n", "2..4",
                   "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
+
+    # an integer bound above the reach: rejected before any enumeration
+    for vid, model, option in (("lemma-ks", "odd_toy", "--max-weight"),
+                               ("heisenberg", "c2", "--max-weight"),
+                               ("heisenberg", "c2", "--max-index"),
+                               ("fh-ring", "c2", "--norm-bound")):
+        for value in ("101", "99999999999999999999"):
+            res = run_cli("verify", vid, "--model", model, option, value)
+            assert_usage_error(res)
+            assert res.stderr == f"error: {option} {value} is out of reach; " \
+                "verifiers take at most 100\n"
 
     # a class of the restriction ideal, or a repeated part on an odd class,
     # names no basis class: rejected by name, as rho, sigma or nu

@@ -101,7 +101,8 @@ def test_expand_roundtrip(models, engines):
     inverts construction exactly."""
     from hilbfock.models import BUILTIN
     for name in BUILTIN:
-        f = FockSpace(models(name))
+        eng = engines(name)
+        f = eng.fock
         for n in range(6):
             basis = enumerate_partition_functions(models(name), n)
             monos = set()
@@ -109,24 +110,28 @@ def test_expand_roundtrip(models, engines):
                 vec = f.b_class(rho, n)
                 (mono,) = vec.terms
                 monos.add(mono)
-                coords = f.expand_in_basis(vec, n)
+                coords = eng.coordinates(eng.index_vector(vec, n), n)
                 assert coords == {rho: Q(1)}, (name, n, rho)
             assert len(monos) == len(basis)
 
 
-def test_expand_examples(models):
-    toy = models("toy_b2_1")
-    f = FockSpace(toy)
-    v = f.apply_heisenberg(-1, toy.basis_class(1),
-                           f.apply_heisenberg(-1, toy.basis_class(0), f.vacuum()))
-    coords = f.expand_in_basis(v, 2)
+def test_expand_examples(engines):
+    toy = engines("toy_b2_1")
+    f, model = toy.fock, toy.model
+    v = f.apply_heisenberg(-1, model.basis_class(1),
+                           f.apply_heisenberg(-1, model.basis_class(0), f.vacuum()))
+    coords = toy.coordinates(toy.index_vector(v, 2), 2)
     assert coords == {PartitionFunction({1: (1,)}): Q(1)}
-    c2 = models("c2")
-    fc = FockSpace(c2)
-    v = fc.apply_heisenberg(-2, c2.basis_class(0), fc.vacuum())
-    assert fc.expand_in_basis(v, 2) == {PartitionFunction({0: (1,)}): Q(2)}
+    c2 = engines("c2")
+    fc, model = c2.fock, c2.model
+    v = fc.apply_heisenberg(-2, model.basis_class(0), fc.vacuum())
+    assert c2.coordinates(c2.index_vector(v, 2), 2) == {PartitionFunction({0: (1,)}): Q(2)}
     with pytest.raises(WeightError):
-        fc.expand_in_basis(v, 3)
+        c2.index_vector(v, 3)
+    # a monomial with a label of the restriction ideal has no basis index
+    h = fc.apply_heisenberg(-2, model.basis_class(model.index_of("h")), fc.vacuum())
+    with pytest.raises(EngineError, match="not reduced"):
+        c2.index_vector(h, 2)
 
 
 def test_reduce_examples(models):

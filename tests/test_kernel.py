@@ -17,7 +17,7 @@ from hilbfock.fock import FockSpace, FockVector
 from hilbfock.linalg import row_add_scaled
 from hilbfock.models import BUILTIN
 from hilbfock.partitions import (GenPartition, PartitionFunction,
-                                 partitions_with_length)
+                                 partitions_with_length, unit_normalization)
 from hilbfock.rational import ONE, Q
 from hilbfock.ring import RingEngine
 from hilbfock.vertex import apply_operator, chern_operator
@@ -136,17 +136,37 @@ def test_apply_generator_matches_fraction_reference(models, name, s):
                 except UnknownCoefficientsError:
                     continue
                 for v in [_mixed(basis)] + basis:
-                    assert eng.apply_generator((k, c), v) == \
+                    assert eng.apply_word(((k, c),), v) == \
                         generator_reference(eng, (k, c), v), (n, k, c)
                     checked += 1
     assert checked
 
 
+def expand_reference(model, v, n):
+    """The coordinates of a reduced level-n vector in the basis {b_rho(n)},
+    read off each monomial without the engine's basis index: a unit part r
+    is the entry (r + 1, unit), and b_rho(n) carries unit_normalization."""
+    unit = model.unit
+    coords = {}
+    for mono, w in v.terms.items():
+        assert sum(nj for nj, _ in mono) == n
+        assert not any(cj in model.ideal_pivots for _, cj in mono)
+        parts = {}
+        for nj, cj in mono:
+            if cj != unit or nj >= 2:
+                parts.setdefault(cj, []).append(nj - (cj == unit))
+        rho = PartitionFunction({c: sorted(p, reverse=True) for c, p in parts.items()})
+        unit_parts = [nj for nj, cj in mono if cj == unit]
+        row_add_scaled(coords, {rho: w}, ONE / unit_normalization(unit_parts))
+    return coords
+
+
 def _product_reference(eng, n):
     """b_product at level n from the reference generator alone: the
-    triangular elimination and the products, expanded by expand_in_basis."""
+    triangular elimination and the products, expanded by expand_reference."""
     fock = eng.fock
-    unit = eng.model.unit
+    model = eng.model
+    unit = model.unit
     exprs = {}
 
     def apply_word(word, v):
@@ -157,7 +177,7 @@ def _product_reference(eng, n):
     def express(rho):
         if rho not in exprs:
             word = eng.generator_word(rho)
-            coords = fock.expand_in_basis(apply_word(word, fock.unit(n)), n)
+            coords = expand_reference(model, apply_word(word, fock.unit(n)), n)
             lead = coords.pop(rho)
             assert all(nu.cost(unit) < rho.cost(unit) for nu in coords)
             expr = {word: ONE / lead}
@@ -170,7 +190,7 @@ def _product_reference(eng, n):
         out = {}
         for word, w in express(rho).items():
             row_add_scaled(out, apply_word(word, fock.b_class(sigma, n)).terms, w)
-        return fock.expand_in_basis(FockVector(out), n)
+        return expand_reference(model, FockVector(out), n)
 
     return product
 
@@ -201,4 +221,4 @@ def test_reference_normalisations(models):
         assert not markers
         mono = ((1, model.unit),) * n
         assert known == FockVector({mono: Q(n, factorial(n))})
-        assert fock.expand_in_basis(known, n) == {PartitionFunction.EMPTY: Q(n)}
+        assert expand_reference(model, known, n) == {PartitionFunction.EMPTY: Q(n)}

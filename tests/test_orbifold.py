@@ -81,7 +81,7 @@ def test_single_deformed_operator_helper(models):
         for c in range(model.dim):
             for n in (1, 3):
                 assert chern_class(orb.fock, k, model.basis_class(c), n) == \
-                    orb.apply_generator((k, c), orb.fock.unit(n))
+                    orb.apply_word(((k, c),), orb.fock.unit(n))
 
 
 def test_level_one_is_surface_and_s_independent(models):
@@ -122,6 +122,27 @@ def test_ring_isomorphism_c2(models):
     assert rep["ok"], rep["witnesses"]
     rep = verify_ring_isomorphism(models("c2"), 3)
     assert rep["ok"]
+
+
+def test_ring_isomorphism_catches_a_distinguished_class_mismatch(models, monkeypatch):
+    """Doubling the deformed generator G_1(1) on the unit monomial alone is
+    reported as part theta-class, the product check at sigma = empty."""
+    import hilbfock.ring as ring
+    model = models("c2")
+    unit_mono = ((1, model.unit),) * 2
+    real = ring.operator_int
+
+    def doubled_on_unit(fock, op, terms, drop=frozenset()):
+        out, den, markers = real(fock, op, terms, drop)
+        if fock.s is not None and op.k == 1 and terms == {unit_mono: 1}:
+            out = {m: 2 * c for m, c in out.items()}
+        return out, den, markers
+
+    monkeypatch.setattr(ring, "operator_int", doubled_on_unit)
+    rep = verify_ring_isomorphism(model, 2)
+    assert not rep["ok"]
+    assert {"part": "theta-class", "k": 1, "alpha": "1"} in rep["witnesses"]
+    assert all(w.get("sigma") != {} for w in rep["witnesses"])
 
 
 def test_ring_isomorphism_projective_k_trivial(models):

@@ -69,7 +69,7 @@ def test_marker_check_path(models):
     c2 = models("c2")
     eng = RingEngine(c2)
     f = eng.fock
-    out = eng.apply_generator((1, 0), f.unit(3))
+    out = eng.apply_word(((1, 0),), f.unit(3))
     assert not out.is_zero()
     known, marks = apply_operator(f, eng.operator(1, 0), f.unit(3))
     assert marks  # the canonical family acted nontrivially upstairs
@@ -282,12 +282,12 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
     calls = Counter()
     real_kernel = FockSpace.word_int
 
-    def counting_kernel(self, word, cls, terms, drop=frozenset()):
+    def counting_kernel(self, word, cls, terms):
         calls["all"] += 1
         for vi, probe in enumerate(probes):
             if terms is probe:
                 on_probes[(word, cls.key(), vi)] += 1
-        return real_kernel(self, word, cls, terms, drop)
+        return real_kernel(self, word, cls, terms)
 
     monkeypatch.setattr(vertex, "lift", recording_lift)
     monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
