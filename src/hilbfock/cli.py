@@ -263,6 +263,9 @@ def _heisenberg(model, levels, args):
 def _ideal_suite(parts):
     def run(model, levels, args):
         reps = [verify_ideal_suite(model, n, parts) for n in levels]
+        if not any(r["ideal_dimension"] for r in reps):
+            raise ValueError(f"no level in --n {args.n} has an ideal monomial "
+                             "to check; widen --n")
         return (*_merged(reps), {
             "levels": levels,
             "exact_generators": all(r["exact_generators"] for r in reps)})

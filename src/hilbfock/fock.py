@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 
-from .errors import EngineError, ModelError, WeightError
+from .errors import EngineError, WeightError
 from .linalg import LinearCombination, row_add_scaled
 from .partitions import enumerate_partition_functions, unit_normalization
 from .rational import ONE, Q, integer_lift, qstr
@@ -52,10 +52,6 @@ class FockVector(LinearCombination):
     @classmethod
     def vacuum(cls):
         return cls({(): ONE})
-
-    @classmethod
-    def monomial(cls, mono, coeff=ONE):
-        return cls({tuple(mono): Q(coeff)})
 
     def constant_weight(self):
         """The common weight of all monomials; WeightError if mixed, None if 0."""
@@ -257,18 +253,11 @@ class FockSpace:
 
     # -- ideal machinery ------------------------------------------------------------
 
-    def reduce(self, v):
-        """iota_n^*: kill every monomial containing an ideal-labelled factor."""
+    def in_ideal(self, terms):
+        """Membership of a term dict in I^[n]: every monomial carries an ideal
+        label, so that iota_n^* kills it."""
         pivots = self.model.ideal_pivots
-        if not pivots:
-            raise ModelError("model has no restriction ideal")
-        return FockVector({mono: w for mono, w in v.terms.items()
-                           if not any(c in pivots for _, c in mono)})
-
-    def in_ideal(self, v):
-        """Membership in I^[n]: every monomial carries an ideal label."""
-        pivots = self.model.ideal_pivots
-        return all(any(c in pivots for _, c in mono) for mono in v.terms)
+        return all(any(c in pivots for _, c in mono) for mono in terms)
 
     def annihilate_point(self, v):
         """-a_1([x]); sends b_rho(n+1) to b_rho(n)."""

@@ -12,12 +12,14 @@ absorbs the operators.
 Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
 the kernel vertex.operator_int, reduced and with its markers checked;
-every product (word_on_basis, b_product, b_times, cup) adds rows and
-weights in ints, and only the final coordinates become rationals.  In a
-quotient the rows skip the terms that create ideal labels, which the
-reduction would delete.  Fock vectors meet the engine only at its edge:
+every product (word_on_basis, b_product, b_times) adds rows and weights in
+ints, and only the final coordinates become rationals.  In a quotient the
+rows skip the terms that create ideal labels, which the reduction would
+delete.  Fock vectors meet the engine and its verifiers only at the edge:
 index_vector and fock_vector convert, and level is the one decoder from
-monomials to basis classes.
+monomials to basis classes.  Point annihilation is one map on index
+vectors (point_image), and the ideal checks run operator_int on integer
+term dicts, where membership in the ideal depends on the support alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -37,8 +39,8 @@ from .linalg import Echelon, combine, memoized, row_add_scaled
 from .partitions import (PartitionFunction, enumerate_partition_functions,
                          unit_normalization)
 from .rational import ONE, Q, qstr
-from .vertex import (SparsePolynomial, apply_operator, chern_operator,
-                     lehn_apply, operator_int, phi_map)
+from .vertex import (SparsePolynomial, chern_operator, lehn_apply,
+                     operator_int, phi_map)
 
 
 def _normal(terms, den):
@@ -162,7 +164,7 @@ class RingEngine:
                 index, monos, _ = self.level(n)
                 out, d, markers = operator_int(self.fock, self.operator(*factor),
                                                  {monos[i]: 1}, self.model.ideal_pivots)
-                if not all(self.fock.in_ideal(FockVector(mv)) for mv, _, _ in markers):
+                if not all(self.fock.in_ideal(mv) for mv, _, _ in markers):
                     raise EngineError("canonical-class marker term failed to vanish "
                                       "under reduction; ideal is not K-closed")
                 # the reduction: an image monomial outside the basis has an ideal label
@@ -192,13 +194,6 @@ class RingEngine:
         """A level-n index vector as a Fock vector."""
         monos = self.level(n)[1]
         return FockVector({monos[i]: Q(c, vec[1]) for i, c in vec[0].items()})
-
-    def apply_word(self, word, v):
-        """A word of degree-shift operators, rightmost first, on a reduced
-        vector of one level."""
-        n = v.constant_weight()
-        return v if n is None else self.fock_vector(
-            self.word_on(word, self.index_vector(v, n), n), n)
 
     def generator_word(self, rho):
         """The word whose evaluation has leading term a nonzero multiple of
@@ -289,13 +284,12 @@ class RingEngine:
                         for word, w in self.express(rho, n).items()
                         for terms, d in [self.word_on(word, vec, n)]])
 
-    def cup(self, u, v, n):
-        """Bilinear cup product of two weight-n Fock vectors (reduced labels)."""
-        vec = self.index_vector(v, n)
-        return self.fock_vector(combine(
-            [(terms, c.numerator, c.denominator * d)
-             for rho, c in self.coordinates(self.index_vector(u, n), n).items()
-             for terms, d in [self.b_times(rho, vec, n)]]), n)
+    @memoized
+    def point_image(self, rho, n):
+        """-a_1([x]) b_rho(n+1), the point annihilation of a level-(n+1)
+        class, as a level-n index vector."""
+        fock = self.fock
+        return self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
 
     def structure_constants(self, n):
         basis = self.basis(n)
@@ -504,18 +498,19 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     def operator(k, c):
         return chern_operator(fock, k, model.basis_class(c))
 
-    def images(k, c, vec):
-        """The known part and the markers of the operator on vec, and whether
-        one of them leaves the subspace."""
-        known, marks = apply_operator(fock, operator(k, c), vec)
-        return known, marks, not all(map(fock.in_ideal, [known, *marks]))
+    def images(k, c, mono):
+        """The supports of the known part and of the markers of the operator
+        on mono, as integer term dicts, and whether one leaves the subspace."""
+        known, _, marks = operator_int(fock, operator(k, c), {mono: 1})
+        vecs = [known, *(mv for mv, _, _ in marks)]
+        return vecs, not all(map(fock.in_ideal, vecs))
 
     # (i) the subspace absorbs the operators
     if "absorb" in parts:
         for mono in ideal_monos:
             for c in range(model.dim):
                 for k in range(n):
-                    if images(k, c, FockVector.monomial(mono))[2]:
+                    if images(k, c, mono)[1]:
                         witnesses.append({"part": "absorb", "k": k,
                                           "alpha": model.basis[c].name,
                                           "monomial": str(mono)})
@@ -524,7 +519,7 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
     if "contains" in parts:
         for c in sorted(pivots):
             for k in range(n):
-                if images(k, c, fock.unit(n))[2]:
+                if images(k, c, ((1, model.unit),) * n)[1]:
                     witnesses.append({"part": "contains", "k": k,
                                       "alpha": model.basis[c].name})
 
@@ -542,8 +537,9 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
             return all(echelons[d].rank() == len(by_degree[d]) for d in by_degree)
 
         def feed(vec):
+            # rank does not see the scale of a row, so integer rows will do
             rows = {}
-            for mono, w in vec.terms.items():
+            for mono, w in vec.items():
                 rows.setdefault(fock.monomial_degree(mono), {})[mono] = w
             for d, row in rows.items():
                 if d not in echelons:
@@ -554,13 +550,13 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
 
         for c, k, mono in ((c, k, mono) for c in sorted(pivots) for k in range(n)
                            for mono in all_monos):
-            known, marks, escapes = images(k, c, FockVector.monomial(mono))
+            vecs, escapes = images(k, c, mono)
             if escapes:
                 witnesses.append({"part": "generate", "k": k,
                                   "alpha": model.basis[c].name, "monomial": str(mono),
                                   "error": "product escapes the subspace"})
                 continue
-            for vec in [known, *marks]:
+            for vec in vecs:
                 feed(vec)
             if saturated():
                 break
@@ -577,27 +573,38 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
             "witnesses": witnesses[:20]}
 
 
+def _point_misses(engine, n):
+    """The level-n classes that point annihilation does not send from their
+    level-(n+1) namesakes to themselves."""
+    return [rho for rho in engine.basis(n)
+            if engine.coordinates(engine.point_image(rho, n), n) != {rho: ONE}]
+
+
 def verify_a_homomorphism(engine, n):
     """The point-annihilation map is a surjective ring homomorphism from
-    level n+1 onto level n, and sends each basis class to its namesake."""
+    level n+1 onto level n, and sends each basis class to its namesake: the
+    image of each product equals the product of the images."""
     if not engine.model.has_ideal:
         raise ModelError("the point-annihilation statement needs an ideal model")
-    fock = engine.fock
-    witnesses = []
-    upper = engine.basis(n + 1)
-    down = {rho: fock.annihilate_point(fock.b_class(rho, n + 1)) for rho in upper}
-    for rho in engine.basis(n):
-        if down[rho] != fock.b_class(rho, n):
-            witnesses.append({"part": "basis-image", "rho": rho.to_json(engine.model)})
-    for rho in upper:
-        for sigma in upper:
-            lhs = fock.annihilate_point(engine.product_vector(rho, sigma, n + 1))
-            if lhs != engine.cup(down[rho], down[sigma], n):
-                witnesses.append({
-                    "part": "ring-hom",
-                    "rho": rho.to_json(engine.model),
-                    "sigma": sigma.to_json(engine.model),
-                })
+    model = engine.model
+    witnesses = [{"part": "basis-image", "rho": rho.to_json(model)}
+                 for rho in _point_misses(engine, n)]
+    upper, norms = engine.basis(n + 1), engine.level(n + 1)[2]
+    images = [engine.point_image(rho, n) for rho in upper]
+    down = [engine.coordinates(image, n) for image in images]
+    for i, rho in enumerate(upper):
+        for j, sigma in enumerate(upper):
+            # an index vector counts monomials: monos[m] is norms[m] * b_m(n+1)
+            terms, den = engine.product_index(rho, sigma, n + 1)
+            lhs = combine([(images[m][0], c * norms[m], den * images[m][1])
+                           for m, c in terms.items()])
+            rhs = {}
+            for mu, a in down[i].items():
+                for nu, b in down[j].items():
+                    row_add_scaled(rhs, engine.b_product(mu, nu, n), a * b)
+            if engine.coordinates(lhs, n) != rhs:
+                witnesses.append({"part": "ring-hom", "rho": rho.to_json(model),
+                                  "sigma": sigma.to_json(model)})
     return {"ok": not witnesses, "n": n, "witnesses": witnesses[:20]}
 
 
@@ -686,11 +693,8 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=5):
             witnesses.append({"part": "generation", "nu": nu.to_json(model)})
 
     # the tower commutes: annihilating a point steps the evaluation level down
-    tower_n = fh.n_probe
-    for rho in engine.basis(tower_n):
-        step = engine.fock.annihilate_point(engine.fock.b_class(rho, tower_n + 1))
-        if step != engine.fock.b_class(rho, tower_n):
-            witnesses.append({"part": "tower", "rho": rho.to_json(model)})
+    witnesses += [{"part": "tower", "rho": rho.to_json(model)}
+                  for rho in _point_misses(engine, fh.n_probe)]
 
     return {"ok": not witnesses,
             "monomials_checked": len(window),
@@ -778,10 +782,9 @@ def verify_marker_vanishing(model, n):
             if not op.has_unknown_terms:
                 continue
             for mono in monos:
-                _, marks = apply_operator(fock, op, FockVector.monomial(mono))
-                for mv in marks:
+                for mv, _, _ in operator_int(fock, op, {mono: 1})[2]:
                     checked += 1
-                    if not fock.reduce(mv).is_zero():
+                    if not fock.in_ideal(mv):
                         witnesses.append({"k": k, "alpha": model.basis[c].name,
                                           "monomial": str(mono)})
     return {"ok": not witnesses, "n": n, "terms_checked": checked,
@@ -879,17 +882,16 @@ def verify_affine_plane_quotient(model, n):
                     "part": "table", "rho": rho.to_json(quotient),
                     "sigma": sigma.to_json(quotient),
                 })
-    # one-term normal forms of the distinguished classes
+    # one-term normal forms of the distinguished classes, on the level unit
+    index = engine.level(n)[0]
     for k in range(n):
-        got = engine.apply_word(((k, unit),), engine.fock.unit(n))
-        mono = tuple(sorted([(k + 1, unit)] + [(1, unit)] * (n - k - 1),
-                            key=lambda e: (-e[0], e[1])))
-        want = FockVector.monomial(mono, Q((-1) ** k, factorial(k + 1)
-                                           * factorial(n - k - 1)))
-        if got != want:
+        got = engine.word_on_basis(((k, unit),), PartitionFunction.EMPTY, n)
+        mono = ((k + 1, unit),) + ((1, unit),) * (n - k - 1)
+        want = Q((-1) ** k, factorial(k + 1) * factorial(n - k - 1))
+        if got != ({index[mono]: want.numerator}, want.denominator):
             witnesses.append({"part": "normal-form", "k": k})
         # and the polynomial image agrees with the differential-operator route
-        via_phi = phi_map(got, quotient)
+        via_phi = phi_map(engine.fock_vector(got, n), quotient)
         via_lehn = lehn_apply(k, LehnEngine.unit_poly(n))
         if via_phi != via_lehn:
             witnesses.append({"part": "phi-square", "k": k})

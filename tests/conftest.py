@@ -1,5 +1,7 @@
 import pytest
 
+from hilbfock.errors import ModelError
+from hilbfock.fock import FockVector
 from hilbfock.models import builtin_model
 from hilbfock.ring import RingEngine
 
@@ -36,6 +38,16 @@ def engine(name):
         got = RingEngine(model(name))
         _ENGINES[name] = got
     return got
+
+
+def reduce(fock, v):
+    """iota_n^*, the quotient reference of the tests: v without the monomials
+    that carry a label of the restriction ideal."""
+    pivots = fock.model.ideal_pivots
+    if not pivots:
+        raise ModelError("model has no restriction ideal")
+    return FockVector({mono: w for mono, w in v.terms.items()
+                       if not any(c in pivots for _, c in mono)})
 
 
 @pytest.fixture(scope="session")

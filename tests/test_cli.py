@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hilbfock
 from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
 from hilbfock.errors import EngineError
 from hilbfock.models import BUILTIN, builtin_model
@@ -20,14 +22,15 @@ from hilbfock.rational import qstr
 from hilbfock.ring import RingEngine
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
+# the subprocesses import the hilbfock that these tests import
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(hilbfock.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
-                          env=full_env)
+                          env={**ENV, **(env or {})})
 
 
 def test_parse_range():
@@ -151,7 +154,7 @@ def test_structure_constants_cache(tmp_path, argv):
 ])
 def test_unwritable_out_is_usage_error(tmp_path, argv):
     res = subprocess.run(RUN + list(argv) + ["--out", str(tmp_path / "no" / "t.json")],
-                         input='{"terms": []}', capture_output=True, text=True)
+                         input='{"terms": []}', capture_output=True, text=True, env=ENV)
     assert_usage_error(res)
 
 
@@ -388,11 +391,17 @@ def test_hostile_inputs_exit_2(tmp_path):
                  ("verify", "heisenberg", "--model", "c2", "--max-index", "0"),
                  ("verify", "lemma-ks", "--model", "toy_b2_1", "--max-weight", "1"),
                  ("verify", "fh-ring", "--model", "c2", "--norm-bound", "-1"),
+                 ("verify", "ideal", "--model", "c2", "--n", "0"),
+                 ("verify", "ideal-generators", "--model", "c2", "--n", "0"),
                  ("structure-constants", "--model", "c2", "--n", "2..5"),
                  ("product", "--model", "c2", "--n", "2..4",
                   "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
+    # level 0 has no ideal monomial, but a range that reaches level 1 checks it
+    for vid in ("ideal", "ideal-generators"):
+        res = run_cli("verify", vid, "--model", "c2", "--n", "0..1")
+        assert res.returncode == 0 and '"status":"pass"' in res.stdout, res.stderr
 
     # an integer bound above the reach: rejected before any enumeration
     for vid, model, option in (("lemma-ks", "odd_toy", "--max-weight"),

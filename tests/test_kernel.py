@@ -12,6 +12,7 @@ from math import factorial
 
 import pytest
 
+from conftest import reduce
 from hilbfock.errors import UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
 from hilbfock.linalg import row_add_scaled
@@ -83,8 +84,8 @@ def generator_reference(eng, factor, v):
     fock = eng.fock
     known, markers = operator_reference(fock, eng.operator(*factor), v,
                                         eng.model.ideal_pivots)
-    assert all(fock.in_ideal(mv) for mv in markers)
-    return fock.reduce(known) if eng.quotient else known
+    assert all(fock.in_ideal(mv.terms) for mv in markers)
+    return reduce(fock, known) if eng.quotient else known
 
 
 def _mixed(vectors):
@@ -104,7 +105,7 @@ def test_apply_operator_matches_fraction_reference(models, name, s):
     drops = {frozenset(), model.ideal_pivots}
     checked = marked = 0
     for n in range(1, 4):
-        monos = [FockVector.monomial(m) for m in fock.enumerate_monomials(n)]
+        monos = [FockVector({m: ONE}) for m in fock.enumerate_monomials(n)]
         for k in range(n):
             for c in range(model.dim):
                 op = chern_operator(fock, k, model.basis_class(c))
@@ -136,7 +137,8 @@ def test_apply_generator_matches_fraction_reference(models, name, s):
                 except UnknownCoefficientsError:
                     continue
                 for v in [_mixed(basis)] + basis:
-                    assert eng.apply_word(((k, c),), v) == \
+                    got = eng.word_on(((k, c),), eng.index_vector(v, n), n)
+                    assert eng.fock_vector(got, n) == \
                         generator_reference(eng, (k, c), v), (n, k, c)
                     checked += 1
     assert checked

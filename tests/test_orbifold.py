@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import reduce
 from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace
 from hilbfock.partitions import PartitionFunction
@@ -67,8 +68,8 @@ def test_pullback_compatibility(models):
     f = FockSpace(cot, Q(-1))
     mixed = cot.basis_class(cot.index_of("f")) + cot.basis_class(cot.index_of("s"))
     for k in range(3):
-        upstairs = f.reduce(chern_class(f, k, mixed, 3))
-        downstairs = f.reduce(chern_class(f, k, cot.reduce_class(mixed), 3))
+        upstairs = reduce(f, chern_class(f, k, mixed, 3))
+        downstairs = reduce(f, chern_class(f, k, cot.reduce_class(mixed), 3))
         assert upstairs == downstairs, k
 
 
@@ -81,7 +82,8 @@ def test_single_deformed_operator_helper(models):
         for c in range(model.dim):
             for n in (1, 3):
                 assert chern_class(orb.fock, k, model.basis_class(c), n) == \
-                    orb.apply_word(((k, c),), orb.fock.unit(n))
+                    orb.fock_vector(orb.word_on_basis(
+                        ((k, c),), PartitionFunction.EMPTY, n), n)
 
 
 def test_level_one_is_surface_and_s_independent(models):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from hilbfock.errors import (EngineError, ModelError, UnknownCoefficientsError,
-                             WeightError)
-from hilbfock.fock import FockVector
+from conftest import reduce
+from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
+from hilbfock.fock import FockSpace, FockVector
+from hilbfock.linalg import combine
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import (FHRing, LehnEngine, RingEngine,
@@ -50,7 +51,7 @@ def test_unit_row(engines):
     for sigma in eng.basis(3):
         assert eng.b_product(empty, sigma, 3) == {sigma: Q(1)}
         v = eng.fock.b_class(sigma, 3)
-        assert eng.cup(eng.fock.unit(3), v, 3) == v
+        assert eng.fock_vector(eng.b_times(empty, eng.index_vector(v, 3), 3), 3) == v
 
 
 def test_level_one_collapses_to_surface(models, engines):
@@ -106,28 +107,13 @@ def test_k3_point_class_square(engines, models):
     assert eng.b_product(rho, rho, 1) == {}
 
 
-def test_cup_rejects_weight_mixture(engines):
-    eng = engines("c2")
-    with pytest.raises(WeightError):
-        eng.cup(eng.fock.unit(2), eng.fock.unit(3), 2)
-
-
-def test_cup_requires_reduced_labels(engines, models):
-    eng = engines("c2")
-    model = models("c2")
-    h = model.basis_class(1)
-    v = eng.fock.apply_heisenberg(-2, h, eng.fock.vacuum())
-    with pytest.raises(EngineError):
-        eng.cup(v, v, 2)
-
-
 def _generator_on_whole_vector(eng, factor, v):
     """The reference body of one generator: the whole vector through
     apply_operator with no label filter, the marker check, then reduce."""
     fock = eng.fock
     known, markers = apply_operator(fock, eng.operator(*factor), v)
-    assert all(fock.reduce(mv).is_zero() for mv in markers)
-    return fock.reduce(known)
+    assert all(reduce(fock, mv).is_zero() for mv in markers)
+    return reduce(fock, known)
 
 
 @pytest.mark.parametrize("s", [None, 2])
@@ -145,7 +131,8 @@ def test_memoized_generator_matches_whole_vector_reference(models, name, s):
         for k in range(n):
             for c in model.working_classes():
                 for v in [mixed] + basis:
-                    assert (eng.apply_word(((k, c),), v)
+                    got = eng.word_on(((k, c),), eng.index_vector(v, n), n)
+                    assert (eng.fock_vector(got, n)
                             == _generator_on_whole_vector(eng, (k, c), v))
 
 
@@ -184,17 +171,31 @@ def test_associativity_full_triples(name, nmax, engines):
                     assert left == right, (name, n, r, s, t)
 
 
+def _cup(eng, u, v, n):
+    """u . v for level-n index vectors: b_times of each basis class in u on
+    v, weighted by its coordinate."""
+    return eng.fock_vector(combine(
+        [(terms, c.numerator, c.denominator * d)
+         for rho, c in eng.coordinates(u, n).items()
+         for terms, d in [eng.b_times(rho, v, n)]]), n)
+
+
+def _assert_sampled_associativity(eng, n, rs, ss, ts):
+    """(b_r . b_s) . b_t = b_r . (b_s . b_t), each product through b_times."""
+    for r in rs:
+        for s in ss:
+            for t in ts:
+                u = _cup(eng, eng.product_index(r, s, n), eng.word_on_basis((), t, n), n)
+                v = _cup(eng, eng.word_on_basis((), r, n), eng.product_index(s, t, n), n)
+                assert u == v, (r, s, t)
+
+
 def test_associativity_sampled_cotangent(engines):
     eng = engines("cotangent_g1")
     n = 3
     basis = eng.basis(n)
     sample = basis[:6] + basis[-4:]
-    for r in sample[:5]:
-        for s in sample[:5]:
-            for t in sample[:3]:
-                u = eng.cup(eng.product_vector(r, s, n), eng.fock.b_class(t, n), n)
-                v = eng.cup(eng.fock.b_class(r, n), eng.product_vector(s, t, n), n)
-                assert u == v
+    _assert_sampled_associativity(eng, n, sample[:5], sample[:5], sample[:3])
 
 
 def test_associativity_sampled_level_four(engines):
@@ -202,12 +203,7 @@ def test_associativity_sampled_level_four(engines):
     n = 4
     basis = eng.basis(n)
     sample = [basis[1], basis[4], basis[len(basis) // 2], basis[-1]]
-    for r in sample:
-        for s in sample[:3]:
-            for t in sample[:2]:
-                u = eng.cup(eng.product_vector(r, s, n), eng.fock.b_class(t, n), n)
-                v = eng.cup(eng.fock.b_class(r, n), eng.product_vector(s, t, n), n)
-                assert u == v
+    _assert_sampled_associativity(eng, n, sample, sample[:3], sample[:2])
 
 
 def test_fit_polynomial_insufficient_range(engines):
@@ -419,6 +415,25 @@ def test_a_homomorphism_small(engines):
         verify_a_homomorphism(engines("toy_b2_1"), 2)
 
 
+def test_doubled_point_annihilation_is_caught(models, monkeypatch):
+    """A point annihilation that doubles its images fails every check built
+    on it: the basis images and the ring homomorphism of a-homomorphism, and
+    the tower of fh-ring."""
+    real = FockSpace.annihilate_point
+    monkeypatch.setattr(FockSpace, "annihilate_point",
+                        lambda self, v: real(self, v).scaled(2))
+    c2 = models("c2")
+    eng = RingEngine(c2)
+    rep = verify_a_homomorphism(eng, 2)
+    assert not rep["ok"]
+    images = [w["rho"] for w in rep["witnesses"] if w["part"] == "basis-image"]
+    assert images == [rho.to_json(c2) for rho in eng.basis(2)]
+    assert any(w["part"] == "ring-hom" for w in rep["witnesses"])
+    rep = verify_fh_ring(c2, norm_bound=1, cost_bound=1)
+    assert not rep["ok"]
+    assert {w["part"] for w in rep["witnesses"]} == {"tower"}
+
+
 def test_fh_ring_basics(engines, models):
     eng = engines("c2")
     fh = FHRing(eng, n_probe=3)
@@ -470,7 +485,8 @@ def test_lehn_correspondence_c2(engines, models):
         for rho in eng.basis(n):
             v = eng.fock.b_class(rho, n)
             for k in range(min(n, 4)):
-                shifted = eng.apply_word(((k, model.unit),), v)
+                shifted = eng.fock_vector(
+                    eng.word_on_basis(((k, model.unit),), rho, n), n)
                 assert phi_map(shifted, model) == lehn_apply(k, phi_map(v, model))
 
 
