@@ -20,10 +20,11 @@ denominator pair_den, so the raw annihilator multiplies by m * pair_num
 only, and every annihilation owes the same rational factor
 ann_scale = kappa / pair_den.  word_plan resolves a word once (raw
 operators, integer Kuenneth tensor, scale ann_scale^(#annihilations) /
-den_tau); word_int runs it on an integer term dict, giving a scaled integer
-vector (out, num, den) worth out * num / den, and apply_word_tau is its
-rational wrapper.  The transposition oracle, the lambda-sum kernel and the
-ring engine stay in integers and meet the rationals only in their results.
+den_tau), and it alone applies a caller's label filter to the tensor.
+word_int runs a word on a scaled integer vector (terms, num, den), worth
+terms * num / den, and returns one; apply_word_tau is its rational wrapper.
+The transposition oracle, the lambda-sum kernel and the ring engine stay in
+integers and meet the rationals only in their results.
 
 FockSpace builds the basis classes b_rho(n) but reads no vector back in
 that basis: RingEngine.level is the one decoder from monomials to rho.
@@ -162,23 +163,24 @@ class FockSpace:
             raise EngineError("Heisenberg index 0 is not an operator")
         return self.apply_word_tau((n,), cls, v)
 
-    def word_int(self, indices, cls, terms):
-        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on an integer term
-        dict, as a scaled integer vector (out, num, den): the true image is
-        out * num / den (see the module docstring).
+    def word_int(self, indices, cls, vec):
+        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on a scaled integer
+        vector (terms, num, den), as a scaled integer vector (out, num, den):
+        the true image is out * num / den (see the module docstring).
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
         """
+        terms, num, den = vec
         if not terms:
             return {}, 1, 1
         if not indices:
             integral = self.model.integrate(cls)
             if not integral:
                 return {}, 1, 1
-            return dict(terms), integral.numerator, integral.denominator
-        ops, tensor, num, den = self.word_plan(indices, cls)
-        return self.run_word(ops, tensor, terms, {}), num, den
+            return dict(terms), num * integral.numerator, den * integral.denominator
+        ops, tensor, num_w, den_w = self.word_plan(indices, cls)
+        return self.run_word(ops, tensor, terms, {}), num * num_w, den * den_w
 
     def word_plan(self, indices, cls, drop=frozenset()):
         """A word of k >= 1 factors resolved once, as (ops, tensor, num, den):
@@ -186,11 +188,14 @@ class FockSpace:
         Kuenneth tensor, and the scale num / den of its images.  The
         creations left of the first annihilation act last, so a label they
         create stays in every monomial they make: the slot tuples that
-        create a label of drop there are left out.  Pass the labels that the
-        caller's reduction deletes anyway."""
+        create a label of drop there are left out, over the denominator of
+        the whole tensor.  Pass the labels that the caller's reduction
+        deletes anyway."""
         k = len(indices)
-        lead = next((j for j, i in enumerate(indices) if i > 0), k) if drop else 0
-        den_t, tensor = self.model.int_tensor(cls, k, drop, lead)
+        den_t, tensor = self.model.int_tensor(cls, k)
+        if drop:
+            lead = next((j for j, i in enumerate(indices) if i > 0), k)
+            tensor = [(w, slots) for w, slots in tensor if drop.isdisjoint(slots[:lead])]
         ops = [(self.create_raw, -i) if i < 0 else (self.annihilate_raw, i)
                for i in reversed(indices)]
         ann = sum(1 for i in indices if i > 0)
@@ -214,9 +219,7 @@ class FockSpace:
         """The operator of word_int applied to a FockVector, as a FockVector
         equal term by term to the rational computation.  k = 1 is
         a_{i_1}(cls)."""
-        terms, _, den_v = lift(v)
-        out, num, den = self.word_int(indices, cls, terms)
-        den *= den_v
+        out, num, den = self.word_int(indices, cls, lift(v))
         return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
 
     # -- distinguished vectors and bases ------------------------------------------------

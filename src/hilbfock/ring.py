@@ -12,14 +12,16 @@ absorbs the operators.
 Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
 the kernel vertex.operator_int, reduced and with its markers checked;
-every product (word_on_basis, b_product, b_times) adds rows and weights in
-ints, and only the final coordinates become rationals.  In a quotient the
-rows skip the terms that create ideal labels, which the reduction would
-delete.  Fock vectors meet the engine and its verifiers only at the edge:
-index_vector and fock_vector convert, and level is the one decoder from
-monomials to basis classes.  Point annihilation is one map on index
-vectors (point_image), and the ideal checks run operator_int on integer
-term dicts, where membership in the ideal depends on the support alone.
+word_on_basis and product_index add rows and weights in ints, and only the
+final coordinates become rationals.  In a quotient the rows skip the terms
+that create ideal labels, which the reduction would delete.  b_product is
+the one product: the verifiers and the stable-ring monomials extend it
+bilinearly over coordinates.  Fock vectors meet the engine and its
+verifiers only at the edge: index_vector and fock_vector convert, and level
+is the one decoder from monomials to basis classes.  Point annihilation is
+one map on index vectors (point_image), and the ideal checks run
+operator_int on integer term dicts, where membership in the ideal depends
+on the support alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -172,13 +174,6 @@ class RingEngine:
         out, common = combine([(rows[i][0], c, rows[i][1]) for i, c in terms.items()])
         return _normal(out, den * common)
 
-    def word_on(self, word, vec, n):
-        """A word of degree-shift operators, rightmost first, on a level-n
-        index vector."""
-        for f in reversed(word):
-            vec = self.generator_on(f, vec, n)
-        return vec
-
     def index_vector(self, v, n):
         """A reduced level-n Fock vector as an index vector."""
         index = self.level(n)[0]
@@ -276,13 +271,6 @@ class RingEngine:
                 raise EngineError(
                     f"degree additivity violated in {rho!r} . {sigma!r} at {nu!r}")
         return coords
-
-    def b_times(self, rho, vec, n):
-        """b_rho(n) . vec for a level-n index vector: the generator words of
-        b_rho(n) applied to vec, weighted in ints."""
-        return combine([(terms, w.numerator, w.denominator * d)
-                        for word, w in self.express(rho, n).items()
-                        for terms, d in [self.word_on(word, vec, n)]])
 
     @memoized
     def point_image(self, rho, n):
@@ -589,20 +577,18 @@ def verify_a_homomorphism(engine, n):
     model = engine.model
     witnesses = [{"part": "basis-image", "rho": rho.to_json(model)}
                  for rho in _point_misses(engine, n)]
-    upper, norms = engine.basis(n + 1), engine.level(n + 1)[2]
-    images = [engine.point_image(rho, n) for rho in upper]
-    down = [engine.coordinates(image, n) for image in images]
-    for i, rho in enumerate(upper):
-        for j, sigma in enumerate(upper):
-            # an index vector counts monomials: monos[m] is norms[m] * b_m(n+1)
-            terms, den = engine.product_index(rho, sigma, n + 1)
-            lhs = combine([(images[m][0], c * norms[m], den * images[m][1])
-                           for m, c in terms.items()])
+    upper = engine.basis(n + 1)
+    down = {rho: engine.coordinates(engine.point_image(rho, n), n) for rho in upper}
+    for rho in upper:
+        for sigma in upper:
+            lhs = {}
+            for nu, c in engine.b_product(rho, sigma, n + 1).items():
+                row_add_scaled(lhs, down[nu], c)
             rhs = {}
-            for mu, a in down[i].items():
-                for nu, b in down[j].items():
+            for mu, a in down[rho].items():
+                for nu, b in down[sigma].items():
                     row_add_scaled(rhs, engine.b_product(mu, nu, n), a * b)
-            if engine.coordinates(lhs, n) != rhs:
+            if lhs != rhs:
                 witnesses.append({"part": "ring-hom", "rho": rho.to_json(model),
                                   "sigma": sigma.to_json(model)})
     return {"ok": not witnesses, "n": n, "witnesses": witnesses[:20]}
@@ -635,18 +621,23 @@ class FHRing:
 
 def monomial_vectors(engine, rhos, n_eval):
     """The coordinates of the products prod b_{r,c} indexed by each rho at a
-    common level, evaluated as index vectors recursively sharing prefixes."""
+    common level, evaluated recursively sharing prefixes: each one-part
+    factor multiplies the shorter product through b_product, extended
+    bilinearly over its coordinates."""
     @cache
-    def vec(rho):
+    def coords(rho):
         if not rho.parts:
-            return engine.word_on_basis((), rho, n_eval)  # the level unit
+            return {rho: ONE}  # the level unit
         # peel off the largest part of the first class
         c = min(rho.parts)
         r, *others = rho.parts[c]
-        rest = PartitionFunction({**rho.parts, c: others})
-        return engine.b_times(PartitionFunction({c: (r,)}), vec(rest), n_eval)
+        single = PartitionFunction({c: (r,)})
+        out = {}
+        for nu, w in coords(PartitionFunction({**rho.parts, c: others})).items():
+            row_add_scaled(out, engine.b_product(single, nu, n_eval), w)
+        return out
 
-    return {rho: engine.coordinates(vec(rho), n_eval) for rho in rhos}
+    return {rho: coords(rho) for rho in rhos}
 
 
 def verify_fh_ring(model, norm_bound=5, cost_bound=5):

@@ -260,28 +260,17 @@ class SurfaceModel:
             row_add_scaled(out, self.tau_basis(b, k), coeff)
         return [(w, slots) for slots, w in out.items()]
 
-    def int_tensor(self, a, k, drop=frozenset(), lead=0):
+    def int_tensor(self, a, k):
         """tau_{k*}(a) for k >= 1 as (den, [(integer weight, slots), ...]):
         the diagonal_pushforward weights are the integers divided by den.
-        With a label set drop and lead > 0, the slot tuples that carry a
-        label of drop in one of their first lead slots are left out; den
-        stays that of the whole tensor.  Built once per (class, k, drop,
-        lead) on this model object."""
-        if not (drop and lead):
-            drop, lead = frozenset(), 0
-        # hand-rolled: the key is the canonical form, a.key() with (drop,
-        # lead) collapsed, not the arguments as passed
-        key = (a.key(), k, drop, lead)
+        Built once per (class, k) on this model object."""
+        # hand-rolled: the key is the canonical form a.key(), not the class
+        key = (a.key(), k)
         cached = self._int_tensors.get(key)
         if cached is None:
-            if lead:
-                den, whole = self.int_tensor(a, k)
-                cached = (den, [(num, slots) for num, slots in whole
-                                if drop.isdisjoint(slots[:lead])])
-            else:
-                tensor = self.diagonal_pushforward(a, k)
-                den, nums = integer_lift([w for w, _ in tensor])
-                cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
+            tensor = self.diagonal_pushforward(a, k)
+            den, nums = integer_lift([w for w, _ in tensor])
+            cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
             self._int_tensors[key] = cached
         return cached
 
@@ -296,7 +285,7 @@ class SurfaceModel:
     # -- ideal reduction --------------------------------------------------------
 
     def reduce_class(self, a):
-        """Representative of iota^*(a): drop the adapted ideal coordinates."""
+        """Representative of iota^*(a): a without its adapted ideal coordinates."""
         if not self.has_ideal:
             raise ModelError("model has no restriction ideal")
         return GradedClass({i: v for i, v in a.items() if i not in self.ideal_pivots})

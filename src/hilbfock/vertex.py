@@ -17,7 +17,11 @@ ideal containing K, where each marker must vanish under reduction.
 
 operator_int is the lambda-sum kernel: an operator resolves each lambda
 term once per part multiset (OperatorExpression.plan), and apply_operator
-is its rational wrapper.
+is its rational wrapper.  A caller whose reduction deletes some labels
+passes them to operator_int as drop; the plan hands them on to
+FockSpace.word_plan, the one place that filters a Kuenneth tensor.  The
+oracles below run every word through FockSpace.word_int on scaled integer
+vectors.
 """
 
 from __future__ import annotations
@@ -147,7 +151,11 @@ def operator_int(fock, op, terms, drop=frozenset()):
     """The kernel of apply_operator: op on an integer term dict whose
     monomials share one part multiset, through that multiset's plan, as
     (out, den, markers): the known part is out / den, and markers lists the
-    nonzero canonical-class term values as scaled integer vectors."""
+    nonzero canonical-class term values as scaled integer vectors.  drop
+    names labels that the caller's reduction deletes: the known part skips
+    the terms that create one of them (see FockSpace.word_plan), so it is
+    exact only after that reduction.  The canonical-class terms always run
+    in full, so every marker can be checked."""
     known, den, marks = op.plan(fock, _parts_multiset(next(iter(terms))), drop)
     out = {}
     for ops, tensor, scale in known:
@@ -157,16 +165,12 @@ def operator_int(fock, op, terms, drop=frozenset()):
     return out, den, markers
 
 
-def apply_operator(fock, op, v, drop=frozenset()):
+def apply_operator(fock, op, v):
     """Apply an OperatorExpression to a Fock vector: the rational wrapper of
     operator_int, run on each part multiset of v.  Returns (known, markers):
     known sums the terms with rational weights, and markers lists the
     nonzero unit-weight values of the canonical-class terms, whose universal
-    weights are unknown.  drop names labels that the caller's reduction
-    deletes: known skips the terms that create one of them (see
-    FockSpace.word_plan), so it is exact only after that reduction.  The
-    canonical-class terms always run in full, so every marker can be checked.
-    """
+    weights are unknown."""
     terms, _, den_v = lift(v)
     groups = {}
     for mono, w in terms.items():
@@ -174,7 +178,7 @@ def apply_operator(fock, op, v, drop=frozenset()):
     out = {}
     markers = []
     for group in groups.values():
-        known, den, marks = operator_int(fock, op, group, drop)
+        known, den, marks = operator_int(fock, op, group)
         row_add_scaled(out, known, Q(1, den * den_v))
         markers += [FockVector({mono: Q(c * num, d * den_v) for mono, c in mv.items()})
                     for mv, num, d in marks]
@@ -198,17 +202,9 @@ def chern_class(fock, k, alpha, n):
 # -- commutator oracles ---------------------------------------------------------
 
 
-def _word_on(fock, word, cls, vec):
-    """The word a_word(tau cls) on a scaled integer vector (terms, num, den),
-    as a scaled integer vector: the scales multiply as int pairs."""
-    terms, num, den = vec
-    out, n, d = fock.word_int(word, cls, terms)
-    return out, num * n, den * d
-
-
 def _on_vector(fock):
     """The default direct of the oracle parts: a word on a FockVector."""
-    return lambda word, cls, v: _word_on(fock, word, cls, lift(v))
+    return lambda word, cls, v: fock.word_int(word, cls, lift(v))
 
 
 def _combine(pieces):
@@ -240,8 +236,8 @@ def lemma_ks_part_i(fock, ns, ms, alpha, beta, direct=None):
                     for t, nt in enumerate(ns) for j, mj in enumerate(ms) if nt == -mj]
 
     def difference(v):
-        pieces = [(_word_on(fock, ns, alpha, direct(ms, beta, v)), (-1, 1)),
-                  (_word_on(fock, ms, beta, direct(ns, alpha, v)), (sign, 1))]
+        pieces = [(fock.word_int(ns, alpha, direct(ms, beta, v)), (-1, 1)),
+                  (fock.word_int(ms, beta, direct(ns, alpha, v)), (sign, 1))]
         pieces += [(direct(word, ab, v), c) for word, c in contractions]
         return _combine(pieces)
 
@@ -397,7 +393,7 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
         key = (word, cls.key(), vi)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _word_on(fock, word, cls, lifted[vi])
+            out = memo[key] = fock.word_int(word, cls, lifted[vi])
         return out
 
     def note(kind, **info):

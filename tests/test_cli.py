@@ -19,7 +19,7 @@ from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_ran
 from hilbfock.errors import EngineError
 from hilbfock.models import BUILTIN, builtin_model
 from hilbfock.rational import qstr
-from hilbfock.ring import RingEngine
+from hilbfock.ring import RingEngine, StructureTable
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
 # the subprocesses import the hilbfock that these tests import
@@ -243,6 +243,29 @@ def test_verify_ring_isom_cli():
     assert res.returncode == 3
 
 
+def test_ring_isom_checks_markers_at_the_top_level(capsys):
+    """Over a range of levels the marker check runs at the highest one,
+    where the degree-shift operators of every level in the range act."""
+    assert main(["verify", "ring-isom", "--model", "c2", "--n", "1..3"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"]["marker_terms_checked"] == 12
+
+
+def test_structure_constants_renders_only_for_a_reader(monkeypatch, capsys):
+    """Without --out and without the on-disk cache nothing reads the table
+    text, so the table is computed, and checked, but never rendered."""
+    monkeypatch.delenv("HILBFOCK_CACHE_DIR", raising=False)
+    argv = ["structure-constants", "--model", "c2", "--n", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(self, model):
+        raise AssertionError("rendered a table that nothing reads")
+
+    monkeypatch.setattr(StructureTable, "render", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_verify_triple_polynomiality(tmp_path):
     triple = tmp_path / "triple.json"
     triple.write_text(json.dumps(
@@ -393,13 +416,17 @@ def test_hostile_inputs_exit_2(tmp_path):
                  ("verify", "fh-ring", "--model", "c2", "--norm-bound", "-1"),
                  ("verify", "ideal", "--model", "c2", "--n", "0"),
                  ("verify", "ideal-generators", "--model", "c2", "--n", "0"),
+                 ("verify", "c2-quotient", "--model", "c2", "--n", "0"),
+                 ("verify", "ring-isom", "--model", "c2", "--n", "0"),
+                 ("verify", "ring-isom", "--model", "toy_b2_1", "--n", "0"),
                  ("structure-constants", "--model", "c2", "--n", "2..5"),
                  ("product", "--model", "c2", "--n", "2..4",
                   "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
-    # level 0 has no ideal monomial, but a range that reaches level 1 checks it
-    for vid in ("ideal", "ideal-generators"):
+    # level 0 has no ideal monomial and compares only b_empty . b_empty, but
+    # a range that reaches level 1 checks it
+    for vid in ("ideal", "ideal-generators", "c2-quotient", "ring-isom"):
         res = run_cli("verify", vid, "--model", "c2", "--n", "0..1")
         assert res.returncode == 0 and '"status":"pass"' in res.stdout, res.stderr
 

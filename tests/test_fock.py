@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import reduce
 from hilbfock.errors import EngineError, ModelError, WeightError
 from hilbfock.fock import FockSpace, FockVector, heisenberg_witnesses, mono_weight
+from hilbfock.models import builtin_model
 from hilbfock.partitions import (GenPartition, PartitionFunction,
                                  enumerate_partition_functions)
 from hilbfock.rational import Q, parse_q
+from hilbfock.surface import GradedClass
 
 
 def test_single_contraction(models):
@@ -229,7 +231,6 @@ def test_vector_json_roundtrip(models):
        st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=3))
 def test_bracket_relation_random(n, c1, m, c2, w):
-    from hilbfock.models import builtin_model
     model = builtin_model("odd_toy")
     f = FockSpace(model)
     a, b = model.basis_class(c1), model.basis_class(c2)
@@ -354,19 +355,38 @@ def test_word_kernel_matches_rational_reference(setup, models):
             assert fock.apply_word_tau((), cls, v).terms == want
             assert _kernel_image(fock, (), cls, v) == want
         for word in [()] + words:
-            assert fock.word_int(word, cls, {})[0] == {}
+            assert fock.word_int(word, cls, ({}, 1, 1))[0] == {}
             assert fock.apply_word_tau(word, cls, FockVector.zero()).is_zero()
 
 
 def _kernel_image(fock, word, cls, v):
-    """out * num / den of the integer kernel on v's numerators, divided by
+    """out * num / den of the integer kernel on v as its numerators over
     their common denominator, in plain Fractions."""
     den_v = lcm(*(c.denominator for c in v.terms.values()))
     terms = {mono: int(c * den_v) for mono, c in v.terms.items()}
-    out, num, den = fock.word_int(word, cls, terms)
+    out, num, den = fock.word_int(word, cls, (terms, 1, den_v))
     assert all(type(c) is int for c in out.values())
-    scale = Fraction(num, den * den_v)
+    scale = Fraction(num, den)
     return {mono: c * scale for mono, c in out.items() if c}
+
+
+def test_word_plan_filters_the_whole_tensor():
+    """With a label set drop, word_plan leaves out the slot tuples of the
+    memoized whole tensor that carry a dropped label before the first
+    annihilation, over the whole tensor's denominator."""
+    model = builtin_model("ale_2")
+    fock = FockSpace(model)
+    cls = GradedClass({1: Q(2), 3: Q(-1, 3)})
+    whole = model.int_tensor(cls, 3)[1]
+    drop = frozenset({1})
+    word = (-2, -1, 3)  # the two creations act last
+    ops, tensor, num, den = fock.word_plan(word, cls)
+    assert tensor is whole
+    kept = fock.word_plan(word, cls, drop)
+    assert kept == (ops, [(w, slots) for w, slots in whole if 1 not in slots[:2]], num, den)
+    assert 0 < len(kept[1]) < len(whole)
+    # an annihilation acts last: no slot creates a label that stays
+    assert fock.word_plan((3, -2, -1), cls, drop)[1] == whole
 
 
 def test_heisenberg_sweep_rational_pairing():

@@ -56,3 +56,40 @@ def test_every_definition_is_referenced_in_src():
                     and not (name.startswith("__") and name.endswith("__")))
     assert not unused, "defined in src/hilbfock but referenced nowhere there: " \
         + ", ".join(unused)
+
+
+def _package_imports(tree):
+    """The hilbfock modules a module imports, at any depth of its tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from .fock import ..., or from . import cache
+                out.update([node.module.split(".")[0]] if node.module
+                           else (alias.name for alias in node.names))
+            elif (node.module or "").startswith("hilbfock."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("hilbfock."))
+    return out
+
+
+def test_module_layers():
+    """The layers import downward only: the scalars, the linear algebra,
+    the partitions and the surface model know nothing of the Fock space or
+    what is built on it; the Fock space knows neither the operators nor the
+    ring, and the operators do not know the ring."""
+    above = {
+        "rational.py": {"fock", "vertex", "ring", "cli"},
+        "linalg.py": {"fock", "vertex", "ring", "cli"},
+        "partitions.py": {"fock", "vertex", "ring", "cli"},
+        "surface.py": {"fock", "vertex", "ring", "cli"},
+        "fock.py": {"vertex", "ring"},
+        "vertex.py": {"ring"},
+    }
+    trees = _trees()
+    wrong = {name: sorted(_package_imports(trees[name]) & banned)
+             for name, banned in above.items()}
+    assert not any(wrong.values()), f"imports against the layering: {wrong}"
+    # the probe sees the imports that are allowed
+    assert {"fock", "linalg", "partitions", "rational"} <= _package_imports(trees["vertex.py"])

@@ -7,7 +7,7 @@ import pytest
 from conftest import reduce
 from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
-from hilbfock.linalg import combine
+from hilbfock.linalg import row_add_scaled
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import (FHRing, LehnEngine, RingEngine,
@@ -48,10 +48,16 @@ def test_express_roundtrip_everywhere(engines):
 def test_unit_row(engines):
     eng = engines("ale_2")
     empty = PartitionFunction({})
-    for sigma in eng.basis(3):
+    basis = eng.basis(3)
+    for sigma in basis:
         assert eng.b_product(empty, sigma, 3) == {sigma: Q(1)}
-        v = eng.fock.b_class(sigma, 3)
-        assert eng.fock_vector(eng.b_times(empty, eng.index_vector(v, 3), 3), 3) == v
+    # and bilinearly on a vector that mixes every basis class
+    v = FockVector({mono: Q(i, 7) for i, rho in enumerate(basis, 1)
+                    for mono in eng.fock.b_class(rho, 3).terms})
+    coords = eng.coordinates(eng.index_vector(v, 3), 3)
+    assert len(coords) == len(basis)
+    assert _cup(eng, {empty: Q(1)}, coords, 3) == coords
+    assert eng.fock_vector(eng.index_vector(v, 3), 3) == v
 
 
 def test_level_one_collapses_to_surface(models, engines):
@@ -131,7 +137,7 @@ def test_memoized_generator_matches_whole_vector_reference(models, name, s):
         for k in range(n):
             for c in model.working_classes():
                 for v in [mixed] + basis:
-                    got = eng.word_on(((k, c),), eng.index_vector(v, n), n)
+                    got = eng.generator_on((k, c), eng.index_vector(v, n), n)
                     assert (eng.fock_vector(got, n)
                             == _generator_on_whole_vector(eng, (k, c), v))
 
@@ -172,21 +178,21 @@ def test_associativity_full_triples(name, nmax, engines):
 
 
 def _cup(eng, u, v, n):
-    """u . v for level-n index vectors: b_times of each basis class in u on
-    v, weighted by its coordinate."""
-    return eng.fock_vector(combine(
-        [(terms, c.numerator, c.denominator * d)
-         for rho, c in eng.coordinates(u, n).items()
-         for terms, d in [eng.b_times(rho, v, n)]]), n)
+    """u . v for level-n coordinate dicts: b_product extended bilinearly."""
+    out = {}
+    for rho, a in u.items():
+        for sigma, b in v.items():
+            row_add_scaled(out, eng.b_product(rho, sigma, n), a * b)
+    return out
 
 
 def _assert_sampled_associativity(eng, n, rs, ss, ts):
-    """(b_r . b_s) . b_t = b_r . (b_s . b_t), each product through b_times."""
+    """(b_r . b_s) . b_t = b_r . (b_s . b_t), each product through b_product."""
     for r in rs:
         for s in ss:
             for t in ts:
-                u = _cup(eng, eng.product_index(r, s, n), eng.word_on_basis((), t, n), n)
-                v = _cup(eng, eng.word_on_basis((), r, n), eng.product_index(s, t, n), n)
+                u = _cup(eng, eng.b_product(r, s, n), {t: Q(1)}, n)
+                v = _cup(eng, {r: Q(1)}, eng.b_product(s, t, n), n)
                 assert u == v, (r, s, t)
 
 

@@ -271,18 +271,6 @@ def test_int_tensor_is_memoized_per_model(monkeypatch):
     assert model.int_tensor(cls, 2) is not first
     assert built == [3, 2]
 
-    # a label filter leaves out the slot tuples with a dropped label in the
-    # leading slots, over the same denominator; it is memoized beside the
-    # whole tensor and built from it
-    drop = frozenset({1})
-    kept = model.int_tensor(cls, 3, drop, 2)
-    assert kept == (den, [(num, slots) for num, slots in tensor if 1 not in slots[:2]])
-    assert 0 < len(kept[1]) < len(tensor)
-    assert model.int_tensor(GradedClass({3: Q(-1, 3), 1: Q(2)}), 3, drop, 2) is kept
-    assert model.int_tensor(cls, 3, drop, 0) is first
-    assert model.int_tensor(cls, 3, frozenset(), 2) is first
-    assert built == [3, 2]
-
     quotient = model.with_ideal([model.point], suffix="h4")
     own = quotient.int_tensor(cls, 3)
     assert own is not first and own == first

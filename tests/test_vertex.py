@@ -19,8 +19,8 @@ from hilbfock.ring import RingEngine
 from hilbfock.vertex import (EULER, K_IDEAL, MAIN, SparsePolynomial,
                              apply_operator, chern_class, chern_operator,
                              lehn_apply, lemma_ks_part_i, lemma_ks_part_ii,
-                             nonsense1_expansion, phi_map, verify_lemma_ks,
-                             verify_nonsense1)
+                             nonsense1_expansion, operator_int, phi_map,
+                             verify_lemma_ks, verify_nonsense1)
 
 
 def known_part(fock, op, v):
@@ -93,9 +93,11 @@ def test_label_filter_leaves_markers_unpruned(models):
         for c in c2.working_classes():
             op = eng.operator(k, c)
             for rho in eng.basis(n):
-                v = eng.fock.b_class(rho, n)
-                known, marks = apply_operator(f, op, v, c2.ideal_pivots)
-                full, full_marks = apply_operator(f, op, v)
+                ((mono, _),) = eng.fock.b_class(rho, n).terms.items()
+                out, den, marks = operator_int(f, op, {mono: 1}, c2.ideal_pivots)
+                whole, den_whole, full_marks = operator_int(f, op, {mono: 1})
+                known = FockVector({m: Q(w, den) for m, w in out.items()})
+                full = FockVector({m: Q(w, den_whole) for m, w in whole.items()})
                 assert marks == full_marks
                 assert reduce(f, known) == reduce(f, full)
                 marked += bool(marks)
@@ -277,19 +279,19 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
 
     def recording_lift(v):
         got = real_lift(v)
-        probes.append(got[0])
+        probes.append(got)
         return got
 
     on_probes = Counter()
     calls = Counter()
     real_kernel = FockSpace.word_int
 
-    def counting_kernel(self, word, cls, terms):
+    def counting_kernel(self, word, cls, vec):
         calls["all"] += 1
         for vi, probe in enumerate(probes):
-            if terms is probe:
+            if vec is probe:
                 on_probes[(word, cls.key(), vi)] += 1
-        return real_kernel(self, word, cls, terms)
+        return real_kernel(self, word, cls, vec)
 
     monkeypatch.setattr(vertex, "lift", recording_lift)
     monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
