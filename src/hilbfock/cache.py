@@ -8,9 +8,11 @@ changes results does not read its predecessor's tables.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 from . import __version__
@@ -42,13 +44,23 @@ def load(key):
 
 
 def store(key, text):
+    """Store text under key.  A write that fails with an OSError leaves one
+    warning on stderr and no temp file behind: the caller still has the
+    text it computed."""
     root = cache_dir()
     if not root:
         return
     sub = os.path.join(root, key[:2])
-    os.makedirs(sub, exist_ok=True)
-    # a private temp file per writer, so concurrent writers never interleave
-    fd, tmp = tempfile.mkstemp(dir=sub, prefix=key, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, os.path.join(sub, key + ".json"))
+    tmp = None
+    try:
+        os.makedirs(sub, exist_ok=True)
+        # a private temp file per writer, so concurrent writers never interleave
+        fd, tmp = tempfile.mkstemp(dir=sub, prefix=key, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(sub, key + ".json"))
+    except OSError as exc:
+        print(f"warning: cache not written: {exc}", file=sys.stderr)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)

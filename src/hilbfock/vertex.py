@@ -20,8 +20,9 @@ term once per part multiset (OperatorExpression.plan), and apply_operator
 is its rational wrapper.  A caller whose reduction deletes some labels
 passes them to operator_int as drop; the plan hands them on to
 FockSpace.word_plan, the one place that filters a Kuenneth tensor.  The
-oracles below run every word through FockSpace.word_int on scaled integer
-vectors.
+oracles below run every word on scaled integer vectors: through
+FockSpace.word_int, or, for the outer words of the lemma-ks sweep, through
+plans the sweep resolves once and FockSpace.run_word.
 """
 
 from __future__ import annotations
@@ -202,62 +203,84 @@ def chern_class(fock, k, alpha, n):
 # -- commutator oracles ---------------------------------------------------------
 
 
-def _on_vector(fock):
-    """The default direct of the oracle parts: a word on a FockVector."""
-    return lambda word, cls, v: fock.word_int(word, cls, lift(v))
-
-
-def _combine(pieces):
+def _defect(pieces):
     """The sum of c * vec over pairs (vec, (cn, cd)) of a scaled integer
     vector and a rational coefficient cn / cd, added in ints over the lcm of
-    the denominators: a FockVector, empty iff the sum is zero."""
-    out, common = combine([(terms, num * cn, den * cd)
-                           for (terms, num, den), (cn, cd) in pieces if terms])
-    return FockVector({mono: Q(c, common) for mono, c in out.items()})
+    the denominators: linalg.combine's (out, den), out empty iff the sum is
+    zero."""
+    return combine([(terms, num * cn, den * cd)
+                    for (terms, num, den), (cn, cd) in pieces if terms])
 
 
-def lemma_ks_part_i(fock, ns, ms, alpha, beta, direct=None):
-    """Contraction formula for [a_{n_1}..a_{n_k}(tau alpha), a_{m_1}..a_{m_s}(tau beta)].
+def _as_vector(defect):
+    """The FockVector of a _defect result."""
+    out, den = defect
+    return FockVector({mono: Q(c, den) for mono, c in out.items()})
 
-    Returns a function of a vector computing rhs - lhs as a FockVector,
-    empty iff the oracle matches on that vector.  Every word that acts on
-    the vector itself goes through direct(word, cls, v), which returns a
-    scaled integer vector (terms, num, den); the default lifts a FockVector
-    v and runs fock.word_int.  The returned function hands its argument to
-    direct only, so a caller's direct may take any handle of the vector.
-    The outer words run on the integer terms of the inner ones, and every
-    coefficient of the defect is fixed here, once per instance."""
+
+def _part_i_terms(fock, ns, ms, alpha, beta):
+    """The coefficients of part (i) for one instance, as (sign, ab,
+    contractions): the super-commutation sign of alpha and beta, the class
+    ab = alpha.beta of the contracted words, and each contracted word with
+    its coefficient kappa * n_t as an integer ratio."""
     model = fock.model
     sign = (-1) ** (model.class_parity(alpha) * model.class_parity(beta))
-    ab = model.mul(alpha, beta)
-    direct = direct or _on_vector(fock)
     contractions = [(ms[:j] + ns[:t] + ns[t + 1:] + ms[j + 1:],
                      (fock.kappa * nt).as_integer_ratio())
                     for t, nt in enumerate(ns) for j, mj in enumerate(ms) if nt == -mj]
+    return sign, model.mul(alpha, beta), contractions
+
+
+def _part_i_defect(nm, mn, sign, contracted):
+    """Part (i)'s rhs - lhs on one vector v, as in _defect, from the composed
+    products nm = W_ns(alpha) W_ms(beta) v and mn = W_ms(beta) W_ns(alpha) v
+    and the contracted words' images paired with their coefficients."""
+    return _defect([(nm, (-1, 1)), (mn, (sign, 1))] + contracted)
+
+
+def lemma_ks_part_i(fock, ns, ms, alpha, beta):
+    """Contraction formula for [a_{n_1}..a_{n_k}(tau alpha), a_{m_1}..a_{m_s}(tau beta)].
+
+    Returns a function of a FockVector computing rhs - lhs as a FockVector,
+    empty iff the oracle matches on that vector.  Every word runs through
+    fock.word_int on the lifted vector, the outer words on the integer
+    images of the inner ones; the coefficients are fixed once per instance
+    by _part_i_terms, which verify_lemma_ks shares."""
+    sign, ab, contractions = _part_i_terms(fock, ns, ms, alpha, beta)
 
     def difference(v):
-        pieces = [(fock.word_int(ns, alpha, direct(ms, beta, v)), (-1, 1)),
-                  (fock.word_int(ms, beta, direct(ns, alpha, v)), (sign, 1))]
-        pieces += [(direct(word, ab, v), c) for word, c in contractions]
-        return _combine(pieces)
+        vec = lift(v)
+        nm = fock.word_int(ns, alpha, fock.word_int(ms, beta, vec))
+        mn = fock.word_int(ms, beta, fock.word_int(ns, alpha, vec))
+        contracted = [(fock.word_int(word, ab, vec), c) for word, c in contractions]
+        return _as_vector(_part_i_defect(nm, mn, sign, contracted))
 
     return difference
 
 
-def lemma_ks_part_ii(fock, ns, j, alpha, direct=None):
-    """Adjacent transposition inside a_{n_1}..a_{n_k}(tau alpha) with the
-    Euler-class correction.  Returns the defect function of a vector; every
-    word goes through direct as in lemma_ks_part_i."""
+def _part_ii_words(fock, ns, j, alpha):
+    """The words of part (ii) with their coefficients, as (word, class,
+    (cn, cd)): the word, its j-th adjacent transposition, and the Euler-class
+    correction when the two swapped indices cancel."""
     model = fock.model
-    direct = direct or _on_vector(fock)
     words = [(ns, alpha, (-1, 1)),
              (ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:], alpha, (1, 1))]
     if ns[j] == -ns[j + 1]:
         words.append((ns[:j] + ns[j + 2:], model.mul(model.euler, alpha),
                       (fock.kappa * ns[j]).as_integer_ratio()))
+    return words
+
+
+def lemma_ks_part_ii(fock, ns, j, alpha):
+    """Adjacent transposition inside a_{n_1}..a_{n_k}(tau alpha) with the
+    Euler-class correction.  Returns the defect function of a FockVector,
+    with every word run as in lemma_ks_part_i."""
+    words = _part_ii_words(fock, ns, j, alpha)
 
     def difference(v):
-        return _combine([(direct(word, cls, v), c) for word, cls, c in words])
+        vec = lift(v)
+        return _as_vector(_defect([(fock.word_int(word, cls, vec), c)
+                                   for word, cls, c in words]))
 
     return difference
 
@@ -372,20 +395,29 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     weight_max, all representative label pairs, against the deterministic
     probe family.
 
-    The sweep runs in scaled integer vectors.  Each probe is lifted once,
-    and words that act on a probe itself are applied once per sweep: the
-    parts get the probe's index and an applier that memoizes the integer
-    image on (word, class key, probe index).  Words applied to an
-    intermediate vector are not memoized.  The memo is local to this call
-    and freed when it returns."""
+    The sweep runs in scaled integer vectors and decides each defect from
+    its integer sum.  Each probe is lifted once, and words that act on a
+    probe itself are applied once per sweep: a memo local to this call,
+    keyed on (word, class key, probe index), holds their integer images.
+    Part (i) decides each instance (ns, ms, alpha, beta) together with its
+    swap (ms, ns, beta, alpha), which has the same probes and the same two
+    composed products W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v:
+    the pair computes each once per probe and holds no others, running the
+    outer words through plans resolved once per sweep.  Each member counts
+    its probes up to its first failure, as it would alone, and part (i)'s
+    failures are put back in sweep order before part (ii)'s follow."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
+    classes = [model.basis_class(c) for c in reps]
+    names = [model.basis[c].name for c in reps]
     witnesses = []
     checked = 0
     lifted = [lift(v) for v in vecs]
     memo = {}
+    plans = {}
+    failures = []   # part (i): (sweep position, instance)
 
     # hand-rolled: keyed on cls.key(), since the sweep builds fresh class
     # objects and hashing those would pay GradedClass.__eq__ on every hit
@@ -396,10 +428,43 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
             out = memo[key] = fock.word_int(word, cls, lifted[vi])
         return out
 
-    def note(kind, **info):
-        if len(witnesses) < MAX_WITNESSES:
-            info["part"] = kind
-            witnesses.append(info)
+    def outer(word, ci, vec):
+        # word_int of word and classes[ci] on an image of a probe
+        terms, num, den = vec
+        if not terms:
+            return vec
+        plan = plans.get((word, ci))
+        if plan is None:
+            plan = plans[word, ci] = fock.word_plan(word, classes[ci])
+        ops, tensor, num_w, den_w = plan
+        return fock.run_word(ops, tensor, terms, {}), num * num_w, den * den_w
+
+    def decide_pair(ns, ms, ai, bi, positions, todo):
+        # decides the instance (ns, ms, ai, bi) at positions[0] and, given a
+        # second position, its swap (ms, ns, bi, ai) there; returns the
+        # probes checked over both
+        live = []
+        for swapped, pos in enumerate(positions):
+            inst = (ms, ns, bi, ai) if swapped else (ns, ms, ai, bi)
+            x, y, a, b = inst
+            live.append((pos, inst, swapped)
+                        + _part_i_terms(fock, x, y, classes[a], classes[b]))
+        count = 0
+        for vi in todo:
+            nm = outer(ns, ai, on_probes(ms, classes[bi], vi))
+            mn = (nm if len(positions) == 1
+                  else outer(ms, bi, on_probes(ns, classes[ai], vi)))
+            for member in list(live):
+                pos, inst, swapped, sign, ab, contractions = member
+                count += 1
+                lead, trail = (mn, nm) if swapped else (nm, mn)
+                contracted = [(on_probes(word, ab, vi), c) for word, c in contractions]
+                if _part_i_defect(lead, trail, sign, contracted)[0]:
+                    failures.append((pos, inst))
+                    live.remove(member)
+            if not live:
+                break
+        return count
 
     shapes = {m: list(_signed_tuples(m, weight_max, weight_max))
               for m in range(2, ksum_max + 1)}
@@ -411,37 +476,39 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
         return [vi for vi, w in enumerate(weights) if w >= sum(word)]
 
     for m, tuples in shapes.items():
-        for combined in tuples:
+        where = {t: i for i, t in enumerate(tuples)}
+        for ti, combined in enumerate(tuples):
             todo = viable(combined)
             if not todo:
                 continue
             for k in range(1, m):
                 ns, ms = combined[:k], combined[k:]
-                for ca in reps:
-                    alpha = model.basis_class(ca)
-                    for cb in reps:
-                        beta = model.basis_class(cb)
-                        diff = lemma_ks_part_i(fock, ns, ms, alpha, beta, on_probes)
-                        for vi in todo:
-                            checked += 1
-                            if not diff(vi).is_zero():
-                                note("i", ns=ns, ms=ms,
-                                     alpha=model.basis[ca].name,
-                                     beta=model.basis[cb].name)
-                                break
+                tj = where[ms + ns]
+                for ai in range(len(reps)):
+                    for bi in range(len(reps)):
+                        own, swap = (m, ti, k, ai, bi), (m, tj, m - k, bi, ai)
+                        if swap < own:
+                            continue   # decided with its swap
+                        positions = [own] if swap == own else [own, swap]
+                        checked += decide_pair(ns, ms, ai, bi, positions, todo)
+    for _, (ns, ms, ai, bi) in sorted(failures)[:MAX_WITNESSES]:
+        witnesses.append({"ns": ns, "ms": ms, "alpha": names[ai],
+                          "beta": names[bi], "part": "i"})
     for m, tuples in shapes.items():
         for ns in tuples:
             todo = viable(ns)
             if not todo:
                 continue
             for j in range(m - 1):
-                for ca in reps:
-                    alpha = model.basis_class(ca)
-                    diff = lemma_ks_part_ii(fock, ns, j, alpha, on_probes)
+                for ai, alpha in enumerate(classes):
+                    words = _part_ii_words(fock, ns, j, alpha)
                     for vi in todo:
                         checked += 1
-                        if not diff(vi).is_zero():
-                            note("ii", ns=ns, j=j, alpha=model.basis[ca].name)
+                        if _defect([(on_probes(word, cls, vi), c)
+                                    for word, cls, c in words])[0]:
+                            if len(witnesses) < MAX_WITNESSES:
+                                witnesses.append({"ns": ns, "j": j,
+                                                  "alpha": names[ai], "part": "ii"})
                             break
     return {"ok": not witnesses, "instances_checked": checked,
             "witnesses": witnesses}

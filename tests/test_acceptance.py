@@ -37,6 +37,8 @@ def test_criterion_02_transposition_oracle(models):
     record_criterion(2, "transposition/contraction oracle", ok,
                      f"{checked} checks")
     assert ok, {k: r["witnesses"] for k, r in reports.items() if not r["ok"]}
+    assert {k: r["instances_checked"] for k, r in reports.items()} == {
+        "toy_b2_1": 81480, "cotangent_g1": 754908}
 
 
 def test_criterion_03_expansion_oracle(models):

@@ -109,3 +109,36 @@ def test_damaged_entry_is_a_miss(tmp_path, c2_table):
     again, report_again = run()
     assert again == fresh and report_again == report
     assert entry.read_text(encoding="utf-8") == fresh
+
+
+def test_failed_store_keeps_the_table(tmp_path, monkeypatch, capsys):
+    """A cache root that is a regular file costs one warning, not the
+    computed table: --out is written and the command exits 0."""
+    root = tmp_path / "not-a-dir"
+    root.write_text("", encoding="utf-8")
+    monkeypatch.setenv("HILBFOCK_CACHE_DIR", str(root))
+    model = builtin_model("c2")
+    out = tmp_path / "t.json"
+    assert main(["structure-constants", "--model", "c2", "--n", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == \
+        RingEngine(model).structure_constants(2).render(model)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: cache not written: ")
+    assert "Not a directory" in err[0]
+
+
+def test_failed_store_removes_its_temp_file(tmp_path, monkeypatch, capsys):
+    """A write that fails after the temp file exists removes it."""
+    monkeypatch.setenv("HILBFOCK_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(cache.os, "replace", refuse)
+    key = cache.cache_key("abc", "structure-table", n=3)
+    cache.store(key, '{"n": 1}\n')
+    assert list((tmp_path / key[:2]).iterdir()) == []
+    assert cache.load(key) is None
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cache not written: ") and err.count("\n") == 1

@@ -270,11 +270,44 @@ def test_lemma_ks_sweep_catches_injected_faults(models, monkeypatch):
     assert not rep["ok"] and {w["part"] for w in rep["witnesses"]} == {"ii"}
 
 
+def _part_i_witness(ns, ms, alpha, beta):
+    return {"ns": ns, "ms": ms, "alpha": alpha, "beta": beta, "part": "i"}
+
+
+def test_lemma_ks_failing_report_keeps_sweep_order(models, monkeypatch):
+    """Part (i) decides each instance with its swap, yet a failing sweep
+    reports its witnesses and counts exactly as a one-instance-at-a-time
+    sweep does.  A sweep that noted a swap's failure as soon as it decided
+    the pair would list ([-1], [1], x, 1) second, right after its partner
+    ([1], [-1], 1, x)."""
+    toy = models("toy_b2_1")
+    real_init = FockSpace.__init__
+
+    def doubled_kappa(self, model, s=None):
+        real_init(self, model, s)
+        self.kappa = 2 * self.kappa
+
+    monkeypatch.setattr(FockSpace, "__init__", doubled_kappa)
+    witnesses = [_part_i_witness((1,), (-1,), "1", "x"),
+                 _part_i_witness((1,), (-1,), "h", "h"),
+                 _part_i_witness((1,), (-1,), "x", "1"),
+                 _part_i_witness((-1,), (1,), "1", "x"),
+                 _part_i_witness((-1,), (1,), "h", "h")]
+    assert verify_lemma_ks(toy, 3, 3) == {
+        "ok": False, "instances_checked": 3162, "witnesses": witnesses}
+    assert verify_lemma_ks(toy, 5, 4) == {
+        "ok": False, "instances_checked": 15356, "witnesses": witnesses}
+
+
 def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
     """No (word, class, probe vector) triple goes through the integer word
-    kernel twice in one sweep, and the memo leaves the instance count as it
-    was without it."""
+    kernel twice in one sweep, no composed product (outer word, class, inner
+    word, class, probe) is computed twice, and neither the probe memo nor
+    the pairing of each part (i) instance with its swap moves the instance
+    count."""
     probes = []
+    inner = {}      # id of an inner image's terms -> (terms, word, class key, probe)
+    plans = {}      # id of a plan's operator list -> (ops, word, class key)
     real_lift = vertex.lift
 
     def recording_lift(v):
@@ -283,28 +316,55 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
         return got
 
     on_probes = Counter()
+    composed = Counter()
     calls = Counter()
     real_kernel = FockSpace.word_int
+    real_plan = FockSpace.word_plan
+    real_run = FockSpace.run_word
 
     def counting_kernel(self, word, cls, vec):
         calls["all"] += 1
+        got = real_kernel(self, word, cls, vec)
         for vi, probe in enumerate(probes):
             if vec is probe:
                 on_probes[(word, cls.key(), vi)] += 1
-        return real_kernel(self, word, cls, vec)
+                inner[id(got[0])] = (got[0], word, cls.key(), vi)
+        return got
+
+    def recording_plan(self, indices, cls, drop=frozenset()):
+        got = real_plan(self, indices, cls, drop)
+        plans[id(got[0])] = (got[0], indices, cls.key())
+        return got
+
+    def counting_run(self, ops, tensor, terms, out, scale=1):
+        src = inner.get(id(terms))
+        if src is not None and src[0] is terms:
+            # an outer word on the image of a probe: one composed product
+            calls["all"] += 1
+            plan = plans[id(ops)]
+            assert plan[0] is ops
+            composed[plan[1:] + src[1:]] += 1
+        return real_run(self, ops, tensor, terms, out, scale)
 
     monkeypatch.setattr(vertex, "lift", recording_lift)
     monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
-    # instances as counted without the memo, which made 17,316 and 47,848
-    # word calls; every word call, on a probe or not, is one kernel call
-    for name, checked, applied in (("toy_b2_1", 4200, 7351),
-                                   ("odd_toy", 11320, 20318)):
+    monkeypatch.setattr(FockSpace, "word_plan", recording_plan)
+    monkeypatch.setattr(FockSpace, "run_word", counting_run)
+    # instances as counted without the probe memo, which made 17,316 and
+    # 47,848 word calls, and before the pairing, which made 7,351 and 20,318;
+    # the total counts every word_int call, the probes' own construction
+    # included, and every outer word applied to the image of a probe
+    for name, checked, applied in (("toy_b2_1", 4200, 3289),
+                                   ("odd_toy", 11320, 7730)):
         probes.clear()
+        inner.clear()
         on_probes.clear()
+        composed.clear()
         calls.clear()
         rep = verify_lemma_ks(models(name), ksum_max=5, weight_max=3)
         assert rep["ok"] and rep["instances_checked"] == checked
         assert on_probes and max(on_probes.values()) == 1
+        assert composed and max(composed.values()) == 1
         assert calls["all"] == applied
 
 
