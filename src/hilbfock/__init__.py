@@ -10,8 +10,7 @@ from .rational import Q
 from .ring import FHRing, LehnEngine, RingEngine, StructureTable
 from .surface import BasisElement, GradedClass, SurfaceModel, validate_model
 from .vertex import (OperatorExpression, SparsePolynomial, apply_operator,
-                     chern_class, chern_operator, lehn_apply, lemma_ks_part_i,
-                     lemma_ks_part_ii, phi_map)
+                     chern_class, chern_operator, lehn_apply, phi_map)
 
 __version__ = "0.2.0"
 
@@ -22,6 +21,5 @@ __all__ = [
     "RingEngine", "SparsePolynomial", "StructureTable", "SurfaceModel",
     "UnknownCoefficientsError", "WeightError", "apply_operator",
     "builtin_model", "chern_class", "chern_operator", "lehn_apply",
-    "lemma_ks_part_i", "lemma_ks_part_ii", "load_model", "phi_map",
-    "validate_model",
+    "load_model", "phi_map", "validate_model",
 ]

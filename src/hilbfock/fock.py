@@ -18,11 +18,12 @@ FockSpace.run_word is the one operator-word loop, and it runs on Python
 ints.  The model stores its pairing as integer numerators pair_num over one
 denominator pair_den, so the raw annihilator multiplies by m * pair_num
 only, and every annihilation owes the same rational factor
-ann_scale = kappa / pair_den.  word_plan resolves a word once (raw
-operators, integer Kuenneth tensor, scale ann_scale^(#annihilations) /
-den_tau), and it alone applies a caller's label filter to the tensor.
-word_int runs a word on a scaled integer vector (terms, num, den), worth
-terms * num / den, and returns one; apply_word_tau is its rational wrapper.
+ann_scale = kappa / pair_den.  word_plan resolves a word (raw operators,
+integer Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once
+per Fock space: it is the one cache of resolved words, and it alone applies
+a caller's label filter to the tensor.  word_int runs a word on a scaled
+integer vector (terms, num, den), worth terms * num / den, and returns one;
+apply_word_tau is its rational wrapper.
 The transposition oracle, the lambda-sum kernel and the ring engine stay in
 integers and meet the rationals only in their results.
 
@@ -36,7 +37,7 @@ from functools import cache
 from math import factorial
 
 from .errors import EngineError, WeightError
-from .linalg import LinearCombination, row_add_scaled
+from .linalg import LinearCombination, memoized, row_add_scaled
 from .partitions import enumerate_partition_functions, unit_normalization
 from .rational import ONE, Q, integer_lift, qstr
 
@@ -182,21 +183,24 @@ class FockSpace:
         ops, tensor, num_w, den_w = self.word_plan(indices, cls)
         return self.run_word(ops, tensor, terms, {}), num * num_w, den * den_w
 
+    @memoized
     def word_plan(self, indices, cls, drop=frozenset()):
-        """A word of k >= 1 factors resolved once, as (ops, tensor, num, den):
-        the raw operator of each factor, rightmost first, the integer
-        Kuenneth tensor, and the scale num / den of its images.  The
-        creations left of the first annihilation act last, so a label they
-        create stays in every monomial they make: the slot tuples that
+        """A word of k >= 1 factors resolved once per Fock space, as (ops,
+        tensor, num, den): the raw operator of each factor, rightmost first,
+        the integer Kuenneth tensor, and the scale num / den of its images.
+        The creations left of the first annihilation act last, so a label
+        they create stays in every monomial they make: the slot tuples that
         create a label of drop there are left out, over the denominator of
         the whole tensor.  Pass the labels that the caller's reduction
-        deletes anyway."""
+        deletes anyway.  ops holds the functions of the class, not methods
+        bound to this space, so the memo makes no reference cycle and a
+        dropped space is freed at once."""
         k = len(indices)
         den_t, tensor = self.model.int_tensor(cls, k)
         if drop:
             lead = next((j for j, i in enumerate(indices) if i > 0), k)
             tensor = [(w, slots) for w, slots in tensor if drop.isdisjoint(slots[:lead])]
-        ops = [(self.create_raw, -i) if i < 0 else (self.annihilate_raw, i)
+        ops = [(FockSpace.create_raw, -i) if i < 0 else (FockSpace.annihilate_raw, i)
                for i in reversed(indices)]
         ann = sum(1 for i in indices if i > 0)
         return (ops, tensor, self.ann_scale.numerator ** ann,
@@ -208,7 +212,7 @@ class FockSpace:
         for w, slots in tensor:
             cur = terms
             for (op, n), c in zip(ops, reversed(slots)):
-                cur = op(n, c, cur)
+                cur = op(self, n, c, cur)
                 if not cur:
                     break
             else:

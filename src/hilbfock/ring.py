@@ -303,12 +303,21 @@ class RingEngine:
 # -- verifiers -------------------------------------------------------------------
 
 
+def _require_products(basis, n):
+    """A sweep over the products of the level-n classes checks nothing when
+    b_empty is the only one: b_empty . b_empty = b_empty by construction."""
+    if len(basis) < 2:
+        raise ValueError(f"level {n} has no class but b_empty, so a range from it "
+                         "checks only b_empty . b_empty = b_empty; start it higher")
+
+
 def verify_n_independence(engine, n_values):
     """Exact cross-level equality of all structure constants defined on the
     whole range."""
     ns = sorted(n_values)
-    tables = {n: engine.structure_constants(n) for n in ns}
     shared = engine.basis(ns[0])
+    _require_products(shared, ns[0])
+    tables = {n: engine.structure_constants(n) for n in ns}
     shared_set = set(shared)
     witnesses = []
     checked = 0
@@ -435,6 +444,7 @@ def verify_polynomiality(model, n_values, bound_max=4):
         by_cost = targets.setdefault(degree(nu), {})
         by_cost[cost[nu]] = by_cost.get(cost[nu], 0) + 1
     base = engine.basis(ns[0])
+    _require_products(base, ns[0])
     witnesses = []
     fitted = 0
     for rho in base:

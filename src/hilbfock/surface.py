@@ -101,7 +101,6 @@ class SurfaceModel:
         self.pair_num = [nums[i * self.dim:(i + 1) * self.dim] for i in range(self.dim)]
         self.gram_inv = self._invert_pairing()
         self.ideal_pivots = self._saturate_ideal()
-        self._int_tensors = {}
         self._valid = False
         self.content_hash = hashlib.sha256(
             json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
@@ -260,19 +259,14 @@ class SurfaceModel:
             row_add_scaled(out, self.tau_basis(b, k), coeff)
         return [(w, slots) for slots, w in out.items()]
 
+    @memoized
     def int_tensor(self, a, k):
         """tau_{k*}(a) for k >= 1 as (den, [(integer weight, slots), ...]):
         the diagonal_pushforward weights are the integers divided by den.
         Built once per (class, k) on this model object."""
-        # hand-rolled: the key is the canonical form a.key(), not the class
-        key = (a.key(), k)
-        cached = self._int_tensors.get(key)
-        if cached is None:
-            tensor = self.diagonal_pushforward(a, k)
-            den, nums = integer_lift([w for w, _ in tensor])
-            cached = (den, [(num, slots) for num, (_, slots) in zip(nums, tensor)])
-            self._int_tensors[key] = cached
-        return cached
+        tensor = self.diagonal_pushforward(a, k)
+        den, nums = integer_lift([w for w, _ in tensor])
+        return den, [(num, slots) for num, (_, slots) in zip(nums, tensor)]
 
     def euler_from_pairing(self):
         """m(tau_{2*}(1)): the class the normal-ordering calculus sees as the

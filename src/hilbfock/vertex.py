@@ -20,13 +20,13 @@ term once per part multiset (OperatorExpression.plan), and apply_operator
 is its rational wrapper.  A caller whose reduction deletes some labels
 passes them to operator_int as drop; the plan hands them on to
 FockSpace.word_plan, the one place that filters a Kuenneth tensor.  The
-oracles below run every word on scaled integer vectors: through
-FockSpace.word_int, or, for the outer words of the lemma-ks sweep, through
-plans the sweep resolves once and FockSpace.run_word.
+oracles below run every word on scaled integer vectors through
+FockSpace.word_int, over the plans its Fock space keeps.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import factorial, lcm
 
@@ -212,77 +212,26 @@ def _defect(pieces):
                     for (terms, num, den), (cn, cd) in pieces if terms])
 
 
-def _as_vector(defect):
-    """The FockVector of a _defect result."""
-    out, den = defect
-    return FockVector({mono: Q(c, den) for mono, c in out.items()})
+def _part_i_terms(fock, ns, ms):
+    """The contracted words of part (i) for one instance, each with its
+    coefficient kappa * n_t as an integer ratio; they act with the class
+    alpha.beta."""
+    return [(ms[:j] + ns[:t] + ns[t + 1:] + ms[j + 1:],
+             (fock.kappa * nt).as_integer_ratio())
+            for t, nt in enumerate(ns) for j, mj in enumerate(ms) if nt == -mj]
 
 
-def _part_i_terms(fock, ns, ms, alpha, beta):
-    """The coefficients of part (i) for one instance, as (sign, ab,
-    contractions): the super-commutation sign of alpha and beta, the class
-    ab = alpha.beta of the contracted words, and each contracted word with
-    its coefficient kappa * n_t as an integer ratio."""
-    model = fock.model
-    sign = (-1) ** (model.class_parity(alpha) * model.class_parity(beta))
-    contractions = [(ms[:j] + ns[:t] + ns[t + 1:] + ms[j + 1:],
-                     (fock.kappa * nt).as_integer_ratio())
-                    for t, nt in enumerate(ns) for j, mj in enumerate(ms) if nt == -mj]
-    return sign, model.mul(alpha, beta), contractions
-
-
-def _part_i_defect(nm, mn, sign, contracted):
-    """Part (i)'s rhs - lhs on one vector v, as in _defect, from the composed
-    products nm = W_ns(alpha) W_ms(beta) v and mn = W_ms(beta) W_ns(alpha) v
-    and the contracted words' images paired with their coefficients."""
-    return _defect([(nm, (-1, 1)), (mn, (sign, 1))] + contracted)
-
-
-def lemma_ks_part_i(fock, ns, ms, alpha, beta):
-    """Contraction formula for [a_{n_1}..a_{n_k}(tau alpha), a_{m_1}..a_{m_s}(tau beta)].
-
-    Returns a function of a FockVector computing rhs - lhs as a FockVector,
-    empty iff the oracle matches on that vector.  Every word runs through
-    fock.word_int on the lifted vector, the outer words on the integer
-    images of the inner ones; the coefficients are fixed once per instance
-    by _part_i_terms, which verify_lemma_ks shares."""
-    sign, ab, contractions = _part_i_terms(fock, ns, ms, alpha, beta)
-
-    def difference(v):
-        vec = lift(v)
-        nm = fock.word_int(ns, alpha, fock.word_int(ms, beta, vec))
-        mn = fock.word_int(ms, beta, fock.word_int(ns, alpha, vec))
-        contracted = [(fock.word_int(word, ab, vec), c) for word, c in contractions]
-        return _as_vector(_part_i_defect(nm, mn, sign, contracted))
-
-    return difference
-
-
-def _part_ii_words(fock, ns, j, alpha):
+def _part_ii_words(fock, ns, j, alpha, e_alpha):
     """The words of part (ii) with their coefficients, as (word, class,
-    (cn, cd)): the word, its j-th adjacent transposition, and the Euler-class
-    correction when the two swapped indices cancel."""
-    model = fock.model
+    (cn, cd)): the word, its j-th adjacent transposition, and, with the
+    class e_alpha = e.alpha, the Euler-class correction when the two
+    swapped indices cancel."""
     words = [(ns, alpha, (-1, 1)),
              (ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:], alpha, (1, 1))]
     if ns[j] == -ns[j + 1]:
-        words.append((ns[:j] + ns[j + 2:], model.mul(model.euler, alpha),
+        words.append((ns[:j] + ns[j + 2:], e_alpha,
                       (fock.kappa * ns[j]).as_integer_ratio()))
     return words
-
-
-def lemma_ks_part_ii(fock, ns, j, alpha):
-    """Adjacent transposition inside a_{n_1}..a_{n_k}(tau alpha) with the
-    Euler-class correction.  Returns the defect function of a FockVector,
-    with every word run as in lemma_ks_part_i."""
-    words = _part_ii_words(fock, ns, j, alpha)
-
-    def difference(v):
-        vec = lift(v)
-        return _as_vector(_defect([(fock.word_int(word, cls, vec), c)
-                                   for word, cls, c in words]))
-
-    return difference
 
 
 def nested_commutator_apply(fock, op_apply, op_parity, creations, v):
@@ -396,70 +345,62 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     probe family.
 
     The sweep runs in scaled integer vectors and decides each defect from
-    its integer sum.  Each probe is lifted once, and words that act on a
-    probe itself are applied once per sweep: a memo local to this call,
-    keyed on (word, class key, probe index), holds their integer images.
-    Part (i) decides each instance (ns, ms, alpha, beta) together with its
-    swap (ms, ns, beta, alpha), which has the same probes and the same two
-    composed products W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v:
-    the pair computes each once per probe and holds no others, running the
-    outer words through plans resolved once per sweep.  Each member counts
+    its integer sum.  Every word runs through FockSpace.word_int, whose
+    plans the Fock space resolves once per (word, class), on classes built
+    once per sweep, one object for equal ones: the representatives, their
+    products and their Euler multiples.  Each probe is lifted once, and a word that acts on a probe
+    itself is applied once per sweep.  Part (i) decides each instance
+    (ns, ms, alpha, beta) together with its swap (ms, ns, beta, alpha),
+    which has the same probes and the same two composed products
+    W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v: the pair
+    computes each once per probe and holds no others.  Each member counts
     its probes up to its first failure, as it would alone, and part (i)'s
     failures are put back in sweep order before part (ii)'s follow."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
-    classes = [model.basis_class(c) for c in reps]
+    shared = {}
+
+    def one(cls):
+        # equal classes share one object, so the memos match them by identity
+        return shared.setdefault(cls, cls)
+
+    classes = [one(model.basis_class(c)) for c in reps]
+    products = [[one(model.mul(a, b)) for b in classes] for a in classes]
+    euler = [one(model.mul(model.euler, a)) for a in classes]
+    parities = [model.class_parity(a) for a in classes]
     names = [model.basis[c].name for c in reps]
     witnesses = []
     checked = 0
     lifted = [lift(v) for v in vecs]
-    memo = {}
-    plans = {}
     failures = []   # part (i): (sweep position, instance)
 
-    # hand-rolled: keyed on cls.key(), since the sweep builds fresh class
-    # objects and hashing those would pay GradedClass.__eq__ on every hit
+    @cache
     def on_probes(word, cls, vi):
-        key = (word, cls.key(), vi)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = fock.word_int(word, cls, lifted[vi])
-        return out
-
-    def outer(word, ci, vec):
-        # word_int of word and classes[ci] on an image of a probe
-        terms, num, den = vec
-        if not terms:
-            return vec
-        plan = plans.get((word, ci))
-        if plan is None:
-            plan = plans[word, ci] = fock.word_plan(word, classes[ci])
-        ops, tensor, num_w, den_w = plan
-        return fock.run_word(ops, tensor, terms, {}), num * num_w, den * den_w
+        return fock.word_int(word, cls, lifted[vi])
 
     def decide_pair(ns, ms, ai, bi, positions, todo):
         # decides the instance (ns, ms, ai, bi) at positions[0] and, given a
         # second position, its swap (ms, ns, bi, ai) there; returns the
         # probes checked over both
+        sign = -1 if parities[ai] and parities[bi] else 1
         live = []
         for swapped, pos in enumerate(positions):
             inst = (ms, ns, bi, ai) if swapped else (ns, ms, ai, bi)
             x, y, a, b = inst
-            live.append((pos, inst, swapped)
-                        + _part_i_terms(fock, x, y, classes[a], classes[b]))
+            live.append((pos, inst, swapped, products[a][b], _part_i_terms(fock, x, y)))
         count = 0
         for vi in todo:
-            nm = outer(ns, ai, on_probes(ms, classes[bi], vi))
+            nm = fock.word_int(ns, classes[ai], on_probes(ms, classes[bi], vi))
             mn = (nm if len(positions) == 1
-                  else outer(ms, bi, on_probes(ns, classes[ai], vi)))
+                  else fock.word_int(ms, classes[bi], on_probes(ns, classes[ai], vi)))
             for member in list(live):
-                pos, inst, swapped, sign, ab, contractions = member
+                pos, inst, swapped, ab, contractions = member
                 count += 1
                 lead, trail = (mn, nm) if swapped else (nm, mn)
                 contracted = [(on_probes(word, ab, vi), c) for word, c in contractions]
-                if _part_i_defect(lead, trail, sign, contracted)[0]:
+                if _defect([(lead, (-1, 1)), (trail, (sign, 1))] + contracted)[0]:
                     failures.append((pos, inst))
                     live.remove(member)
             if not live:
@@ -501,7 +442,7 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
                 continue
             for j in range(m - 1):
                 for ai, alpha in enumerate(classes):
-                    words = _part_ii_words(fock, ns, j, alpha)
+                    words = _part_ii_words(fock, ns, j, alpha, euler[ai])
                     for vi in todo:
                         checked += 1
                         if _defect([(on_probes(word, cls, vi), c)
@@ -627,10 +568,13 @@ def lehn_apply(k, poly):
     """The degree-preserving differential operator
     (-1)^k/(k+1)! sum q_{n_1+..+n_{k+1}} d_{n_1}..d_{n_{k+1}} with d_i = i d/dq_i.
 
-    Only tuples supported on the exponents of poly act; the sum is finite.
+    Only tuples supported on the exponents of poly act; the sum is finite,
+    and empty when k + 1 passes every monomial's total exponent.
     """
     if k < 0:
         raise ValueError(f"the operator degree k must be nonnegative, got {k}")
+    if all(sum(e for _, e in mono) <= k for mono in poly.terms):
+        return SparsePolynomial()
     lead = Q((-1) ** k, factorial(k + 1))
     out = {}
     # depth-first over the choices of d_{n_1}, .., d_{n_{k+1}}, kept on an

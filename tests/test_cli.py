@@ -367,7 +367,8 @@ def test_product_negative_level():
 
 
 def test_lehn_apply_deep_operator(tmp_path):
-    """k + 1 derivatives past the interpreter's recursion limit."""
+    """k + 1 derivatives past the interpreter's recursion limit, and past
+    the total exponent, where the image is zero without (k + 1)! formed."""
     poly = tmp_path / "p.json"
     poly.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": {"1": 3000}}]}))
     for k in ("990", "1500"):
@@ -376,6 +377,9 @@ def test_lehn_apply_deep_operator(tmp_path):
         assert "Traceback" not in res.stderr
         terms = json.loads(res.stdout)["details"]["image"]["terms"]
         assert [t["monomial"] for t in terms] == [{"1": 2999 - int(k), str(int(k) + 1): 1}]
+    res = run_cli("lehn-apply", "--k", "1000000000000", "--poly", str(poly))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["details"]["image"] == {"terms": []}
 
 
 def test_hostile_inputs_exit_2(tmp_path):
@@ -429,6 +433,16 @@ def test_hostile_inputs_exit_2(tmp_path):
     for vid in ("ideal", "ideal-generators", "c2-quotient", "ring-isom"):
         res = run_cli("verify", vid, "--model", "c2", "--n", "0..1")
         assert res.returncode == 0 and '"status":"pass"' in res.stdout, res.stderr
+
+    # a range whose lowest level holds b_empty alone compares only
+    # b_empty . b_empty = b_empty
+    for vid, name, levels in (("n-independence", "c2", "1..2"),
+                              ("orb-n-independence", "c2", "0..1"),
+                              ("mod-h4-independence", "toy_b2_1", "0..1"),
+                              ("polynomiality", "toy_b2_1", "0..2")):
+        res = run_cli("verify", vid, "--model", name, "--n", levels)
+        assert_usage_error(res)
+        assert f"level {levels[0]} has no class but b_empty" in res.stderr
 
     # an integer bound above the reach: rejected before any enumeration
     for vid, model, option in (("lemma-ks", "odd_toy", "--max-weight"),

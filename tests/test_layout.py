@@ -38,6 +38,32 @@ def test_no_function_cache_on_methods():
     assert not offenders, "functools cache on a method: " + ", ".join(offenders)
 
 
+def _is_empty_dict(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict" \
+        and not value.args and not value.keywords
+
+
+def test_no_hand_written_memo():
+    """Every engine memo is linalg.memoized.  An __init__ that sets a
+    private attribute to an empty dict starts a memo by hand; a public
+    one, such as Echelon.rows, holds the object's data."""
+    offenders = []
+    for fname, tree in _trees().items():
+        for init in ast.walk(tree):
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                if isinstance(node, ast.Assign) and _is_empty_dict(node.value):
+                    offenders += [f"self.{t.attr} ({fname}:{node.lineno})"
+                                  for t in node.targets
+                                  if isinstance(t, ast.Attribute)
+                                  and getattr(t.value, "id", None) == "self"
+                                  and t.attr.startswith("_")]
+    assert not offenders, "hand-written memo: " + ", ".join(offenders)
+
+
 def test_every_definition_is_referenced_in_src():
     defined = {}
     used = set()

@@ -264,6 +264,11 @@ def test_n_independence_small(engines):
     assert rep["ok"] and rep["triples_checked"] == 8
     rep = verify_n_independence(engines("ale_2"), [2, 3])
     assert rep["ok"]
+    # level 1 on c2 and level 0 everywhere hold b_empty alone: a range from
+    # there would compare only b_empty . b_empty = b_empty
+    for engine, levels in ((engines("c2"), [1, 2]), (engines("ale_2"), [0, 1])):
+        with pytest.raises(ValueError, match="level .* has no class but b_empty"):
+            verify_n_independence(engine, levels)
 
 
 def test_mod_h4_gates(models):
@@ -307,6 +312,8 @@ def test_fit_polynomial_nontrivial(engines):
 def test_polynomiality_gate(models):
     with pytest.raises(ModelError):
         verify_polynomiality(models("c2"), range(3, 10))
+    with pytest.raises(ValueError, match="level 0 has no class but b_empty"):
+        verify_polynomiality(models("toy_b2_1"), range(0, 3))
 
 
 def per_triple_polynomiality(model, n_values, bound_max=4):

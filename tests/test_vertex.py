@@ -1,6 +1,9 @@
 """Degree-shift operators, their oracles, and the polynomial-side operators."""
 
+import gc
+import weakref
 from collections import Counter
+from functools import wraps
 from math import factorial
 
 import pytest
@@ -11,16 +14,15 @@ from conftest import reduce
 from hilbfock import vertex
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
-from hilbfock.linalg import row_add_scaled
+from hilbfock.linalg import memoized, row_add_scaled
 from hilbfock.partitions import (GenPartition, PartitionFunction,
                                  partitions_with_length)
 from hilbfock.rational import Q
 from hilbfock.ring import RingEngine
 from hilbfock.vertex import (EULER, K_IDEAL, MAIN, SparsePolynomial,
                              apply_operator, chern_class, chern_operator,
-                             lehn_apply, lemma_ks_part_i, lemma_ks_part_ii,
-                             nonsense1_expansion, operator_int, phi_map,
-                             verify_lemma_ks, verify_nonsense1)
+                             lehn_apply, nonsense1_expansion, operator_int,
+                             phi_map, verify_lemma_ks, verify_nonsense1)
 
 
 def known_part(fock, op, v):
@@ -205,25 +207,35 @@ def test_operator_commutativity(models):
 
 
 def test_lemma_ks_base_case(models):
+    """The weight-5 sweep on odd_toy decides the base instances
+    ((1,), (-1,), u, v) on the vacuum, on 1_{-2} and on a_{-1}(u) 1_{-1},
+    and the pure super-commutation ((2,), (3,), u, u), whose indices do not
+    match, on every probe of weight 5."""
     model = models("odd_toy")
     f = FockSpace(model)
     u = model.basis_class(1)
-    v3 = model.basis_class(2)
-    diff = lemma_ks_part_i(f, (1,), (-1,), u, v3)
-    for vec in (f.vacuum(), f.unit(2), f.apply_heisenberg(-1, u, f.unit(1))):
-        assert diff(vec).is_zero()
-    # no matching indices: pure super-commutation
-    diff = lemma_ks_part_i(f, (2,), (3,), u, u)
-    assert diff(f.unit(4)).is_zero()
+    assert {1, 2} <= set(vertex._class_reps(model))
+    assert {(1, -1), (2, 3)} <= set(vertex._signed_tuples(2, 5, 5))
+    probes = vertex._probe_vectors(f, 5)
+    for vec in (f.vacuum(), f.unit(2), f.apply_heisenberg(-1, u, f.unit(1)), f.unit(5)):
+        assert vec in probes
+    assert verify_lemma_ks(model, 2, 5) == {
+        "ok": True, "instances_checked": 15200, "witnesses": []}
 
 
 def test_lemma_ks_part_ii_euler_correction(models):
+    """The sweep decides the transposition of a_1 a_{-1}(1), which needs
+    the Euler-class correction, on the vacuum, 1_{-1} and 1_{-3}."""
     model = models("toy_b2_1")   # e = 3x: the correction term is visible
     f = FockSpace(model)
     one = model.basis_class(0)
-    diff = lemma_ks_part_ii(f, (1, -1), 0, one)
+    assert 0 in vertex._class_reps(model)
+    assert (1, -1) in set(vertex._signed_tuples(2, 3, 3))
+    probes = vertex._probe_vectors(f, 3)
     for vec in (f.vacuum(), f.unit(1), f.unit(3)):
-        assert diff(vec).is_zero()
+        assert vec in probes
+    assert verify_lemma_ks(model, 2, 3) == {
+        "ok": True, "instances_checked": 1776, "witnesses": []}
     # and the correction really is nonzero: dropping it breaks the identity
     swapped = f.apply_word_tau((-1, 1), one, f.unit(2))
     plain = f.apply_word_tau((1, -1), one, f.unit(2))
@@ -302,12 +314,11 @@ def test_lemma_ks_failing_report_keeps_sweep_order(models, monkeypatch):
 def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
     """No (word, class, probe vector) triple goes through the integer word
     kernel twice in one sweep, no composed product (outer word, class, inner
-    word, class, probe) is computed twice, and neither the probe memo nor
-    the pairing of each part (i) instance with its swap moves the instance
-    count."""
+    word, class, probe) is computed twice, word_plan resolves each (word,
+    class) once per sweep, and neither the probe memo nor the pairing of
+    each part (i) instance with its swap moves the instance count."""
     probes = []
     inner = {}      # id of an inner image's terms -> (terms, word, class key, probe)
-    plans = {}      # id of a plan's operator list -> (ops, word, class key)
     real_lift = vertex.lift
 
     def recording_lift(v):
@@ -317,10 +328,10 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
 
     on_probes = Counter()
     composed = Counter()
+    resolved = Counter()
     calls = Counter()
     real_kernel = FockSpace.word_int
-    real_plan = FockSpace.word_plan
-    real_run = FockSpace.run_word
+    real_plan = FockSpace.word_plan.__wrapped__
 
     def counting_kernel(self, word, cls, vec):
         calls["all"] += 1
@@ -329,43 +340,63 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
             if vec is probe:
                 on_probes[(word, cls.key(), vi)] += 1
                 inner[id(got[0])] = (got[0], word, cls.key(), vi)
-        return got
-
-    def recording_plan(self, indices, cls, drop=frozenset()):
-        got = real_plan(self, indices, cls, drop)
-        plans[id(got[0])] = (got[0], indices, cls.key())
-        return got
-
-    def counting_run(self, ops, tensor, terms, out, scale=1):
-        src = inner.get(id(terms))
-        if src is not None and src[0] is terms:
+        src = inner.get(id(vec[0]))
+        if src is not None and src[0] is vec[0]:
             # an outer word on the image of a probe: one composed product
-            calls["all"] += 1
-            plan = plans[id(ops)]
-            assert plan[0] is ops
-            composed[plan[1:] + src[1:]] += 1
-        return real_run(self, ops, tensor, terms, out, scale)
+            composed[(word, cls.key()) + src[1:]] += 1
+        return got
+
+    @wraps(real_plan)
+    def counting_plan(self, indices, cls, drop=frozenset()):
+        resolved[(indices, cls.key(), drop)] += 1
+        return real_plan(self, indices, cls, drop)
 
     monkeypatch.setattr(vertex, "lift", recording_lift)
     monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
-    monkeypatch.setattr(FockSpace, "word_plan", recording_plan)
-    monkeypatch.setattr(FockSpace, "run_word", counting_run)
+    monkeypatch.setattr(FockSpace, "word_plan", memoized(counting_plan))
     # instances as counted without the probe memo, which made 17,316 and
     # 47,848 word calls, and before the pairing, which made 7,351 and 20,318;
     # the total counts every word_int call, the probes' own construction
-    # included, and every outer word applied to the image of a probe
-    for name, checked, applied in (("toy_b2_1", 4200, 3289),
-                                   ("odd_toy", 11320, 7730)):
+    # and the outer words on the images of probes, empty ones too, included
+    for name, checked, applied, plans in (("toy_b2_1", 4200, 4201, 76),
+                                          ("odd_toy", 11320, 11262, 100)):
         probes.clear()
         inner.clear()
-        on_probes.clear()
-        composed.clear()
-        calls.clear()
+        for counter in (on_probes, composed, resolved, calls):
+            counter.clear()
         rep = verify_lemma_ks(models(name), ksum_max=5, weight_max=3)
         assert rep["ok"] and rep["instances_checked"] == checked
         assert on_probes and max(on_probes.values()) == 1
         assert composed and max(composed.values()) == 1
-        assert calls["all"] == applied
+        assert resolved and max(resolved.values()) == 1
+        assert calls["all"] == applied and sum(resolved.values()) == plans
+
+
+def test_a_dropped_fock_space_is_freed_without_the_collector(models, monkeypatch):
+    """The plan memo holds the functions of FockSpace, not methods bound to
+    its space, so neither a dropped engine nor a finished sweep leaves a
+    reference cycle: reference counting alone frees every Fock space."""
+    spaces = []
+    real_init = FockSpace.__init__
+
+    def recording_init(self, model, s=None):
+        real_init(self, model, s)
+        spaces.append(weakref.ref(self))
+
+    monkeypatch.setattr(FockSpace, "__init__", recording_init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = RingEngine(models("c2"))
+        engine.structure_constants(3)
+        del engine
+        assert verify_lemma_ks(models("toy_b2_1"), 3, 3)["ok"]
+        # read before the collector is back: its first allocation may run it
+        alive = [ref() is not None for ref in spaces]
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == [False, False]
 
 
 def test_nonsense1_two_term_case(models):
@@ -398,6 +429,12 @@ def test_lehn_examples():
     q1sq = SparsePolynomial.monomial({1: 2})
     assert lehn_apply(1, q1sq) == SparsePolynomial.monomial({2: 1}, -1)
     assert lehn_apply(1, SparsePolynomial.monomial({2: 1})).is_zero()
+    # k + 1 = 3 derivatives need a total exponent of at least 3
+    assert lehn_apply(2, q1sq).is_zero()
+    assert lehn_apply(2, SparsePolynomial.monomial({1: 3})) == \
+        SparsePolynomial.monomial({3: 1})
+    assert lehn_apply(2, q1sq + SparsePolynomial.monomial({1: 3})) == \
+        SparsePolynomial.monomial({3: 1})
 
 
 def brute_lehn(k, poly, cap=8):
