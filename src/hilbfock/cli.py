@@ -16,17 +16,16 @@ import time
 
 from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
-from .fock import FockSpace, heisenberg_witnesses
+from .fock import FockSpace, verify_heisenberg
 from .models import load_model
 from .partitions import PartitionFunction
 from .rational import parse_q, qstr
 from .reports import RunReport
 from .ring import (RingEngine, fit_polynomial_in_n, verify_a_homomorphism,
                    verify_affine_plane_quotient, verify_fh_ring,
-                   verify_ideal_suite, verify_marker_vanishing,
-                   verify_mod_h4_independence, verify_n_independence,
-                   verify_orb_n_independence, verify_polynomiality,
-                   verify_ring_isomorphism)
+                   verify_ideal_suite, verify_mod_h4_independence,
+                   verify_n_independence, verify_orb_n_independence,
+                   verify_polynomiality, verify_ring_isomorphism)
 from .surface import validate_model
 from .vertex import (SparsePolynomial, lehn_apply, verify_lemma_ks,
                      verify_nonsense1)
@@ -128,12 +127,13 @@ def build_parser():
     p.add_argument("--poly", required=True, help="polynomial JSON file ('-' for stdin)")
     p.add_argument("--out", help="write the image polynomial here")
 
-    # one sub-parser per verifier with only the options it reads (n is None if unread)
+    # one sub-parser per verifier with only the options it reads (n and
+    # triple are None if unread)
     ids = sub.add_parser("verify", help="run a named theorem verifier (options "
                          "follow the id)").add_subparsers(dest="id", required=True)
     for vid, (_, options, _) in REGISTRY.items():
         p = add_parser(ids, vid, cmd_verify, levels=False)
-        p.set_defaults(n=None)
+        p.set_defaults(n=None, triple=None)
         for option in options:
             p.add_argument(option, **VERIFY_OPTIONS[option])
     return top
@@ -237,112 +237,25 @@ def cmd_lehn(args):
                      details={"image": out}), text
 
 
-# -- verifiers: each maps (model, levels, args) to (ok, witnesses, details) -----
+# -- verifiers: each id maps (model, levels, args) to one library call ---------
+# The library verifier owns its level loop, its preconditions and the refusal
+# of a run that would check nothing.  Its report is {"ok", "witnesses", ...}:
+# the keys after those two are the details printed.
 
 
-def _merged(reps):
-    return all(r["ok"] for r in reps), [w for r in reps for w in r["witnesses"]]
-
-
-def _instances(rep):
-    if not rep["instances_checked"]:
-        raise ValueError("the bounds leave no instance to check; widen them")
-    return rep["ok"], rep["witnesses"], {"instances_checked": rep["instances_checked"]}
-
-
-def _triples(rep, **extra):
-    return rep["ok"], rep["witnesses"], {"triples_checked": rep["triples_checked"],
-                                         **extra}
-
-
-def _heisenberg(model, levels, args):
-    # weight 0 (the vacuum) and index 1 are the least that check a bracket
-    if args.max_weight < 0 or args.max_index < 1:
-        raise ValueError("the bounds leave no bracket to check; need "
-                         "--max-weight >= 0 and --max-index >= 1")
-    wit = heisenberg_witnesses(FockSpace(model), max_weight=args.max_weight,
-                               max_index=args.max_index)
-    return not wit, wit, {}
-
-
-def _ideal_suite(parts):
-    def run(model, levels, args):
-        reps = [verify_ideal_suite(model, n, parts) for n in levels]
-        if not any(r["ideal_dimension"] for r in reps):
-            raise ValueError(f"no level in --n {args.n} has an ideal monomial "
-                             "to check; widen --n")
-        return (*_merged(reps), {
-            "levels": levels,
-            "exact_generators": all(r["exact_generators"] for r in reps)})
-    return run
-
-
-def _n_independence(model, levels, args):
-    if not model.has_ideal:
-        raise ModelError("level-independence needs a model with an ideal; "
-                         "use mod-h4-independence for projective models")
-    return _triples(verify_n_independence(RingEngine(model), levels))
-
-
-def _polynomiality(model, levels, args):
-    if args.triple:
-        spec = _load_json_arg(args.triple)
-        keys = ("rho", "sigma", "nu")
-        shape = "--triple must be a JSON object {rho, sigma, nu}"
-        if not isinstance(spec, dict):
-            raise ValueError(shape)
-        missing = [k for k in keys if k not in spec]
-        if missing:
-            raise ValueError(f"{shape}: missing {missing[0]!r}")
-        engine = RingEngine(model)
-        rho, sigma, nu = (_basis_arg(model, spec[k]) for k in keys)
-        rep = fit_polynomial_in_n(engine, rho, sigma, nu, levels)
-        return rep["ok"], rep["witnesses"], rep
-    rep = verify_polynomiality(model, levels)
-    if not rep["triples_fitted"]:
-        raise ValueError(f"no triple has enough levels in {levels[0]}..{levels[-1]} "
-                         "for a checked fit; widen --n")
-    return rep["ok"], rep["witnesses"], {"triples_fitted": rep["triples_fitted"]}
-
-
-def _fh_ring(model, levels, args):
-    if args.norm_bound < 0:
-        raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
-    rep = verify_fh_ring(model, norm_bound=args.norm_bound,
-                         cost_bound=min(args.norm_bound, 5))
-    return rep["ok"], rep["witnesses"], {
-        k: rep[k] for k in ("monomials_checked", "independent", "generation_window")}
-
-
-def _require_positive(levels, args):
-    """At level 0 the ring is b_empty . b_empty = b_empty, which holds by
-    construction: a run on level 0 alone checks nothing."""
-    if not any(levels):
-        raise ValueError(f"--n {args.n} has no level >= 1 to check; widen --n")
-
-
-def _c2_quotient(model, levels, args):
-    _require_positive(levels, args)
-    return (*_merged([verify_affine_plane_quotient(model, n) for n in levels]),
-            {"levels": levels})
-
-
-def _a_homomorphism(model, levels, args):
+def _fit_triple(model, levels, text):
+    """polynomiality --triple: the fit of the one triple that text names."""
+    spec = _load_json_arg(text)
+    keys = ("rho", "sigma", "nu")
+    shape = "--triple must be a JSON object {rho, sigma, nu}"
+    if not isinstance(spec, dict):
+        raise ValueError(shape)
+    missing = [k for k in keys if k not in spec]
+    if missing:
+        raise ValueError(f"{shape}: missing {missing[0]!r}")
     engine = RingEngine(model)
-    return (*_merged([verify_a_homomorphism(engine, n) for n in levels]),
-            {"levels": levels})
-
-
-def _ring_isom(model, levels, args):
-    _require_positive(levels, args)
-    ok, witnesses = _merged([verify_ring_isomorphism(model, n) for n in levels])
-    details = {"levels": levels}
-    if model.has_ideal:
-        marker = verify_marker_vanishing(model, max(levels))
-        ok = ok and marker["ok"]
-        witnesses += marker["witnesses"]
-        details["marker_terms_checked"] = marker["terms_checked"]
-    return ok, witnesses, details
+    rho, sigma, nu = (_basis_arg(model, spec[k]) for k in keys)
+    return fit_polynomial_in_n(engine, rho, sigma, nu, levels)
 
 
 # the options a verifier may read, each declared once
@@ -355,31 +268,31 @@ VERIFY_OPTIONS = {
     "--max-index": {"type": int, "default": 4},
 }
 
-# verifier id -> (least number of levels --n must give, options it reads, run)
+# verifier id -> (least number of levels --n must give, options it reads,
+# call on (model, levels, args))
 REGISTRY = {
-    "heisenberg": (0, ("--max-weight", "--max-index"), _heisenberg),
-    "lemma-ks": (0, ("--max-weight",), lambda model, levels, args: _instances(
-        verify_lemma_ks(model, ksum_max=5, weight_max=args.max_weight))),
-    "nonsense1": (0, (), lambda model, levels, args: _instances(verify_nonsense1(model))),
-    "ideal": (1, ("--n",), _ideal_suite(("absorb", "contains"))),
-    "ideal-generators": (1, ("--n",), _ideal_suite(("generate",))),
-    "n-independence": (2, ("--n",), _n_independence),
-    "mod-h4-independence": (2, ("--n",), lambda model, levels, args: _triples(
-        verify_mod_h4_independence(model, levels))),
-    "polynomiality": (1, ("--n", "--triple"), _polynomiality),
-    "fh-ring": (0, ("--norm-bound",), _fh_ring),
-    "c2-quotient": (1, ("--n",), _c2_quotient),
-    "a-homomorphism": (1, ("--n",), _a_homomorphism),
-    "ring-isom": (1, ("--n",), _ring_isom),
-    "orb-n-independence": (2, ("--n", "--s"), lambda model, levels, args: _triples(
-        verify_orb_n_independence(model, levels, parse_q(args.s)), s=args.s)),
+    "heisenberg": (0, ("--max-weight", "--max-index"), lambda m, ns, a:
+                   verify_heisenberg(FockSpace(m), a.max_weight, a.max_index)),
+    "lemma-ks": (0, ("--max-weight",), lambda m, ns, a: verify_lemma_ks(m, 5, a.max_weight)),
+    "nonsense1": (0, (), lambda m, ns, a: verify_nonsense1(m)),
+    "ideal": (1, ("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("absorb", "contains"))),
+    "ideal-generators": (1, ("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("generate",))),
+    "n-independence": (2, ("--n",), lambda m, ns, a: verify_n_independence(RingEngine(m), ns)),
+    "mod-h4-independence": (2, ("--n",), lambda m, ns, a: verify_mod_h4_independence(m, ns)),
+    "polynomiality": (1, ("--n", "--triple"), lambda m, ns, a: verify_polynomiality(m, ns)),
+    "fh-ring": (0, ("--norm-bound",), lambda m, ns, a: verify_fh_ring(m, a.norm_bound)),
+    "c2-quotient": (1, ("--n",), lambda m, ns, a: verify_affine_plane_quotient(m, ns)),
+    "a-homomorphism": (1, ("--n",), lambda m, ns, a: verify_a_homomorphism(RingEngine(m), ns)),
+    "ring-isom": (1, ("--n",), lambda m, ns, a: verify_ring_isomorphism(m, ns)),
+    "orb-n-independence": (2, ("--n", "--s"), lambda m, ns, a:
+                           verify_orb_n_independence(m, ns, parse_q(a.s))),
 }
 
 
 def cmd_verify(args):
     model = load_model(args.model)
     vid = args.id
-    least, options, run = REGISTRY[vid]
+    least, options, call = REGISTRY[vid]
     # an integer bound is a level, a weight or an index: no run above REACH
     # would finish (lemma-ks alone checks about (2w)^5/120 words at weight w)
     for option in options:
@@ -391,9 +304,13 @@ def cmd_verify(args):
     if least and len(levels or ()) < least:
         raise ValueError(f"verifier {vid!r} needs --n" +
                          (f" with at least {least} levels" if least > 1 else ""))
-    ok, witnesses, details = run(model, levels, args)
+    if args.triple:
+        rep = details = _fit_triple(model, levels, args.triple)  # printed whole
+    else:
+        rep = call(model, levels, args)
+        details = {k: v for k, v in rep.items() if k not in ("ok", "witnesses")}
     return RunReport("verify", model.content_hash, {"id": vid, "n": args.n},
-                     "pass" if ok else "fail", witnesses=witnesses,
+                     "pass" if rep["ok"] else "fail", witnesses=rep["witnesses"],
                      details=details), None
 
 

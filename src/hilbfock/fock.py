@@ -287,14 +287,19 @@ class FockSpace:
                 for rho in enumerate_partition_functions(self.model, n, working)]
 
 
-def heisenberg_witnesses(fock, max_weight=5, max_index=4):
+def verify_heisenberg(fock, max_weight=5, max_index=4):
     """Check the bracket relation on all basis label pairs, |m|,|n| <= max_index,
-    against every monomial of weight <= max_weight; returns violation witnesses.
+    against every monomial of weight <= max_weight; the report lists at most
+    10 violations.  Weight 0 (the vacuum) and index 1 are the least bounds
+    that check a bracket: lower ones are refused.
 
     The commutators run on the integer raw operators; each annihilation in
     the pair then contributes the factor ann_scale before the comparison with
     kappa * m * int(e_i e_j).
     """
+    if max_weight < 0 or max_index < 1:
+        raise ValueError("the bounds leave no bracket to check; need "
+                         "--max-weight >= 0 and --max-index >= 1")
     model = fock.model
     dim = model.dim
     parities = model.parities
@@ -339,5 +344,5 @@ def heisenberg_witnesses(fock, max_weight=5, max_index=4):
                         "monomial": [[p, model.basis[c].name] for p, c in mono],
                     })
                     if len(witnesses) >= 10:
-                        return witnesses
-    return witnesses
+                        return {"ok": False, "witnesses": witnesses}
+    return {"ok": not witnesses, "witnesses": witnesses}

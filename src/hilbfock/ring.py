@@ -301,6 +301,16 @@ class RingEngine:
 
 
 # -- verifiers -------------------------------------------------------------------
+# Each verifier takes the whole input of its command, a list of levels or its
+# bounds, and returns {"ok", "witnesses", ...}; the keys after those two are
+# the details the command prints.  An input on which a verifier would check
+# nothing raises ValueError, so no such run can pass: b_empty . b_empty =
+# b_empty holds by construction, and level 0 holds no other class.
+
+
+def _span(ns):
+    """The sorted levels as --n names them: 'a..b', or 'a' for one level."""
+    return f"{ns[0]}..{ns[-1]}" if len(ns) > 1 else str(ns[0])
 
 
 def _require_products(basis, n):
@@ -311,9 +321,19 @@ def _require_products(basis, n):
                          "checks only b_empty . b_empty = b_empty; start it higher")
 
 
+def _require_positive(ns):
+    """A run on level 0 alone compares only b_empty . b_empty = b_empty."""
+    if not any(ns):
+        raise ValueError(f"--n {_span(ns)} has no level >= 1 to check; widen --n")
+
+
 def verify_n_independence(engine, n_values):
     """Exact cross-level equality of all structure constants defined on the
-    whole range."""
+    whole range (a quotient ring: the projective statement is
+    verify_mod_h4_independence)."""
+    if not engine.model.has_ideal:
+        raise ModelError("level-independence needs a model with an ideal; "
+                         "use mod-h4-independence for projective models")
     ns = sorted(n_values)
     shared = engine.basis(ns[0])
     _require_products(shared, ns[0])
@@ -338,8 +358,7 @@ def verify_n_independence(engine, n_values):
                         "nu": nu.to_json(engine.model),
                         "values": {str(n): qstr(v) for n, v in zip(ns, vals)},
                     })
-    return {"ok": not witnesses, "levels": ns, "triples_checked": checked,
-            "witnesses": witnesses}
+    return {"ok": not witnesses, "triples_checked": checked, "witnesses": witnesses}
 
 
 def verify_mod_h4_independence(model, n_values):
@@ -427,7 +446,8 @@ def verify_polynomiality(model, n_values, bound_max=4):
     pair's product is computed once per level from the first start on, and
     only the nu in the support of those products are fitted, in basis order.
     Every other triple is zero at all its levels, which the zero polynomial
-    fits within any bound."""
+    fits within any bound.  A range in which no triple has enough levels
+    checks nothing and is refused."""
     if model.has_ideal:
         raise ModelError("polynomiality is the projective statement")
     if not model.canonical.is_zero():
@@ -473,24 +493,24 @@ def verify_polynomiality(model, n_values, bound_max=4):
                         "rho": rho.to_json(model), "sigma": sigma.to_json(model),
                         "nu": nu.to_json(model), "report": rep,
                     })
-    return {"ok": not witnesses, "levels": ns, "triples_fitted": fitted,
-            "witnesses": witnesses}
+    if not fitted:
+        raise ValueError(f"no triple has enough levels in {ns[0]}..{ns[-1]} "
+                         "for a checked fit; widen --n")
+    return {"ok": not witnesses, "triples_fitted": fitted, "witnesses": witnesses}
 
 
-def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
-    """The ideal-subspace checks at one level, on the ambient (projective)
+def verify_ideal_suite(model, n_values, parts=("absorb", "contains", "generate")):
+    """The ideal-subspace checks at each level, on the ambient (projective)
     side: the subspace absorbs every degree-shift operator, contains the
     distinguished classes of ideal arguments, and is spanned by their products
     with everything (exactly when the canonical class vanishes; modulo the
-    unevaluated canonical families it is the marker-augmented span).
+    unevaluated canonical families it is the marker-augmented span).  A range
+    in which no level has an ideal monomial checks nothing and is refused.
     """
     if not model.has_ideal:
         raise ModelError("ideal suite needs a model with a restriction ideal")
     fock = FockSpace(model)
-    pivots = model.ideal_pivots
-    all_monos = fock.enumerate_monomials(n)
-    ideal_monos = [m for m in all_monos if any(c in pivots for _, c in m)]
-    witnesses = []
+    ns = sorted(n_values)
 
     @cache
     def operator(k, c):
@@ -502,6 +522,26 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
         known, _, marks = operator_int(fock, operator(k, c), {mono: 1})
         vecs = [known, *(mv for mv, _, _ in marks)]
         return vecs, not all(map(fock.in_ideal, vecs))
+
+    runs = [_ideal_level(fock, images, n, parts) for n in ns]
+    if not any(size for _, size in runs):
+        raise ValueError(f"no level in --n {_span(ns)} has an ideal monomial "
+                         "to check; widen --n")
+    witnesses = [w for found, _ in runs for w in found]
+    return {"ok": not witnesses, "witnesses": witnesses, "levels": ns,
+            "exact_generators": not any(operator(k, c).has_unknown_terms
+                                        for c in model.ideal_pivots
+                                        for k in range(ns[-1]))}
+
+
+def _ideal_level(fock, images, n, parts):
+    """The ideal-suite witnesses at level n, at most 20, and the number of
+    ideal monomials there."""
+    model = fock.model
+    pivots = model.ideal_pivots
+    all_monos = fock.enumerate_monomials(n)
+    ideal_monos = [m for m in all_monos if any(c in pivots for _, c in m)]
+    witnesses = []
 
     # (i) the subspace absorbs the operators
     if "absorb" in parts:
@@ -522,9 +562,6 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
                                       "alpha": model.basis[c].name})
 
     # (iii) generation: the span of all products equals the subspace, degreewise
-    marker_free = not any(operator(k, c).has_unknown_terms
-                          for c in pivots for k in range(n))
-    ranks = {}
     if "generate" in parts:
         by_degree = {}
         for m in ideal_monos:
@@ -558,17 +595,12 @@ def verify_ideal_suite(model, n, parts=("absorb", "contains", "generate")):
                 feed(vec)
             if saturated():
                 break
-        ranks = {d: (echelons[d].rank(), len(by_degree[d]))
-                 for d in sorted(by_degree)}
-        for d, (got, want) in ranks.items():
+        for d in sorted(by_degree):
+            got, want = echelons[d].rank(), len(by_degree[d])
             if got != want:
                 witnesses.append({"part": "generate", "degree": d,
                                   "rank": got, "dimension": want})
-    return {"ok": not witnesses, "n": n,
-            "ideal_dimension": len(ideal_monos),
-            "exact_generators": marker_free,
-            "ranks_by_degree": {str(d): list(v) for d, v in ranks.items()},
-            "witnesses": witnesses[:20]}
+    return witnesses[:20], len(ideal_monos)
 
 
 def _point_misses(engine, n):
@@ -578,30 +610,39 @@ def _point_misses(engine, n):
             if engine.coordinates(engine.point_image(rho, n), n) != {rho: ONE}]
 
 
-def verify_a_homomorphism(engine, n):
+def verify_a_homomorphism(engine, n_values):
     """The point-annihilation map is a surjective ring homomorphism from
     level n+1 onto level n, and sends each basis class to its namesake: the
-    image of each product equals the product of the images."""
-    if not engine.model.has_ideal:
-        raise ModelError("the point-annihilation statement needs an ideal model")
+    image of each product equals the product of the images.  A range in
+    which no level n+1 holds a class but b_empty checks only b_empty . b_empty
+    = b_empty and is refused."""
     model = engine.model
-    witnesses = [{"part": "basis-image", "rho": rho.to_json(model)}
+    if not model.has_ideal:
+        raise ModelError("the point-annihilation statement needs an ideal model")
+    ns = sorted(n_values)
+    if all(len(engine.basis(n + 1)) < 2 for n in ns):
+        raise ValueError(f"no level n in --n {_span(ns)} has a class but b_empty "
+                         "at level n+1 to check; widen --n")
+    witnesses = []
+    for n in ns:
+        found = [{"part": "basis-image", "rho": rho.to_json(model)}
                  for rho in _point_misses(engine, n)]
-    upper = engine.basis(n + 1)
-    down = {rho: engine.coordinates(engine.point_image(rho, n), n) for rho in upper}
-    for rho in upper:
-        for sigma in upper:
-            lhs = {}
-            for nu, c in engine.b_product(rho, sigma, n + 1).items():
-                row_add_scaled(lhs, down[nu], c)
-            rhs = {}
-            for mu, a in down[rho].items():
-                for nu, b in down[sigma].items():
-                    row_add_scaled(rhs, engine.b_product(mu, nu, n), a * b)
-            if lhs != rhs:
-                witnesses.append({"part": "ring-hom", "rho": rho.to_json(model),
+        upper = engine.basis(n + 1)
+        down = {rho: engine.coordinates(engine.point_image(rho, n), n) for rho in upper}
+        for rho in upper:
+            for sigma in upper:
+                lhs = {}
+                for nu, c in engine.b_product(rho, sigma, n + 1).items():
+                    row_add_scaled(lhs, down[nu], c)
+                rhs = {}
+                for mu, a in down[rho].items():
+                    for nu, b in down[sigma].items():
+                        row_add_scaled(rhs, engine.b_product(mu, nu, n), a * b)
+                if lhs != rhs:
+                    found.append({"part": "ring-hom", "rho": rho.to_json(model),
                                   "sigma": sigma.to_json(model)})
-    return {"ok": not witnesses, "n": n, "witnesses": witnesses[:20]}
+        witnesses += found[:20]
+    return {"ok": not witnesses, "witnesses": witnesses, "levels": ns}
 
 
 class FHRing:
@@ -650,10 +691,16 @@ def monomial_vectors(engine, rhos, n_eval):
     return {rho: coords(rho) for rho in rhos}
 
 
-def verify_fh_ring(model, norm_bound=5, cost_bound=5):
+def verify_fh_ring(model, norm_bound=5, cost_bound=None):
     """Build the stable ring and verify its structure: generation by the
-    one-part symbols, linear independence of their monomials, vanishing odd
-    squares, and the commuting tower of point-annihilation maps."""
+    one-part symbols up to cost_bound (default min(norm_bound, 5)), linear
+    independence of their monomials of norm at most norm_bound, vanishing
+    odd squares, and the commuting tower of point-annihilation maps.  A
+    negative norm_bound leaves no monomial and is refused."""
+    if norm_bound < 0:
+        raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
+    if cost_bound is None:
+        cost_bound = min(norm_bound, 5)
     engine = RingEngine(model)
     fh = FHRing(engine, n_probe=max(2, cost_bound // 2))
     unit = model.unit
@@ -713,17 +760,22 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=5):
 
 
 def verify_orb_n_independence(model, n_values, s=-1):
+    """verify_n_independence on the deformed side; the report names s."""
     if not model.has_ideal:
         raise ModelError("level-independence on the deformed side needs an ideal model")
-    return verify_n_independence(RingEngine(model, s), n_values)
+    return {**verify_n_independence(RingEngine(model, s), n_values), "s": qstr(s)}
 
 
-def verify_ring_isomorphism(model, n):
-    """At s = -1 the relabelling map is a ring isomorphism: the two structure
-    tables agree, the deformed distinguished classes map to the Hilbert ones,
-    and every canonical-family term dies under reduction (asserted inside the
-    Hilbert pipeline whenever it runs).
+def verify_ring_isomorphism(model, n_values):
+    """At s = -1 the relabelling map is a ring isomorphism at each level: the
+    two structure tables agree, the deformed distinguished classes map to the
+    Hilbert ones, and every canonical-family term dies under reduction
+    (asserted inside the Hilbert pipeline whenever it runs, and on an ideal
+    model checked at the top level, where the operators of every level in
+    the range act).  A range without a level >= 1 is refused.
     """
+    ns = sorted(n_values)
+    _require_positive(ns)
     if model.has_ideal:
         if not model.reduce_class(model.canonical).is_zero():
             raise UnknownCoefficientsError(
@@ -734,34 +786,40 @@ def verify_ring_isomorphism(model, n):
             "the isomorphism needs a numerically trivial canonical class")
     hilb = RingEngine(model)
     orb = RingEngine(model, -1)
-    table_h = hilb.structure_constants(n)
-    table_o = orb.structure_constants(n)
     witnesses = []
-    for key, prods in table_h.entries.items():
-        if table_o.entries[key] != prods:
-            rho, sigma = key
-            witnesses.append({"part": "table",
+    for n in ns:
+        found = []
+        table_h = hilb.structure_constants(n)
+        table_o = orb.structure_constants(n)
+        for key, prods in table_h.entries.items():
+            if table_o.entries[key] != prods:
+                rho, sigma = key
+                found.append({"part": "table",
                               "rho": rho.to_json(model),
                               "sigma": sigma.to_json(model)})
-            if len(witnesses) >= 10:
-                break
+                if len(found) >= 10:
+                    break
 
-    # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P; at
-    # P = b_empty(n), the level unit, it says that each deformed distinguished
-    # class equals its Hilbert namesake
-    basis = hilb.basis(n)
-    for k in range(n):
-        for c in model.working_classes():
-            for sigma in basis:
-                lhs = orb.word_on_basis(((k, c),), sigma, n)
-                rhs = hilb.word_on_basis(((k, c),), sigma, n)
-                if lhs != rhs:
-                    where = {"sigma": sigma.to_json(model)} if sigma.parts else {}
-                    witnesses.append({"part": "theta-product" if where else "theta-class",
+        # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P; at
+        # P = b_empty(n), the level unit, it says that each deformed
+        # distinguished class equals its Hilbert namesake
+        basis = hilb.basis(n)
+        for k in range(n):
+            for c in model.working_classes():
+                for sigma in basis:
+                    lhs = orb.word_on_basis(((k, c),), sigma, n)
+                    rhs = hilb.word_on_basis(((k, c),), sigma, n)
+                    if lhs != rhs:
+                        where = {"sigma": sigma.to_json(model)} if sigma.parts else {}
+                        found.append({"part": "theta-product" if where else "theta-class",
                                       "k": k, "alpha": model.basis[c].name, **where})
-    return {"ok": not witnesses, "n": n,
-            "pairs_compared": len(table_h.entries),
-            "witnesses": witnesses[:10]}
+        witnesses += found[:10]
+    details = {"levels": ns}
+    if model.has_ideal:
+        marker = verify_marker_vanishing(model, ns[-1])
+        witnesses += marker["witnesses"]
+        details["marker_terms_checked"] = marker["terms_checked"]
+    return {"ok": not witnesses, "witnesses": witnesses, **details}
 
 
 def verify_marker_vanishing(model, n):
@@ -863,38 +921,43 @@ class LehnEngine:
         return self.expand(SparsePolynomial(out), n, unit)
 
 
-def verify_affine_plane_quotient(model, n):
+def verify_affine_plane_quotient(model, n_values):
     """The quotient by the positive-degree ideal is the affine-plane ring:
-    quotient structure constants match the independent polynomial route, and
-    the distinguished classes reduce to their one-term normal forms."""
+    at each level the quotient structure constants match the independent
+    polynomial route, and the distinguished classes reduce to their one-term
+    normal forms.  A range without a level >= 1 is refused."""
+    ns = sorted(n_values)
+    _require_positive(ns)
     positive = [i for i in range(model.dim) if model.degrees[i] > 0]
     quotient = model.with_ideal(positive, suffix="affine")
     engine = RingEngine(quotient)
     lehn = LehnEngine()
     unit = quotient.unit
     witnesses = []
-    basis = engine.basis(n)
-    for rho in basis:
-        for sigma in basis:
-            got = engine.b_product(rho, sigma, n)
-            want = lehn.b_product(rho, sigma, n, unit)
-            if got != want:
-                witnesses.append({
-                    "part": "table", "rho": rho.to_json(quotient),
-                    "sigma": sigma.to_json(quotient),
-                })
-    # one-term normal forms of the distinguished classes, on the level unit
-    index = engine.level(n)[0]
-    for k in range(n):
-        got = engine.word_on_basis(((k, unit),), PartitionFunction.EMPTY, n)
-        mono = ((k + 1, unit),) + ((1, unit),) * (n - k - 1)
-        want = Q((-1) ** k, factorial(k + 1) * factorial(n - k - 1))
-        if got != ({index[mono]: want.numerator}, want.denominator):
-            witnesses.append({"part": "normal-form", "k": k})
-        # and the polynomial image agrees with the differential-operator route
-        via_phi = phi_map(engine.fock_vector(got, n), quotient)
-        via_lehn = lehn_apply(k, LehnEngine.unit_poly(n))
-        if via_phi != via_lehn:
-            witnesses.append({"part": "phi-square", "k": k})
-    return {"ok": not witnesses, "n": n, "dimension": len(basis),
-            "witnesses": witnesses[:20]}
+    for n in ns:
+        found = []
+        basis = engine.basis(n)
+        for rho in basis:
+            for sigma in basis:
+                got = engine.b_product(rho, sigma, n)
+                want = lehn.b_product(rho, sigma, n, unit)
+                if got != want:
+                    found.append({
+                        "part": "table", "rho": rho.to_json(quotient),
+                        "sigma": sigma.to_json(quotient),
+                    })
+        # one-term normal forms of the distinguished classes, on the level unit
+        index = engine.level(n)[0]
+        for k in range(n):
+            got = engine.word_on_basis(((k, unit),), PartitionFunction.EMPTY, n)
+            mono = ((k + 1, unit),) + ((1, unit),) * (n - k - 1)
+            want = Q((-1) ** k, factorial(k + 1) * factorial(n - k - 1))
+            if got != ({index[mono]: want.numerator}, want.denominator):
+                found.append({"part": "normal-form", "k": k})
+            # and the polynomial image agrees with the differential-operator route
+            via_phi = phi_map(engine.fock_vector(got, n), quotient)
+            via_lehn = lehn_apply(k, LehnEngine.unit_poly(n))
+            if via_phi != via_lehn:
+                found.append({"part": "phi-square", "k": k})
+        witnesses += found[:20]
+    return {"ok": not witnesses, "witnesses": witnesses, "levels": ns}

@@ -51,20 +51,22 @@ class GradedClass(LinearCombination):
     """Sparse exact-rational coefficient vector over a model basis.
 
     Zero coefficients are never stored; instances are treated as immutable,
-    so the content key is built once, on first use.
+    so the content key and its hash are built once, on first use.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
 
     def __init__(self, coeffs=None):
         self.terms = {i: Q(v) for i, v in (coeffs or {}).items() if v}
-        self._key = None
+        self._key = self._hash = None
 
     def get(self, i):
         return self.terms.get(i, Q(0))
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def key(self):
         if self._key is None:

@@ -355,7 +355,8 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v: the pair
     computes each once per probe and holds no others.  Each member counts
     its probes up to its first failure, as it would alone, and part (i)'s
-    failures are put back in sweep order before part (ii)'s follow."""
+    failures are put back in sweep order before part (ii)'s follow.  Bounds
+    that leave no instance (ksum_max or weight_max below 2) are refused."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
@@ -451,6 +452,8 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
                                 witnesses.append({"ns": ns, "j": j,
                                                   "alpha": names[ai], "part": "ii"})
                             break
+    if not checked:
+        raise ValueError("the bounds leave no instance to check; widen them")
     return {"ok": not witnesses, "instances_checked": checked,
             "witnesses": witnesses}
 
@@ -496,6 +499,8 @@ def verify_nonsense1(model, k_max=2, b_max=3, n_max=4):
                                     "shape": shape,
                                     "labels": [model.basis[c].name for c in labs],
                                 })
+    if not checked:
+        raise ValueError("the bounds leave no instance to check; widen them")
     return {"ok": not witnesses, "instances_checked": checked,
             "witnesses": witnesses}
 

@@ -3,11 +3,11 @@
 terminal summary."""
 
 from conftest import record_criterion
-from hilbfock.fock import FockSpace, heisenberg_witnesses
+from hilbfock.fock import FockSpace, verify_heisenberg
 from hilbfock.models import BUILTIN
 from hilbfock.ring import (verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
-                           verify_ideal_suite, verify_marker_vanishing,
+                           verify_ideal_suite,
                            verify_mod_h4_independence, verify_n_independence,
                            verify_polynomiality, verify_ring_isomorphism)
 from hilbfock.vertex import verify_lemma_ks, verify_nonsense1
@@ -18,10 +18,9 @@ def test_criterion_01_heisenberg_relations(models):
     |m|, |n| <= 4, against every monomial of weight <= 5."""
     failures = {}
     for name in BUILTIN:
-        wit = heisenberg_witnesses(FockSpace(models(name)),
-                                   max_weight=5, max_index=4)
-        if wit:
-            failures[name] = wit[:3]
+        rep = verify_heisenberg(FockSpace(models(name)), max_weight=5, max_index=4)
+        if not rep["ok"]:
+            failures[name] = rep["witnesses"][:3]
     record_criterion(1, "Heisenberg commutation relations", not failures,
                      f"models={len(BUILTIN)}")
     assert not failures, failures
@@ -67,10 +66,9 @@ def test_criterion_04_ideal_suite(models):
     }
     failures = {}
     for name, model in targets.items():
-        for n in (2, 3, 4):
-            rep = verify_ideal_suite(model, n)
-            if not rep["ok"]:
-                failures[(name, n)] = rep["witnesses"][:3]
+        rep = verify_ideal_suite(model, [2, 3, 4])
+        if not rep["ok"]:
+            failures[name] = rep["witnesses"][:3]
     record_criterion(4, "ideal absorption/membership/generation", not failures)
     assert not failures, failures
 
@@ -122,10 +120,9 @@ def test_criterion_07_stable_ring(models, engines):
         rep = verify_fh_ring(models(name), norm_bound=5, cost_bound=5)
         if not rep["ok"]:
             failures[(name, "fh")] = rep["witnesses"][:3]
-        for n in (1, 2, 3, 4):
-            rep = verify_a_homomorphism(engines(name), n)
-            if not rep["ok"]:
-                failures[(name, "A", n)] = rep["witnesses"][:3]
+        rep = verify_a_homomorphism(engines(name), [1, 2, 3, 4])
+        if not rep["ok"]:
+            failures[(name, "A")] = rep["witnesses"][:3]
     record_criterion(7, "stable ring and point-annihilation tower",
                      not failures)
     assert not failures, failures
@@ -135,13 +132,9 @@ def test_criterion_08_affine_plane_quotient(models):
     """The quotient by the positive-degree ideal matches the independent
     differential-operator route on polynomials for n <= 6, including the
     one-term normal forms of the distinguished classes for all k < n."""
-    failures = {}
-    for n in range(1, 7):
-        rep = verify_affine_plane_quotient(models("k3_like"), n)
-        if not rep["ok"]:
-            failures[n] = rep["witnesses"][:3]
-    record_criterion(8, "affine-plane quotient ring", not failures)
-    assert not failures, failures
+    rep = verify_affine_plane_quotient(models("k3_like"), range(1, 7))
+    record_criterion(8, "affine-plane quotient ring", rep["ok"])
+    assert rep["ok"], rep["witnesses"][:3]
 
 
 def test_criterion_09_ring_isomorphism(models):
@@ -152,14 +145,9 @@ def test_criterion_09_ring_isomorphism(models):
     failures = {}
     plans = {"c2": (1, 2, 3, 4, 5), "ale_2": (1, 2, 3), "cotangent_g1": (1, 2, 3)}
     for name, levels in plans.items():
-        model = models(name)
-        for n in levels:
-            rep = verify_ring_isomorphism(model, n)
-            if not rep["ok"]:
-                failures[(name, n)] = rep["witnesses"][:3]
-        marker = verify_marker_vanishing(model, max(levels))
-        if not marker["ok"]:
-            failures[(name, "markers")] = marker["witnesses"][:3]
+        rep = verify_ring_isomorphism(models(name), levels)
+        if not rep["ok"]:
+            failures[name] = rep["witnesses"][:3]
     record_criterion(9, "deformed/undeformed ring isomorphism at s=-1",
                      not failures)
     assert not failures, failures

@@ -17,9 +17,14 @@ from hypothesis import strategies as st
 import hilbfock
 from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
 from hilbfock.errors import EngineError
+from hilbfock.fock import FockSpace, verify_heisenberg
 from hilbfock.models import BUILTIN, builtin_model
 from hilbfock.rational import qstr
-from hilbfock.ring import RingEngine, StructureTable
+from hilbfock.ring import (RingEngine, StructureTable, verify_a_homomorphism,
+                           verify_affine_plane_quotient, verify_fh_ring,
+                           verify_ideal_suite, verify_polynomiality,
+                           verify_ring_isomorphism)
+from hilbfock.vertex import verify_lemma_ks
 
 RUN = [sys.executable, "-m", "hilbfock.cli"]
 # the subprocesses import the hilbfock that these tests import
@@ -421,6 +426,7 @@ def test_hostile_inputs_exit_2(tmp_path):
                  ("verify", "ideal", "--model", "c2", "--n", "0"),
                  ("verify", "ideal-generators", "--model", "c2", "--n", "0"),
                  ("verify", "c2-quotient", "--model", "c2", "--n", "0"),
+                 ("verify", "a-homomorphism", "--model", "c2", "--n", "0"),
                  ("verify", "ring-isom", "--model", "c2", "--n", "0"),
                  ("verify", "ring-isom", "--model", "toy_b2_1", "--n", "0"),
                  ("structure-constants", "--model", "c2", "--n", "2..5"),
@@ -428,9 +434,11 @@ def test_hostile_inputs_exit_2(tmp_path):
                   "--rho", '{"1": [1]}', "--sigma", '{"1": [1]}'),
                  ("orb-structure-constants", "--model", "c2", "--n", "2..3")):
         assert_usage_error(run_cli(*args))
-    # level 0 has no ideal monomial and compares only b_empty . b_empty, but
-    # a range that reaches level 1 checks it
-    for vid in ("ideal", "ideal-generators", "c2-quotient", "ring-isom"):
+    # level 0 has no ideal monomial and compares only b_empty . b_empty (for
+    # a-homomorphism: c2 has b_empty alone at level 1), but a range that
+    # reaches level 1 checks it
+    for vid in ("ideal", "ideal-generators", "c2-quotient", "ring-isom",
+                "a-homomorphism"):
         res = run_cli("verify", vid, "--model", "c2", "--n", "0..1")
         assert res.returncode == 0 and '"status":"pass"' in res.stdout, res.stderr
 
@@ -483,6 +491,49 @@ def test_negative_rational_s_is_a_value(args, s):
     spaced, joined = run_cli(*args, "--s", s), run_cli(*args, f"--s={s}")
     assert spaced.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout and f'"s":"{s}"' in spaced.stdout
+
+
+def _c2():
+    return builtin_model("c2")
+
+
+# each library verifier on an input under which it would check nothing, with
+# the verify arguments that give it that input
+_NO_WORK = [
+    ("ring-isom --model c2 --n 0", lambda: verify_ring_isomorphism(_c2(), [0])),
+    ("c2-quotient --model c2 --n 0", lambda: verify_affine_plane_quotient(_c2(), [0])),
+    ("ideal --model c2 --n 0", lambda: verify_ideal_suite(_c2(), [0])),
+    ("lemma-ks --model toy_b2_1 --max-weight 1",
+     lambda: verify_lemma_ks(builtin_model("toy_b2_1"), 5, 1)),
+    ("polynomiality --model k3_like --n 3..3",
+     lambda: verify_polynomiality(builtin_model("k3_like"), [3])),
+    ("fh-ring --model c2 --norm-bound -1", lambda: verify_fh_ring(_c2(), -1)),
+    ("heisenberg --model c2 --max-index 0",
+     lambda: verify_heisenberg(FockSpace(_c2()), max_index=0)),
+    ("a-homomorphism --model c2 --n 0",
+     lambda: verify_a_homomorphism(RingEngine(_c2()), [0])),
+]
+
+
+@pytest.mark.parametrize("argv, call", _NO_WORK, ids=[a.split()[0] for a, _ in _NO_WORK])
+def test_library_verifier_refuses_a_run_that_checks_nothing(argv, call, capsys):
+    """Each library verifier raises ValueError on an input under which it
+    would check nothing, and the CLI prints that message as its one error
+    line."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert main(["verify", *argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_orb_n_independence_reports_the_parsed_s(capsys):
+    """The report names s as qstr of its value, not as the --s text."""
+    reports = []
+    for s in ("2/4", "1/2"):
+        assert main(["verify", "orb-n-independence", "--model", "c2",
+                     "--n", "2..3", "--s", s]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and '"s":"1/2"' in reports[0]
 
 
 # a passing run of each verifier, to which an option it does not read is added

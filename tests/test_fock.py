@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import reduce
 from hilbfock.errors import EngineError, ModelError, WeightError
-from hilbfock.fock import FockSpace, FockVector, heisenberg_witnesses, mono_weight
+from hilbfock.fock import FockSpace, FockVector, mono_weight, verify_heisenberg
 from hilbfock.models import builtin_model
 from hilbfock.partitions import (GenPartition, PartitionFunction,
                                  enumerate_partition_functions)
@@ -244,8 +244,8 @@ def test_bracket_relation_random(n, c1, m, c2, w):
 
 def test_heisenberg_sweep_small(models):
     for name in ("toy_b2_1", "odd_toy"):
-        assert heisenberg_witnesses(FockSpace(models(name)),
-                                    max_weight=3, max_index=3) == []
+        assert verify_heisenberg(FockSpace(models(name)), max_weight=3,
+                                 max_index=3) == {"ok": True, "witnesses": []}
 
 
 # -- the integer word kernel against a rational reference ----------------------------
@@ -392,4 +392,5 @@ def test_word_plan_filters_the_whole_tensor():
 def test_heisenberg_sweep_rational_pairing():
     model = _rational_pairing_model()
     for s in (None, Q(2, 3)):
-        assert heisenberg_witnesses(FockSpace(model, s), max_weight=3, max_index=3) == []
+        assert verify_heisenberg(FockSpace(model, s), max_weight=3,
+                                 max_index=3) == {"ok": True, "witnesses": []}

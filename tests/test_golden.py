@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbfock.cli import main
+from hilbfock.cli import REGISTRY, main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -113,6 +113,12 @@ def golden():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_output(case, golden):
     assert run_case(case) == golden[case]
+
+
+def test_every_verifier_id_is_pinned():
+    """A verifier id cannot land without a byte pin on its report."""
+    pinned = {case.split()[1] for case in CASES if case.startswith("verify ")}
+    assert set(REGISTRY) <= pinned
 
 
 if __name__ == "__main__":

@@ -120,9 +120,9 @@ def test_deformed_tables_differ_away_from_minus_one(models):
 
 
 def test_ring_isomorphism_c2(models):
-    rep = verify_ring_isomorphism(models("c2"), 2)
+    rep = verify_ring_isomorphism(models("c2"), [2])
     assert rep["ok"], rep["witnesses"]
-    rep = verify_ring_isomorphism(models("c2"), 3)
+    rep = verify_ring_isomorphism(models("c2"), [3])
     assert rep["ok"]
 
 
@@ -141,7 +141,7 @@ def test_ring_isomorphism_catches_a_distinguished_class_mismatch(models, monkeyp
         return out, den, markers
 
     monkeypatch.setattr(ring, "operator_int", doubled_on_unit)
-    rep = verify_ring_isomorphism(model, 2)
+    rep = verify_ring_isomorphism(model, [2])
     assert not rep["ok"]
     assert {"part": "theta-class", "k": 1, "alpha": "1"} in rep["witnesses"]
     assert all(w.get("sigma") != {} for w in rep["witnesses"])
@@ -149,7 +149,7 @@ def test_ring_isomorphism_catches_a_distinguished_class_mismatch(models, monkeyp
 
 def test_ring_isomorphism_projective_k_trivial(models):
     for n in (2, 3):
-        rep = verify_ring_isomorphism(models("k3_like"), n)
+        rep = verify_ring_isomorphism(models("k3_like"), [n])
         assert rep["ok"], (n, rep["witnesses"])
 
 
@@ -204,7 +204,7 @@ def test_deformed_table_is_associative(models):
 
 def test_ring_isomorphism_gate(models):
     with pytest.raises(UnknownCoefficientsError):
-        verify_ring_isomorphism(models("p2"), 2)
+        verify_ring_isomorphism(models("p2"), [2])
 
 
 def test_orb_n_independence(models):

@@ -343,8 +343,7 @@ def per_triple_polynomiality(model, n_values, bound_max=4):
                         "rho": rho.to_json(model), "sigma": sigma.to_json(model),
                         "nu": nu.to_json(model), "report": rep,
                     })
-    return {"ok": not witnesses, "levels": ns, "triples_fitted": fitted,
-            "witnesses": witnesses}
+    return {"ok": not witnesses, "triples_fitted": fitted, "witnesses": witnesses}
 
 
 @pytest.mark.parametrize("name", ["toy_b2_1", "k3_like"])
@@ -383,19 +382,19 @@ def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
 
 def test_ideal_suite_small(models):
     for name in ("ale_2", "c2"):
-        rep = verify_ideal_suite(models(name), 2)
+        rep = verify_ideal_suite(models(name), [2])
         assert rep["ok"], rep["witnesses"]
-    rep = verify_ideal_suite(models("ale_2"), 3)
+    rep = verify_ideal_suite(models("ale_2"), [3])
     assert rep["ok"] and rep["exact_generators"]
-    rep = verify_ideal_suite(models("c2"), 3)
+    rep = verify_ideal_suite(models("c2"), [3])
     assert rep["ok"] and not rep["exact_generators"]
     with pytest.raises(ModelError):
-        verify_ideal_suite(models("toy_b2_1"), 2)
+        verify_ideal_suite(models("toy_b2_1"), [2])
 
 
 def test_ideal_suite_synthesized_h4(models):
     k3 = models("k3_like")
-    rep = verify_ideal_suite(k3.with_ideal([k3.point], suffix="h4"), 3)
+    rep = verify_ideal_suite(k3.with_ideal([k3.point], suffix="h4"), [3])
     assert rep["ok"] and rep["exact_generators"]
 
 
@@ -420,12 +419,12 @@ def test_literal_cup_absorption_k_trivial(models):
 
 
 def test_a_homomorphism_small(engines):
-    rep = verify_a_homomorphism(engines("c2"), 2)
+    rep = verify_a_homomorphism(engines("c2"), [2])
     assert rep["ok"], rep["witnesses"]
-    rep = verify_a_homomorphism(engines("cotangent_g1"), 2)
+    rep = verify_a_homomorphism(engines("cotangent_g1"), [2])
     assert rep["ok"], rep["witnesses"]
     with pytest.raises(ModelError):
-        verify_a_homomorphism(engines("toy_b2_1"), 2)
+        verify_a_homomorphism(engines("toy_b2_1"), [2])
 
 
 def test_doubled_point_annihilation_is_caught(models, monkeypatch):
@@ -437,7 +436,7 @@ def test_doubled_point_annihilation_is_caught(models, monkeypatch):
                         lambda self, v: real(self, v).scaled(2))
     c2 = models("c2")
     eng = RingEngine(c2)
-    rep = verify_a_homomorphism(eng, 2)
+    rep = verify_a_homomorphism(eng, [2])
     assert not rep["ok"]
     images = [w["rho"] for w in rep["witnesses"] if w["part"] == "basis-image"]
     assert images == [rho.to_json(c2) for rho in eng.basis(2)]
@@ -481,10 +480,10 @@ def test_monomial_vectors_prefix_sharing(engines):
 
 def test_affine_plane_quotient_small(models):
     for name in ("k3_like", "toy_b2_1"):
-        rep = verify_affine_plane_quotient(models(name), 3)
+        rep = verify_affine_plane_quotient(models(name), [3])
         assert rep["ok"], (name, rep["witnesses"])
     # a nonzero canonical class is fine here: it lies inside the full ideal
-    rep = verify_affine_plane_quotient(models("p2"), 3)
+    rep = verify_affine_plane_quotient(models("p2"), [3])
     assert rep["ok"], rep["witnesses"]
 
 
