@@ -23,7 +23,8 @@ integer Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once
 per Fock space: it is the one cache of resolved words, and it alone applies
 a caller's label filter to the tensor.  word_int runs a word on a scaled
 integer vector (terms, num, den), worth terms * num / den, and returns one;
-apply_word_tau is its rational wrapper.
+apply_word_tau is its rational wrapper.  run_word and verify_heisenberg
+read raw operator images per monomial from raw_image, the one memo of them.
 The transposition oracle, the lambda-sum kernel and the ring engine stay in
 integers and meet the rationals only in their results.
 
@@ -33,7 +34,6 @@ that basis: RingEngine.level is the one decoder from monomials to rho.
 
 from __future__ import annotations
 
-from functools import cache
 from math import factorial
 
 from .errors import EngineError, WeightError
@@ -206,17 +206,33 @@ class FockSpace:
         return (ops, tensor, self.ann_scale.numerator ** ann,
                 self.ann_scale.denominator ** ann * den_t)
 
+    @memoized
+    def raw_image(self, op, n, c, mono):
+        """The raw operator op (a function of the class: no reference cycle)
+        on one monomial, once per Fock space; no caller may mutate it."""
+        return op(self, n, c, {mono: 1})
+
     def run_word(self, ops, tensor, terms, out, scale=1):
         """Add scale times the integer image of terms under a resolved word
-        (see word_plan) into the term dict out; returns out."""
+        (see word_plan) into the term dict out; returns out.  Each factor
+        reads the raw image of each monomial and scales it."""
+        image = self.raw_image
         for w, slots in tensor:
-            cur = terms
+            cur, w = terms, w * scale
             for (op, n), c in zip(ops, reversed(slots)):
-                cur = op(self, n, c, cur)
+                if len(cur) == 1:
+                    # the shared image itself, its coefficient moved into w
+                    ((mono, x),) = cur.items()
+                    cur, w = image(op, n, c, mono), w * x
+                else:
+                    nxt = {}
+                    for mono, x in cur.items():
+                        row_add_scaled(nxt, image(op, n, c, mono), x)
+                    cur = nxt
                 if not cur:
                     break
             else:
-                row_add_scaled(out, cur, w * scale)
+                row_add_scaled(out, cur, w)
         return out
 
     def apply_word_tau(self, indices, cls, v):
@@ -293,9 +309,10 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
     10 violations.  Weight 0 (the vacuum) and index 1 are the least bounds
     that check a bracket: lower ones are refused.
 
-    The commutators run on the integer raw operators; each annihilation in
-    the pair then contributes the factor ann_scale before the comparison with
-    kappa * m * int(e_i e_j).
+    The commutators run on the integer raw operators, whose images of each
+    monomial come from the Fock space's raw_image memo; each annihilation in
+    the pair owes the factor ann_scale, so the integer commutator is compared
+    with kappa * m * int(e_i e_j) / ann_scale^#annihilations.
     """
     if max_weight < 0 or max_index < 1:
         raise ValueError("the bounds leave no bracket to check; need "
@@ -308,36 +325,26 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
     monos = [m for w in range(max_weight + 1) for m in fock.enumerate_monomials(w)]
     indices = [i for i in range(-max_index, max_index + 1) if i]
 
-    @cache
-    def app(idx, c, mono):
-        raw = fock.create_raw if idx < 0 else fock.annihilate_raw
-        return raw(abs(idx), c, {mono: 1})
-
     def compose(idx, c, terms):
+        raw = FockSpace.create_raw if idx < 0 else FockSpace.annihilate_raw
         out = {}
         for mono, w in terms.items():
-            row_add_scaled(out, app(idx, c, mono), w)
+            row_add_scaled(out, fock.raw_image(raw, abs(idx), c, mono), w)
         return out
 
     witnesses = []
+    scales = [ann_scale ** a for a in range(3)]
     ops = [(m, i) for m in indices for i in range(dim)]
     for mono in monos:
+        images = [compose(m, i, {mono: 1}) for m, i in ops]
         for oi, (m, i) in enumerate(ops):
-            vm = app(m, i, mono)
-            for n, j in ops[oi:]:
-                lhs = compose(m, i, app(n, j, mono))
-                rhs = compose(n, j, vm)
+            for oj, (n, j) in enumerate(ops[oi:], oi):
+                lhs = compose(m, i, images[oj]) if images[oj] else {}
+                rhs = compose(n, j, images[oi]) if images[oi] else {}
                 sign = -1 if parities[i] and parities[j] else 1
                 comm = row_add_scaled(lhs, rhs, -sign)
-                if comm:
-                    factor = ann_scale ** ((m > 0) + (n > 0))
-                    comm = {mo: w * factor for mo, w in comm.items()}
-                expected = {}
-                if m == -n:
-                    c0 = kappa * m * model.pairing[i][j]
-                    if c0:
-                        expected = {mono: c0}
-                if comm != expected:
+                c0 = kappa * m * model.pairing[i][j] if m == -n else 0
+                if comm != ({mono: c0 / scales[(m > 0) + (n > 0)]} if c0 else {}):
                     witnesses.append({
                         "m": m, "alpha": model.basis[i].name,
                         "n": n, "beta": model.basis[j].name,

@@ -19,10 +19,10 @@ from .rational import ONE, Q
 
 
 def memoized(method):
-    """Memoize a method per object on its positional arguments.  The table
-    lives in the object's __dict__, so each engine or model owns its memo
-    and a fresh object starts empty; a call that raises stores nothing.
-    The method never returns None."""
+    """Memoize a method (or a function of an object) per object on its
+    positional arguments.  The table lives in the object's __dict__, so each
+    engine or model owns its memo and a fresh object starts empty; a call
+    that raises stores nothing.  The method never returns None."""
     name = "_memo_" + method.__name__
 
     @wraps(method)

@@ -12,16 +12,18 @@ absorbs the operators.
 Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
 the kernel vertex.operator_int, reduced and with its markers checked;
-word_on_basis and product_index add rows and weights in ints, and only the
-final coordinates become rationals.  In a quotient the rows skip the terms
-that create ideal labels, which the reduction would delete.  b_product is
-the one product: the verifiers and the stable-ring monomials extend it
-bilinearly over coordinates.  Fock vectors meet the engine and its
-verifiers only at the edge: index_vector and fock_vector convert, and level
-is the one decoder from monomials to basis classes.  Point annihilation is
-one map on index vectors (point_image), and the ideal checks run
-operator_int on integer term dicts, where membership in the ideal depends
-on the support alone.
+word_on_basis and product_index add rows and weights in ints.  In a
+quotient the rows skip the terms that create ideal labels, which the
+reduction would delete.  product_index is the one product, normalised once
+and checked for degree additivity.  A structure table keeps its integer
+rows, checks super-commutativity on them and decodes them only to render;
+StructureTable.get and b_product decode one to rationals, which the
+verifiers and the stable-ring monomials extend bilinearly.  Fock vectors
+meet the engine and its verifiers only at the edge: index_vector and
+fock_vector convert, and level is the one decoder from monomials to basis
+classes.  Point annihilation is one map on index vectors (point_image),
+and the ideal checks run operator_int on integer term dicts, where
+membership in the ideal depends on the support alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -52,42 +54,52 @@ def _normal(terms, den):
 
 
 class StructureTable:
-    """All cup-product structure constants at a fixed level."""
+    """All cup-product structure constants at a fixed level, as integer rows:
+    rows[i][j] is b_i(n) . b_j(n), the index vector of product_index, for
+    the classes basis[i] of the engine.  get decodes one entry, render all."""
 
-    def __init__(self, n, side, s, entries):
-        self.n = n
-        self.side = side
-        self.s = s
-        self.entries = entries
+    def __init__(self, engine, n, rows):
+        self.engine, self.n, self.rows = engine, n, rows
+        self.side, self.s = engine.side, engine.fock.s
+        self.basis = engine.basis(n)
+        self.position = {rho: i for i, rho in enumerate(self.basis)}
 
     def get(self, rho, sigma):
-        return self.entries[(rho, sigma)]
+        """The structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
+        row = self.rows[self.position[rho]][self.position[sigma]]
+        return self.engine.coordinates(row, self.n)
 
     def render(self, model):
         """The table file: the bytes of json.dumps(obj, indent=2, sort_keys=True)
         and a newline for obj = {n, s?, side, table: [{entries: [{coeff, nu}],
         rho, sigma}]}, rows by (rho, sigma) and entries by nu.  json.dumps runs
-        the pure-Python encoder whenever it indents; here only the distinct
-        partition functions go through it, once per indent level."""
-        def encoder(pad):
-            @cache
-            def encode(pf):
-                return json.dumps(pf.to_json(model), indent=2,
-                                  sort_keys=True).replace("\n", "\n" + pad)
-            return encode
+        the pure-Python encoder whenever it indents; here each class goes
+        through it once, and each coefficient is the reduced fraction of its
+        integers."""
+        basis, norms = self.basis, self.engine.level(self.n)[2]
+        order = sorted(range(len(basis)), key=lambda i: basis[i].key())
+        rank = {i: r for r, i in enumerate(order)}
+        text = [json.dumps(pf.to_json(model), indent=2, sort_keys=True) for pf in basis]
+        nu_at, pf_at = ([t.replace("\n", "\n" + pad) for t in text]
+                        for pad in (" " * 10, " " * 6))
 
         def array(items, pad):
             return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
 
-        nu_at, pf_at = encoder(" " * 10), encoder(" " * 6)
+        def coeff(c, den):
+            g = gcd(c, den)
+            return str(c // g) if g == den else f"{c // g}/{den // g}"
+
         rows = []
-        for rho, sigma in sorted(self.entries, key=lambda p: (p[0].key(), p[1].key())):
-            prods = sorted(self.entries[(rho, sigma)].items(), key=lambda t: t[0].key())
-            entries = array(['        {\n          "coeff": "' + qstr(c)
-                             + '",\n          "nu": ' + nu_at(nu) + "\n        }"
-                             for nu, c in prods], " " * 6)
-            rows.append('    {\n      "entries": ' + entries + ',\n      "rho": '
-                        + pf_at(rho) + ',\n      "sigma": ' + pf_at(sigma) + "\n    }")
+        for i in order:
+            for j in order:
+                terms, den = self.rows[i][j]
+                entries = array(['        {\n          "coeff": "'
+                                 + coeff(terms[k] * norms[k], den)
+                                 + '",\n          "nu": ' + nu_at[k] + "\n        }"
+                                 for k in sorted(terms, key=rank.__getitem__)], " " * 6)
+                rows.append('    {\n      "entries": ' + entries + ',\n      "rho": '
+                            + pf_at[i] + ',\n      "sigma": ' + pf_at[j] + "\n    }")
         head = [f'  "n": {json.dumps(self.n)}']
         if self.s is not None:
             head.append(f'  "s": {json.dumps(qstr(self.s))}')
@@ -140,15 +152,17 @@ class RingEngine:
 
     @memoized
     def level(self, n):
-        """(index, monos, norms) of the level-n basis: b_i(n) = monos[i] /
-        norms[i], and index inverts monos.  An index vector (terms, den) is
-        sum(terms[i] * monos[i]) / den with gcd(den, *terms) = 1, den > 0."""
+        """(index, monos, norms, degrees) of the level-n basis: b_i(n) =
+        monos[i] / norms[i] has degree degrees[i], and index inverts monos.
+        An index vector (terms, den) is sum(terms[i] * monos[i]) / den, with
+        gcd(den, *terms) = 1 and den > 0 wherever it is compared or memoized."""
         monos, norms = [], []
         for rho in self.basis(n):
             ((mono, c),) = self.fock.b_class(rho, n).terms.items()
             monos.append(mono)
             norms.append(c.denominator)
-        return {mono: i for i, mono in enumerate(monos)}, monos, norms
+        return ({mono: i for i, mono in enumerate(monos)}, monos, norms,
+                [self.degree(rho) for rho in self.basis(n)])
 
     @memoized
     def generator_rows(self, factor, n):
@@ -160,10 +174,12 @@ class RingEngine:
         """One degree-shift operator on a level-n index vector, reduced in a
         quotient: its rows added up in ints."""
         terms, den = vec
+        if not terms:
+            return {}, 1
         rows = self.generator_rows(factor, n)
         for i in terms:
             if rows[i] is None:
-                index, monos, _ = self.level(n)
+                index, monos = self.level(n)[:2]
                 out, d, markers = operator_int(self.fock, self.operator(*factor),
                                                  {monos[i]: 1}, self.model.ideal_pivots)
                 if not all(self.fock.in_ideal(mv) for mv, _, _ in markers):
@@ -243,18 +259,27 @@ class RingEngine:
             return self.generator_on(word[0], self.word_on_basis(word[1:], sigma, n), n)
         if sigma.cost(self.model.unit) > n:
             return {}, 1
-        index, _, norms = self.level(n)
+        index, _, norms, _ = self.level(n)
         i = index.get(next(iter(self.fock.b_class(sigma, n).terms), None))
         if i is None:
             raise EngineError(f"{sigma!r} is not a basis class at level {n}")
         return {i: 1}, norms[i]
 
     def product_index(self, rho, sigma, n):
-        """b_rho(n) . b_sigma(n) as an index vector, (out, den): the words of
-        express on b_sigma(n), weighted in ints."""
-        return combine([(terms, w.numerator, w.denominator * d)
-                        for word, w in self.express(rho, n).items()
-                        for terms, d in [self.word_on_basis(word, sigma, n)]])
+        """b_rho(n) . b_sigma(n) as a gcd-normalised index vector: the words of
+        express on b_sigma(n), weighted in ints.  Degree additivity is
+        asserted here, so every product is checked."""
+        out, den = _normal(*combine([(terms, w.numerator, w.denominator * d)
+                                     for word, w in self.express(rho, n).items()
+                                     for terms, d in [self.word_on_basis(word, sigma, n)]
+                                     if terms]))
+        if out:
+            degrees, target = self.level(n)[3], self.degree(rho) + self.degree(sigma)
+            for i in out:
+                if degrees[i] != target:
+                    raise EngineError(f"degree additivity violated in {rho!r} . "
+                                      f"{sigma!r} at {self.basis(n)[i]!r}")
+        return out, den
 
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
@@ -262,15 +287,9 @@ class RingEngine:
 
     @memoized
     def b_product(self, rho, sigma, n):
-        """Structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
-        coords = self.coordinates(self.product_index(rho, sigma, n), n)
-        degree = self.degree
-        target = degree(rho) + degree(sigma)
-        for nu in coords:
-            if degree(nu) != target:
-                raise EngineError(
-                    f"degree additivity violated in {rho!r} . {sigma!r} at {nu!r}")
-        return coords
+        """Structure constants of b_rho(n) . b_sigma(n): nu -> rational, the
+        decoded product_index that a structure table keeps."""
+        return self.coordinates(self.product_index(rho, sigma, n), n)
 
     @memoized
     def point_image(self, rho, n):
@@ -280,24 +299,20 @@ class RingEngine:
         return self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
 
     def structure_constants(self, n):
+        """The level-n structure table: every product_index, kept as an
+        integer row, with super-commutativity asserted over the whole table."""
         basis = self.basis(n)
-        entries = {}
-        for rho in basis:
-            for sigma in basis:
-                entries[(rho, sigma)] = self.b_product(rho, sigma, n)
-        table = StructureTable(n, self.side, self.fock.s, entries)
-        self._check_supercommutativity(table)
-        return table
-
-    def _check_supercommutativity(self, table):
-        degree = self.degree
-        for (rho, sigma), prods in table.entries.items():
-            mirror = table.entries[(sigma, rho)]
-            if degree(rho) % 2 and degree(sigma) % 2:
-                mirror = {nu: -c for nu, c in mirror.items()}
-            if prods != mirror:
-                raise EngineError(
-                    f"super-commutativity violated for ({rho!r}, {sigma!r})")
+        rows = [[self.product_index(rho, sigma, n) for sigma in basis] for rho in basis]
+        odd = [d % 2 for d in self.level(n)[3]]
+        for i, row in enumerate(rows):
+            for j in range(i, len(row)):
+                terms, den = rows[j][i]
+                if odd[i] and odd[j]:
+                    terms = {k: -c for k, c in terms.items()}
+                if row[j] != (terms, den):
+                    raise EngineError("super-commutativity violated for "
+                                      f"({basis[i]!r}, {basis[j]!r})")
+        return StructureTable(self, n, rows)
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -789,21 +804,15 @@ def verify_ring_isomorphism(model, n_values):
     witnesses = []
     for n in ns:
         found = []
-        table_h = hilb.structure_constants(n)
-        table_o = orb.structure_constants(n)
-        for key, prods in table_h.entries.items():
-            if table_o.entries[key] != prods:
-                rho, sigma = key
-                found.append({"part": "table",
-                              "rho": rho.to_json(model),
-                              "sigma": sigma.to_json(model)})
-                if len(found) >= 10:
-                    break
+        rows_h, rows_o = hilb.structure_constants(n).rows, orb.structure_constants(n).rows
+        basis = hilb.basis(n)
+        found += [{"part": "table", "rho": rho.to_json(model), "sigma": sigma.to_json(model)}
+                  for i, rho in enumerate(basis) for j, sigma in enumerate(basis)
+                  if rows_h[i][j] != rows_o[i][j]][:10]
 
         # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P; at
         # P = b_empty(n), the level unit, it says that each deformed
         # distinguished class equals its Hilbert namesake
-        basis = hilb.basis(n)
         for k in range(n):
             for c in model.working_classes():
                 for sigma in basis:

@@ -17,11 +17,12 @@ ideal containing K, where each marker must vanish under reduction.
 
 operator_int is the lambda-sum kernel: an operator resolves each lambda
 term once per part multiset (OperatorExpression.plan), and apply_operator
-is its rational wrapper.  A caller whose reduction deletes some labels
-passes them to operator_int as drop; the plan hands them on to
-FockSpace.word_plan, the one place that filters a Kuenneth tensor.  The
-oracles below run every word on scaled integer vectors through
-FockSpace.word_int, over the plans its Fock space keeps.
+is its rational wrapper.  A family's lambda words and weights do not depend
+on its class: _lambda_terms enumerates them once per Fock space.  A caller
+whose reduction deletes some labels passes them to operator_int as drop;
+the plan hands them on to FockSpace.word_plan, the one place that filters
+a Kuenneth tensor.  The oracles below run every word on scaled integer
+vectors through FockSpace.word_int, over the plans its Fock space keeps.
 """
 
 from __future__ import annotations
@@ -86,18 +87,12 @@ class OperatorExpression:
         den; markers lists the canonical-class terms' plans without drop."""
         known, markers = [], []
         for fam in self.families:
-            for pos in _submultisets(parts):
-                neg_len = fam.ell - len(pos)
-                if neg_len < 1:
-                    continue
-                for neg in partitions_with_length(sum(pos), neg_len):
-                    lam = GenPartition.from_parts([-r for r in neg] + list(pos))
-                    weight = fam.weight_of(lam)
-                    if weight is None:
-                        markers.append(fock.word_plan(lam.word(), fam.cls))
-                    elif weight:
-                        ops, tensor, num, den = fock.word_plan(lam.word(), fam.cls, drop)
-                        known.append((ops, tensor, weight * Q(num, den)))
+            for word, weight in _lambda_terms(fock, fam.ell, fam.tag, fam.scale, parts):
+                if weight is None:
+                    markers.append(fock.word_plan(word, fam.cls))
+                else:
+                    ops, tensor, num, den = fock.word_plan(word, fam.cls, drop)
+                    known.append((ops, tensor, weight * Q(num, den)))
         den = lcm(*(q.denominator for _, _, q in known))
         return ([(ops, tensor, q.numerator * (den // q.denominator))
                  for ops, tensor, q in known], den, markers)
@@ -131,6 +126,22 @@ def chern_operator(fock, k, alpha):
         add(k + 1, k_alpha, K_IDEAL)
         add(k, model.mul(model.canonical, k_alpha), K_IDEAL)
     return OperatorExpression(model, k, alpha, families)
+
+
+@memoized
+def _lambda_terms(fock, ell, tag, scale, parts):
+    """(word, weight) of each lambda term of length ell on one part multiset
+    with a nonzero weight (None: a canonical-class family), once per Fock
+    space: the terms depend on the family's shape, not on its class."""
+    weight_of = TermFamily(ell, None, tag, scale).weight_of
+    terms = []
+    for pos in _submultisets(parts):
+        for neg in partitions_with_length(sum(pos), ell - len(pos)):
+            lam = GenPartition.from_parts([-r for r in neg] + list(pos))
+            weight = weight_of(lam)
+            if weight is None or weight:
+                terms.append((lam.word(), weight))
+    return terms
 
 
 def _parts_multiset(mono):

@@ -165,10 +165,11 @@ def test_criterion_10_degree_and_sign_audits(engines, models):
         model = models(name)
         for n in levels:
             table = eng.structure_constants(n)
-            for (rho, sigma), prods in table.entries.items():
+            for rho, sigma in ((r, s) for r in table.basis for s in table.basis):
+                prods = table.get(rho, sigma)
                 dsum = rho.degree(model) + sigma.degree(model)
                 sign = -1 if (rho.degree(model) % 2 and sigma.degree(model) % 2) else 1
-                mirror = table.entries[(sigma, rho)]
+                mirror = table.get(sigma, rho)
                 if {nu: c * sign for nu, c in mirror.items()} != prods:
                     failures.append((name, n, "sign", rho.key(), sigma.key()))
                 for nu, c in prods.items():

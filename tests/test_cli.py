@@ -167,8 +167,9 @@ def _table_obj(table, model):
     """The structure-table file as a JSON object, built independently of
     StructureTable.render."""
     items = []
-    for (rho, sigma) in sorted(table.entries, key=lambda p: (p[0].key(), p[1].key())):
-        prods = table.entries[(rho, sigma)]
+    pairs = [(rho, sigma) for rho in table.basis for sigma in table.basis]
+    for (rho, sigma) in sorted(pairs, key=lambda p: (p[0].key(), p[1].key())):
+        prods = table.get(rho, sigma)
         items.append({
             "rho": rho.to_json(model),
             "sigma": sigma.to_json(model),

@@ -1,6 +1,7 @@
 """Cup products, generator expressions, stable-ring structure, verifiers."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -224,10 +225,95 @@ def test_structure_table_shape_and_json(engines, models):
     model = models("ale_2")
     table = eng.structure_constants(2)
     basis = eng.basis(2)
-    assert set(table.entries) == {(r, s) for r in basis for s in basis}
+    assert table.basis == basis
+    assert [len(row) for row in table.rows] == [len(basis)] * len(basis)
+    assert all(table.get(r, s) == eng.b_product(r, s, 2) for r in basis for s in basis)
     obj = json.loads(table.render(model))
     assert obj["n"] == 2 and obj["side"] == "hilbert" and "s" not in obj
     assert len(obj["table"]) == len(basis) ** 2
+
+
+@pytest.mark.parametrize("name, n, s", [("odd_toy", 3, None), ("c2", 5, None),
+                                        ("ale_2", 3, Q(2)), ("ale_2", 3, Q(-7, 2))])
+def test_integer_table_equals_the_rational_products(models, name, n, s):
+    """Every entry that StructureTable.get decodes from its integer row
+    equals b_product, the rational product, of a second engine: odd signs
+    on odd_toy, the ideal and its markers on c2, two deformations of ale_2."""
+    table = RingEngine(models(name), s).structure_constants(n)
+    other = RingEngine(models(name), s)
+    basis = other.basis(n)
+    assert table.basis == basis
+    nonzero = 0
+    for rho in basis:
+        for sigma in basis:
+            got = table.get(rho, sigma)
+            assert got == other.b_product(rho, sigma, n), (rho, sigma)
+            nonzero += bool(got)
+    assert nonzero > len(basis)
+
+
+def _odd_pair(engine, n):
+    """Two odd-degree classes with a nonzero product at level n."""
+    table = engine.structure_constants(n)
+    return next((rho, sigma) for rho in table.basis for sigma in table.basis
+                if engine.degree(rho) % 2 and engine.degree(sigma) % 2
+                and table.get(rho, sigma))
+
+
+def test_a_perturbed_row_trips_super_commutativity(models, monkeypatch):
+    """One integer row changed with its degrees intact fails the table's
+    super-commutativity assertion: a doubled c2 row, and an odd.odd row of
+    odd_toy replaced by its mirror without the sign."""
+    real = RingEngine.product_index
+    c2 = RingEngine(models("c2"))
+    doubled = next((rho, sigma) for rho in c2.basis(3) for sigma in c2.basis(3)
+                   if rho != sigma and c2.b_product(rho, sigma, 3))
+    unsigned = _odd_pair(RingEngine(models("odd_toy")), 3)
+
+    def perturbed(self, rho, sigma, n):
+        terms, den = real(self, rho, sigma, n)
+        if (rho, sigma) == doubled:
+            return {i: 2 * c for i, c in terms.items()}, den
+        if (rho, sigma) == unsigned:
+            return real(self, sigma, rho, n)
+        return terms, den
+
+    monkeypatch.setattr(RingEngine, "product_index", perturbed)
+    for name in ("c2", "odd_toy"):
+        with pytest.raises(EngineError, match="super-commutativity"):
+            RingEngine(models(name)).structure_constants(3)
+
+
+def test_a_wrong_degree_entry_trips_degree_additivity(models):
+    """A memoized word image given one entry of another degree makes the
+    next table fail its degree-additivity assertion."""
+    eng = RingEngine(models("toy_b2_1"))
+    eng.structure_constants(3)
+    degrees = eng.level(3)[3]
+    memo = eng.__dict__["_memo_word_on_basis"]
+    key = next((word, sigma, 3) for rho in eng.basis(3) for word in eng.express(rho, 3)
+               for sigma in eng.basis(3) if memo[(word, sigma, 3)][0])
+    terms, den = memo[key]
+    wrong = next(i for i, d in enumerate(degrees) if d != degrees[next(iter(terms))])
+    memo[key] = ({**terms, wrong: 1}, den)
+    with pytest.raises(EngineError, match="degree additivity"):
+        eng.structure_constants(3)
+
+
+@pytest.mark.parametrize("name, n, s", [("c2", 4, None), ("odd_toy", 3, None),
+                                        ("ale_2", 3, Q(2))])
+def test_word_images_are_normalised(models, name, n, s):
+    """Every index vector that word_on_basis and generator_on return has
+    den > 0 and gcd(den, *terms) = 1, so that equal classes compare equal
+    (verify_ring_isomorphism compares them with !=)."""
+    eng = RingEngine(models(name), s)
+    eng.structure_constants(n)
+    images = list(eng.__dict__["_memo_word_on_basis"].values())
+    vecs = images + [eng.generator_on((k, c), vec, n) for k in range(n)
+                     for c in eng.model.working_classes() for vec in images]
+    assert len(images) > 20
+    for terms, den in vecs:
+        assert den > 0 and gcd(den, *terms.values()) == 1, (terms, den)
 
 
 def test_memos_are_per_engine(models):

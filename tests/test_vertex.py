@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reduce
+from hilbfock import fock as fock_module
+from hilbfock import ring as ring_module
 from hilbfock import vertex
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
@@ -397,6 +399,35 @@ def test_a_dropped_fock_space_is_freed_without_the_collector(models, monkeypatch
         if enabled:
             gc.enable()
     assert alive == [False, False]
+
+
+def test_raw_images_are_never_mutated(models, monkeypatch):
+    """A snapshot of the raw-image memo, taken after a lemma-ks sweep and a
+    structure table on one Fock space, is unchanged after both run again
+    on that space: no caller mutates a shared image, and the second run
+    finds every image it needs."""
+    model = models("toy_b2_1")
+    fock = FockSpace(model)
+
+    class Shared(FockSpace):
+        def __new__(cls, *args):
+            return fock
+
+    # every Fock space that the sweep and the engines build is this one
+    monkeypatch.setattr(fock_module, "FockSpace", Shared)
+    monkeypatch.setattr(ring_module, "FockSpace", Shared)
+
+    def run():
+        assert verify_lemma_ks(model, 3, 4)["ok"]
+        assert RingEngine(model).fock is fock
+        RingEngine(model).structure_constants(3)
+
+    run()
+    memo = fock.__dict__["_memo_raw_image"]
+    snapshot = {key: dict(image) for key, image in memo.items()}
+    assert len(snapshot) > 100
+    run()
+    assert {key: dict(image) for key, image in memo.items()} == snapshot
 
 
 def test_nonsense1_two_term_case(models):
