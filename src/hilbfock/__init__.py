@@ -7,7 +7,7 @@ from .fock import FockSpace, FockVector
 from .models import builtin_model, load_model
 from .partitions import GenPartition, PartitionFunction
 from .rational import Q
-from .ring import FHRing, LehnEngine, RingEngine, StructureTable
+from .ring import LehnEngine, RingEngine, StructureTable
 from .surface import BasisElement, GradedClass, SurfaceModel, validate_model
 from .vertex import (OperatorExpression, SparsePolynomial, apply_operator,
                      chern_class, chern_operator, lehn_apply, phi_map)
@@ -15,7 +15,7 @@ from .vertex import (OperatorExpression, SparsePolynomial, apply_operator,
 __version__ = "0.2.0"
 
 __all__ = [
-    "BasisElement", "EliminationError", "EngineError", "FHRing", "FockSpace",
+    "BasisElement", "EliminationError", "EngineError", "FockSpace",
     "FockVector", "GenPartition", "GradedClass", "LehnEngine",
     "ModelError", "OperatorExpression", "PartitionFunction", "Q",
     "RingEngine", "SparsePolynomial", "StructureTable", "SurfaceModel",

@@ -23,8 +23,8 @@ integer Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once
 per Fock space: it is the one cache of resolved words, and it alone applies
 a caller's label filter to the tensor.  word_int runs a word on a scaled
 integer vector (terms, num, den), worth terms * num / den, and returns one;
-apply_word_tau is its rational wrapper.  run_word and verify_heisenberg
-read raw operator images per monomial from raw_image, the one memo of them.
+apply_word_tau is its rational wrapper.  run_word reads raw operator
+images per monomial from raw_image, the one memo of them.
 The transposition oracle, the lambda-sum kernel and the ring engine stay in
 integers and meet the rationals only in their results.
 
@@ -309,10 +309,10 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
     10 violations.  Weight 0 (the vacuum) and index 1 are the least bounds
     that check a bracket: lower ones are refused.
 
-    The commutators run on the integer raw operators, whose images of each
-    monomial come from the Fock space's raw_image memo; each annihilation in
-    the pair owes the factor ann_scale, so the integer commutator is compared
-    with kappa * m * int(e_i e_j) / ann_scale^#annihilations.
+    The commutators run the integer raw operators on the term dicts, and
+    fill no memo: most images are read once.  Each annihilation in the pair
+    owes the factor ann_scale, so the integer commutator is compared with
+    kappa * m * int(e_i e_j) / ann_scale^#annihilations.
     """
     if max_weight < 0 or max_index < 1:
         raise ValueError("the bounds leave no bracket to check; need "
@@ -326,11 +326,8 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
     indices = [i for i in range(-max_index, max_index + 1) if i]
 
     def compose(idx, c, terms):
-        raw = FockSpace.create_raw if idx < 0 else FockSpace.annihilate_raw
-        out = {}
-        for mono, w in terms.items():
-            row_add_scaled(out, fock.raw_image(raw, abs(idx), c, mono), w)
-        return out
+        return fock.create_raw(-idx, c, terms) if idx < 0 else \
+            fock.annihilate_raw(idx, c, terms)
 
     witnesses = []
     scales = [ann_scale ** a for a in range(3)]

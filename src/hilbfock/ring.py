@@ -15,15 +15,16 @@ the kernel vertex.operator_int, reduced and with its markers checked;
 word_on_basis and product_index add rows and weights in ints.  In a
 quotient the rows skip the terms that create ideal labels, which the
 reduction would delete.  product_index is the one product, normalised once
-and checked for degree additivity.  A structure table keeps its integer
-rows, checks super-commutativity on them and decodes them only to render;
-StructureTable.get and b_product decode one to rationals, which the
-verifiers and the stable-ring monomials extend bilinearly.  Fock vectors
+and checked for degree additivity; multiply extends it bilinearly to two
+index vectors, in ints.  A structure table keeps its integer rows, checks
+super-commutativity on them and decodes them only to render;
+StructureTable.get and b_product decode one to rationals.  Fock vectors
 meet the engine and its verifiers only at the edge: index_vector and
 fock_vector convert, and level is the one decoder from monomials to basis
-classes.  Point annihilation is one map on index vectors (point_image),
-and the ideal checks run operator_int on integer term dicts, where
-membership in the ideal depends on the support alone.
+classes.  Point annihilation is one map on index vectors (point_image on
+a class, point_down on a vector), and the ideal checks run operator_int on
+integer term dicts, where membership in the ideal depends on the support
+alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -281,11 +282,19 @@ class RingEngine:
                                       f"{sigma!r} at {self.basis(n)[i]!r}")
         return out, den
 
+    def multiply(self, x, y, n):
+        """The cup product of two level-n index vectors: product_index
+        extended bilinearly, with monos[i] = norms[i] * b_i(n), in ints."""
+        basis, norms = self.basis(n), self.level(n)[2]
+        out, den = combine([(terms, a * b * norms[i] * norms[j], d)
+                            for i, a in x[0].items() for j, b in y[0].items()
+                            for terms, d in [self.product_index(basis[i], basis[j], n)]])
+        return _normal(out, den * x[1] * y[1])
+
     def product_vector(self, rho, sigma, n):
         """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
         return self.fock_vector(self.product_index(rho, sigma, n), n)
 
-    @memoized
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational, the
         decoded product_index that a structure table keeps."""
@@ -297,6 +306,14 @@ class RingEngine:
         class, as a level-n index vector."""
         fock = self.fock
         return self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
+
+    def point_down(self, vec, n):
+        """-a_1([x]) on a level-(n+1) index vector: the point_image rows added
+        up in ints, as a level-n index vector."""
+        basis, norms = self.basis(n + 1), self.level(n + 1)[2]
+        out, den = combine([(terms, c * norms[i], d) for i, c in vec[0].items()
+                            for terms, d in [self.point_image(basis[i], n)]])
+        return _normal(out, den * vec[1])
 
     def structure_constants(self, n):
         """The level-n structure table: every product_index, kept as an
@@ -342,6 +359,15 @@ def _require_positive(ns):
         raise ValueError(f"--n {_span(ns)} has no level >= 1 to check; widen --n")
 
 
+def _require_known_coefficients(model):
+    """The projective sweeps run only where the canonical class vanishes:
+    otherwise the operators need unknown universal coefficients."""
+    if not model.canonical.is_zero():
+        raise UnknownCoefficientsError(
+            "unknown universal coefficients required (projective model with "
+            "nonzero canonical class)")
+
+
 def verify_n_independence(engine, n_values):
     """Exact cross-level equality of all structure constants defined on the
     whole range (a quotient ring: the projective statement is
@@ -381,10 +407,7 @@ def verify_mod_h4_independence(model, n_values):
     model with vanishing canonical class; the ideal H^4 is synthesized)."""
     if model.has_ideal:
         raise ModelError("mod-H^4 independence applies to projective models")
-    if not model.canonical.is_zero():
-        raise UnknownCoefficientsError(
-            "unknown universal coefficients required (projective model with "
-            "nonzero canonical class)")
+    _require_known_coefficients(model)
     quotient = model.with_ideal([model.point], suffix="h4")
     return verify_n_independence(RingEngine(quotient), n_values)
 
@@ -465,10 +488,7 @@ def verify_polynomiality(model, n_values, bound_max=4):
     checks nothing and is refused."""
     if model.has_ideal:
         raise ModelError("polynomiality is the projective statement")
-    if not model.canonical.is_zero():
-        raise UnknownCoefficientsError(
-            "unknown universal coefficients required (projective model with "
-            "nonzero canonical class)")
+    _require_known_coefficients(model)
     engine = RingEngine(model)
     ns = sorted(n_values)
     degree = engine.degree
@@ -622,7 +642,7 @@ def _point_misses(engine, n):
     """The level-n classes that point annihilation does not send from their
     level-(n+1) namesakes to themselves."""
     return [rho for rho in engine.basis(n)
-            if engine.coordinates(engine.point_image(rho, n), n) != {rho: ONE}]
+            if engine.point_image(rho, n) != engine.word_on_basis((), rho, n)]
 
 
 def verify_a_homomorphism(engine, n_values):
@@ -643,121 +663,97 @@ def verify_a_homomorphism(engine, n_values):
         found = [{"part": "basis-image", "rho": rho.to_json(model)}
                  for rho in _point_misses(engine, n)]
         upper = engine.basis(n + 1)
-        down = {rho: engine.coordinates(engine.point_image(rho, n), n) for rho in upper}
         for rho in upper:
             for sigma in upper:
-                lhs = {}
-                for nu, c in engine.b_product(rho, sigma, n + 1).items():
-                    row_add_scaled(lhs, down[nu], c)
-                rhs = {}
-                for mu, a in down[rho].items():
-                    for nu, b in down[sigma].items():
-                        row_add_scaled(rhs, engine.b_product(mu, nu, n), a * b)
-                if lhs != rhs:
+                image = engine.point_down(engine.product_index(rho, sigma, n + 1), n)
+                if image != engine.multiply(engine.point_image(rho, n),
+                                            engine.point_image(sigma, n), n):
                     found.append({"part": "ring-hom", "rho": rho.to_json(model),
                                   "sigma": sigma.to_json(model)})
         witnesses += found[:20]
     return {"ok": not witnesses, "witnesses": witnesses, "levels": ns}
 
 
-class FHRing:
-    """The stable ring on partition-valued symbols, with multiplication by the
-    level-independent structure constants."""
-
-    def __init__(self, engine, n_probe):
-        if not engine.model.has_ideal:
-            raise ModelError("the stable ring needs a model with an ideal")
-        self.engine = engine
-        self.model = engine.model
-        self.n_probe = n_probe
-        probe = verify_n_independence(engine, [n_probe, n_probe + 1])
-        if not probe["ok"]:
-            raise EngineError("structure constants failed to stabilize "
-                              f"between levels {n_probe} and {n_probe + 1}")
-
-    def mult(self, rho, sigma):
-        """Stable structure constants of b_rho . b_sigma (level-free)."""
-        unit = self.model.unit
-        return self.engine.b_product(rho, sigma, max(rho.cost(unit) + sigma.cost(unit), 1))
-
-    def single(self, r, c):
-        """The one-part symbol b_{r,c}."""
-        return PartitionFunction({c: (r,)})
-
-
 def monomial_vectors(engine, rhos, n_eval):
-    """The coordinates of the products prod b_{r,c} indexed by each rho at a
-    common level, evaluated recursively sharing prefixes: each one-part
-    factor multiplies the shorter product through b_product, extended
-    bilinearly over its coordinates."""
+    """The products prod b_{r,c} indexed by each rho, as level-n_eval index
+    vectors, evaluated recursively sharing prefixes: each one-part factor
+    multiplies the shorter product through multiply."""
     @cache
-    def coords(rho):
+    def vector(rho):
         if not rho.parts:
-            return {rho: ONE}  # the level unit
+            return engine.word_on_basis((), rho, n_eval)  # the level unit
         # peel off the largest part of the first class
         c = min(rho.parts)
         r, *others = rho.parts[c]
-        single = PartitionFunction({c: (r,)})
-        out = {}
-        for nu, w in coords(PartitionFunction({**rho.parts, c: others})).items():
-            row_add_scaled(out, engine.b_product(single, nu, n_eval), w)
-        return out
+        single = engine.word_on_basis((), PartitionFunction({c: (r,)}), n_eval)
+        return engine.multiply(single, vector(PartitionFunction({**rho.parts, c: others})),
+                               n_eval)
 
-    return {rho: coords(rho) for rho in rhos}
+    return {rho: vector(rho) for rho in rhos}
 
 
 def verify_fh_ring(model, norm_bound=5, cost_bound=None):
-    """Build the stable ring and verify its structure: generation by the
+    """Build the stable ring and verify its structure: the structure
+    constants stabilize between two probe levels, generation by the
     one-part symbols up to cost_bound (default min(norm_bound, 5)), linear
     independence of their monomials of norm at most norm_bound, vanishing
-    odd squares, and the commuting tower of point-annihilation maps.  A
-    negative norm_bound leaves no monomial and is refused."""
+    odd squares, and the commuting tower of point-annihilation maps.  The
+    monomials are evaluated at level 2 * norm_bound; a negative norm_bound
+    leaves no monomial and a cost_bound above that level leaves the
+    generation window unevaluated, so both are refused."""
     if norm_bound < 0:
         raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
+    n_eval = 2 * norm_bound
     if cost_bound is None:
         cost_bound = min(norm_bound, 5)
+    if cost_bound > n_eval:
+        raise ValueError(f"cost bound {cost_bound} exceeds the evaluation level {n_eval}")
     engine = RingEngine(model)
-    fh = FHRing(engine, n_probe=max(2, cost_bound // 2))
-    unit = model.unit
+    if not model.has_ideal:
+        raise ModelError("the stable ring needs a model with an ideal")
+    n_probe = max(2, cost_bound // 2)
+    if not verify_n_independence(engine, [n_probe, n_probe + 1])["ok"]:
+        raise EngineError("structure constants failed to stabilize "
+                          f"between levels {n_probe} and {n_probe + 1}")
     witnesses = []
 
-    # odd squares vanish
+    # odd squares vanish, in the stable range of the square
     for r in range(1, norm_bound + 1):
         for c in model.working_classes():
             if model.parities[c]:
-                if fh.mult(fh.single(r, c), fh.single(r, c)):
+                single = PartitionFunction({c: (r,)})
+                if engine.product_index(single, single,
+                                        max(2 * single.cost(model.unit), 1))[0]:
                     witnesses.append({"part": "odd-square", "r": r,
                                       "c": model.basis[c].name})
 
-    # monomials of the one-part symbols, indexed by P(S_X) with ||rho|| <= bound
-    window = [rho for rho in engine.basis(2 * norm_bound)
-              if rho.total() <= norm_bound]
-    n_eval = 2 * norm_bound
+    # monomials of the one-part symbols, indexed by P(S_X) with ||rho|| <= bound;
+    # rank and span membership survive the positive rescaling from basis
+    # classes to monomials, so the integer terms of the index vectors will do
+    window = [rho for rho in engine.basis(n_eval) if rho.total() <= norm_bound]
     rows = monomial_vectors(engine, window, n_eval)
-
     ech = Echelon()
     independent = 0
     for rho in window:
-        row = {nu.key(): c for nu, c in rows[rho].items()}
-        if ech.insert(row) is not None:
+        if ech.insert(rows[rho][0]) is not None:
             independent += 1
         else:
             witnesses.append({"part": "independence", "rho": rho.to_json(model)})
 
-    # generation: every basis symbol in the cost window reduces to zero against
-    # the span of the monomials with cost <= the same window
-    gen_window = [rho for rho in engine.basis(cost_bound)]
+    # generation: every basis symbol in the cost window lies in the span of
+    # the monomials with cost <= the same window
+    gen_window = engine.basis(cost_bound)
     gen_rows = monomial_vectors(engine, gen_window, n_eval)
     gen_ech = Echelon()
     for rho in gen_window:
-        gen_ech.insert({nu.key(): c for nu, c in gen_rows[rho].items()})
+        gen_ech.insert(gen_rows[rho][0])
     for nu in gen_window:
-        if not gen_ech.contains({nu.key(): ONE}):
+        if not gen_ech.contains(engine.word_on_basis((), nu, n_eval)[0]):
             witnesses.append({"part": "generation", "nu": nu.to_json(model)})
 
     # the tower commutes: annihilating a point steps the evaluation level down
     witnesses += [{"part": "tower", "rho": rho.to_json(model)}
-                  for rho in _point_misses(engine, fh.n_probe)]
+                  for rho in _point_misses(engine, n_probe)]
 
     return {"ok": not witnesses,
             "monomials_checked": len(window),

@@ -248,6 +248,14 @@ def test_heisenberg_sweep_small(models):
                                  max_index=3) == {"ok": True, "witnesses": []}
 
 
+def test_heisenberg_sweep_fills_no_memo(models):
+    """The sweep runs the raw operators on its term dicts: most images are
+    read once, so keeping them would only grow the Fock space."""
+    fock = FockSpace(models("toy_b2_1"))
+    assert verify_heisenberg(fock, 3, 3)["ok"]
+    assert "_memo_raw_image" not in fock.__dict__
+
+
 # -- the integer word kernel against a rational reference ----------------------------
 
 

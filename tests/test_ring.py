@@ -11,7 +11,7 @@ from hilbfock.fock import FockSpace, FockVector
 from hilbfock.linalg import row_add_scaled
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
-from hilbfock.ring import (FHRing, LehnEngine, RingEngine,
+from hilbfock.ring import (LehnEngine, RingEngine,
                            fit_polynomial_in_n, lagrange_coefficients,
                            monomial_vectors, poly_eval,
                            verify_a_homomorphism,
@@ -187,6 +187,30 @@ def _cup(eng, u, v, n):
     return out
 
 
+@pytest.mark.parametrize("name, n", [("c2", 3), ("odd_toy", 2)])
+def test_multiply_is_bilinear_b_product(engines, name, n):
+    """multiply on two-term index vectors with rational coefficients decodes
+    to the bilinear extension of b_product (odd_toy at level 2 has odd . odd
+    signs), and a product with the empty vector is ({}, 1)."""
+    eng = engines(name)
+    basis = eng.basis(n)
+    coords = [{basis[i]: Q(2, 3), basis[i + 1]: Q(-5, 7 + i)}
+              for i in range(len(basis) - 1)]
+
+    def vector(u):
+        v = FockVector.zero()
+        for rho, a in u.items():
+            v += eng.fock.b_class(rho, n).scaled(a)
+        return eng.index_vector(v, n)
+
+    for u in coords:
+        for w in coords:
+            got = eng.multiply(vector(u), vector(w), n)
+            assert eng.coordinates(got, n) == _cup(eng, u, w, n), (u, w)
+        assert eng.multiply(vector(u), ({}, 1), n) == ({}, 1)
+        assert eng.multiply(({}, 1), vector(u), n) == ({}, 1)
+
+
 def _assert_sampled_associativity(eng, n, rs, ss, ts):
     """(b_r . b_s) . b_t = b_r . (b_s . b_t), each product through b_product."""
     for r in rs:
@@ -323,11 +347,12 @@ def test_memos_are_per_engine(models):
     first, second = RingEngine(model), RingEngine(model)
     rho = PartitionFunction({model.index_of("h1"): (1,)})
     expr = first.express(rho, 3)
-    prod = first.b_product(rho, rho, 3)
+    word = next(iter(expr))
+    image = first.word_on_basis(word, rho, 3)
     assert first.express(rho, 3) is expr
-    assert first.b_product(rho, rho, 3) is prod
-    again = second.b_product(rho, rho, 3)
-    assert again == prod and again is not prod
+    assert first.word_on_basis(word, rho, 3) is image
+    again = second.word_on_basis(word, rho, 3)
+    assert again == image and again is not image
     assert second.express(rho, 3) is not expr
     lehn = LehnEngine()
     unit = PartitionFunction({model.unit: (1,)})
@@ -532,15 +557,14 @@ def test_doubled_point_annihilation_is_caught(models, monkeypatch):
     assert {w["part"] for w in rep["witnesses"]} == {"tower"}
 
 
-def test_fh_ring_basics(engines, models):
+def test_fh_ring_basics(engines):
     eng = engines("c2")
-    fh = FHRing(eng, n_probe=3)
-    b1 = fh.single(1, 0)
-    prod = fh.mult(b1, b1)
-    assert prod    # the stable square of the first symbol is nonzero
-    # stable constants agree with every large-enough level
-    for n in (4, 6):
-        assert eng.b_product(b1, b1, n) == prod
+    b1 = PartitionFunction({0: (1,)})
+    # the stable square of the first symbol, at level 2 * cost, is nonzero
+    prod = eng.b_product(b1, b1, 4)
+    assert prod
+    # and agrees with a larger level
+    assert eng.b_product(b1, b1, 6) == prod
 
 
 def test_fh_odd_squares(models):
@@ -554,14 +578,22 @@ def test_fh_ring_c2(models):
     assert rep["monomials_checked"] == rep["independent"]
 
 
+def test_fh_ring_refuses_a_cost_bound_past_the_evaluation_level(models):
+    """A class of cost above 2 * norm_bound is zero at the evaluation level,
+    so its generation probe would hold without a check."""
+    with pytest.raises(ValueError, match="evaluation level 2"):
+        verify_fh_ring(models("c2"), norm_bound=1, cost_bound=3)
+
+
 def test_monomial_vectors_prefix_sharing(engines):
     eng = engines("c2")
     rhos = eng.basis(4)
     vecs = monomial_vectors(eng, rhos, 6)
-    # the empty product is the unit and single parts are the classes themselves
-    assert vecs[PartitionFunction({})] == {PartitionFunction({}): Q(1)}
-    single = PartitionFunction({0: (1,)})
-    assert vecs[single] == {single: Q(1)}
+    # the empty product is the unit and single parts are the classes
+    # themselves, as index vectors
+    for rho in (PartitionFunction({}), PartitionFunction({0: (1,)})):
+        assert vecs[rho] == eng.word_on_basis((), rho, 6)
+        assert eng.coordinates(vecs[rho], 6) == {rho: Q(1)}
 
 
 def test_affine_plane_quotient_small(models):
