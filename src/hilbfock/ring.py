@@ -11,20 +11,23 @@ absorbs the operators.
 
 Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
-the kernel vertex.operator_int, reduced and with its markers checked;
-word_on_basis and product_index add rows and weights in ints.  In a
-quotient the rows skip the terms that create ideal labels, which the
-reduction would delete.  product_index is the one product, normalised once
-and checked for degree additivity; multiply extends it bilinearly to two
-index vectors, in ints.  A structure table keeps its integer rows, checks
-super-commutativity on them and decodes them only to render;
-StructureTable.get and b_product decode one to rationals.  Fock vectors
-meet the engine and its verifiers only at the edge: index_vector and
-fock_vector convert, and level is the one decoder from monomials to basis
-classes.  Point annihilation is one map on index vectors (point_image on
-a class, point_down on a vector), and the ideal checks run operator_int on
-integer term dicts, where membership in the ideal depends on the support
-alone.
+the kernel vertex.operator_int, reduced, with its markers checked and
+every entry checked to have the degree of the monomial plus that of the
+generator, so that every word image is homogeneous; word_on_basis and
+product_index add rows and weights in ints.  In a quotient the rows skip
+the terms that create ideal labels, which the reduction would delete.
+product_index is the one product, normalised once and checked again for
+degree additivity; a product whose degree no level-n class has is zero,
+and it returns that without running a word.  multiply extends it
+bilinearly to two index vectors, in ints.  A structure table keeps its
+integer rows, checks super-commutativity on them and decodes them only to
+render; StructureTable.get and b_product decode one to rationals.  Fock
+vectors meet the engine and its verifiers only at the edge: index_vector
+and fock_vector convert, and level is the one decoder from monomials to
+basis classes.  Point annihilation is one map on index vectors
+(point_image on a class, point_down on a vector), and the ideal checks run
+operator_int on integer term dicts, where membership in the ideal depends
+on the support alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -173,21 +176,28 @@ class RingEngine:
 
     def generator_on(self, factor, vec, n):
         """One degree-shift operator on a level-n index vector, reduced in a
-        quotient: its rows added up in ints."""
+        quotient: its rows added up in ints.  A row is checked once, when it
+        is filled: factor (k, c) raises the degree by 2k + deg c."""
         terms, den = vec
         if not terms:
             return {}, 1
         rows = self.generator_rows(factor, n)
         for i in terms:
             if rows[i] is None:
-                index, monos = self.level(n)[:2]
+                index, monos, _, degrees = self.level(n)
                 out, d, markers = operator_int(self.fock, self.operator(*factor),
                                                  {monos[i]: 1}, self.model.ideal_pivots)
                 if not all(self.fock.in_ideal(mv) for mv, _, _ in markers):
                     raise EngineError("canonical-class marker term failed to vanish "
                                       "under reduction; ideal is not K-closed")
                 # the reduction: an image monomial outside the basis has an ideal label
-                rows[i] = _normal({index[m]: c for m, c in out.items() if m in index}, d)
+                row = _normal({index[m]: c for m, c in out.items() if m in index}, d)
+                k, c = factor
+                target = degrees[i] + 2 * k + self.model.degrees[c]
+                if any(degrees[j] != target for j in row[0]):
+                    raise EngineError(f"degree additivity violated by {factor!r} "
+                                      f"on {self.basis(n)[i]!r} at level {n}")
+                rows[i] = row
         out, common = combine([(rows[i][0], c, rows[i][1]) for i, c in terms.items()])
         return _normal(out, den * common)
 
@@ -266,16 +276,28 @@ class RingEngine:
             raise EngineError(f"{sigma!r} is not a basis class at level {n}")
         return {i: 1}, norms[i]
 
+    @memoized
+    def level_degrees(self, n):
+        """The set of degrees that the level-n classes take."""
+        return frozenset(self.level(n)[3])
+
     def product_index(self, rho, sigma, n):
         """b_rho(n) . b_sigma(n) as a gcd-normalised index vector: the words of
-        express on b_sigma(n), weighted in ints.  Degree additivity is
-        asserted here, so every product is checked."""
+        express on b_sigma(n), weighted in ints.  A product whose degree no
+        level-n class has is zero, and no word runs for it; express(rho, n)
+        still does, with its checks and operator gates.  Degree additivity is
+        asserted on every product computed, on top of the per-row check of
+        generator_on."""
+        expr = self.express(rho, n)
+        target = self.degree(rho) + self.degree(sigma)
+        if target not in self.level_degrees(n):
+            return {}, 1
         out, den = _normal(*combine([(terms, w.numerator, w.denominator * d)
-                                     for word, w in self.express(rho, n).items()
+                                     for word, w in expr.items()
                                      for terms, d in [self.word_on_basis(word, sigma, n)]
                                      if terms]))
         if out:
-            degrees, target = self.level(n)[3], self.degree(rho) + self.degree(sigma)
+            degrees = self.level(n)[3]
             for i in out:
                 if degrees[i] != target:
                     raise EngineError(f"degree additivity violated in {rho!r} . "
@@ -317,7 +339,9 @@ class RingEngine:
 
     def structure_constants(self, n):
         """The level-n structure table: every product_index, kept as an
-        integer row, with super-commutativity asserted over the whole table."""
+        integer row, with super-commutativity asserted over the whole table.
+        A pair that is zero by degree runs no word; every class still meets
+        b_empty, so express runs for each one."""
         basis = self.basis(n)
         rows = [[self.product_index(rho, sigma, n) for sigma in basis] for rho in basis]
         odd = [d % 2 for d in self.level(n)[3]]
@@ -731,7 +755,9 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=None):
     # rank and span membership survive the positive rescaling from basis
     # classes to monomials, so the integer terms of the index vectors will do
     window = [rho for rho in engine.basis(n_eval) if rho.total() <= norm_bound]
-    rows = monomial_vectors(engine, window, n_eval)
+    gen_window = engine.basis(cost_bound)
+    # one call, so that both windows share the prefix products
+    rows = monomial_vectors(engine, dict.fromkeys(window + gen_window), n_eval)
     ech = Echelon()
     independent = 0
     for rho in window:
@@ -742,11 +768,9 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=None):
 
     # generation: every basis symbol in the cost window lies in the span of
     # the monomials with cost <= the same window
-    gen_window = engine.basis(cost_bound)
-    gen_rows = monomial_vectors(engine, gen_window, n_eval)
     gen_ech = Echelon()
     for rho in gen_window:
-        gen_ech.insert(gen_rows[rho][0])
+        gen_ech.insert(rows[rho][0])
     for nu in gen_window:
         if not gen_ech.contains(engine.word_on_basis((), nu, n_eval)[0]):
             witnesses.append({"part": "generation", "nu": nu.to_json(model)})

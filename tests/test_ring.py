@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 
 from conftest import reduce
-from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
+from hilbfock.errors import (EngineError, ModelError, UnknownCoefficientsError,
+                             WeightError)
 from hilbfock.fock import FockSpace, FockVector
-from hilbfock.linalg import row_add_scaled
+from hilbfock.linalg import combine, row_add_scaled
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import (LehnEngine, RingEngine,
@@ -95,6 +96,8 @@ def test_c2_square_vanishes_by_degree(engines, models):
     degrees = {r.degree(model) for r in eng.basis(2)}
     assert 2 * rho.degree(model) not in degrees
     assert eng.b_product(rho, rho, 2) == {}
+    # b_product answers by degree alone; the word pipeline must agree
+    assert _by_words(eng, rho, rho, 2) == {}
 
 
 def test_k3_point_class_square(engines, models):
@@ -112,6 +115,16 @@ def test_k3_point_class_square(engines, models):
     assert eng.b_product(rho, rho, 2) == {PartitionFunction({x: (1, 1)}): Q(1)}
     # at level 1 the square does vanish: weight-1 monomials top out in degree 4
     assert eng.b_product(rho, rho, 1) == {}
+    assert _by_words(eng, rho, rho, 1) == {}
+
+
+def _by_words(eng, rho, sigma, n):
+    """The integer terms of b_rho(n) . b_sigma(n) through the word pipeline
+    alone: every word of express(rho, n) on b_sigma(n) through word_on_basis,
+    weighted and summed, with no degree sieve."""
+    return combine([(terms, w.numerator, w.denominator * d)
+                    for word, w in eng.express(rho, n).items()
+                    for terms, d in [eng.word_on_basis(word, sigma, n)]])[0]
 
 
 def _generator_on_whole_vector(eng, factor, v):
@@ -324,6 +337,77 @@ def test_a_wrong_degree_entry_trips_degree_additivity(models):
         eng.structure_constants(3)
 
 
+def test_a_wrong_degree_row_entry_trips_the_row_check(models, monkeypatch):
+    """A generator row given one basis monomial of another degree is refused
+    when generator_on fills it, with no product computed."""
+    import hilbfock.ring as ring
+    model = models("c2")
+    unit_mono = ((1, model.unit),) * 3
+    real = ring.operator_int
+
+    def with_unit(fock, op, terms, drop=frozenset()):
+        # the level unit has degree 0, and every image of G_1(1) degree 2
+        out, den, markers = real(fock, op, terms, drop)
+        return {**out, unit_mono: den}, den, markers
+
+    monkeypatch.setattr(ring, "operator_int", with_unit)
+    with pytest.raises(EngineError, match="degree additivity"):
+        RingEngine(model).word_on_basis(((1, model.unit),), PartitionFunction.EMPTY, 3)
+
+
+def test_a_degree_empty_product_runs_no_word(models):
+    """On c2 the square of b_{(1)} has degree 4, which no level-2 class has:
+    product_index returns ({}, 1) and applies no word to b_sigma."""
+    eng = RingEngine(models("c2"))
+    rho = PartitionFunction({0: (1,)})
+    assert 2 * eng.degree(rho) not in eng.level_degrees(2)
+    eng.express(rho, 2)
+    before = list(eng.__dict__["_memo_word_on_basis"])
+    assert eng.product_index(rho, rho, 2) == ({}, 1)
+    assert list(eng.__dict__["_memo_word_on_basis"]) == before
+
+
+def test_a_degree_empty_product_keeps_the_express_errors(models):
+    """express(rho, n) runs before the degree sieve, so a class that is zero
+    at the level and an operator that needs unknown coefficients are refused
+    even where the product is zero by degree."""
+    c2 = RingEngine(models("c2"))
+    big = PartitionFunction({0: (3,)})
+    assert 2 * c2.degree(big) not in c2.level_degrees(1)
+    with pytest.raises(WeightError):
+        c2.product_index(big, big, 1)
+    p2 = models("p2")
+    eng = RingEngine(p2)
+    rho, sigma = PartitionFunction({p2.unit: (1,)}), PartitionFunction({p2.point: (1, 1)})
+    assert eng.degree(rho) + eng.degree(sigma) not in eng.level_degrees(2)
+    with pytest.raises(UnknownCoefficientsError):
+        eng.product_index(rho, sigma, 2)
+
+
+@pytest.mark.parametrize("name, n, s", [("odd_toy", 3, None), ("c2", 5, None),
+                                        ("ale_2", 3, Q(2))])
+def test_the_degree_sieve_agrees_with_the_words(models, name, n, s):
+    """Every pair that the sieve answers without a word is zero through the
+    word pipeline too."""
+    eng = RingEngine(models(name), s)
+    basis = eng.basis(n)
+    empty = [(rho, sigma) for rho in basis for sigma in basis
+             if eng.degree(rho) + eng.degree(sigma) not in eng.level_degrees(n)]
+    assert empty
+    for rho, sigma in empty:
+        assert eng.product_index(rho, sigma, n) == ({}, 1)
+        assert _by_words(eng, rho, sigma, n) == {}, (rho, sigma)
+
+
+def test_the_marker_check_fires_under_the_sieve(models, monkeypatch):
+    """A canonical-family marker term that fails to reduce to zero is still
+    refused when a table is built: the rows its nonzero entries read are
+    filled, and checked."""
+    monkeypatch.setattr(FockSpace, "in_ideal", lambda self, terms: False)
+    with pytest.raises(EngineError, match="failed to vanish"):
+        RingEngine(models("cotangent_g1")).structure_constants(3)
+
+
 @pytest.mark.parametrize("name, n, s", [("c2", 4, None), ("odd_toy", 3, None),
                                         ("ale_2", 3, Q(2))])
 def test_word_images_are_normalised(models, name, n, s):
@@ -331,7 +415,11 @@ def test_word_images_are_normalised(models, name, n, s):
     den > 0 and gcd(den, *terms) = 1, so that equal classes compare equal
     (verify_ring_isomorphism compares them with !=)."""
     eng = RingEngine(models(name), s)
-    eng.structure_constants(n)
+    basis = eng.basis(n)
+    for rho in basis:
+        for word in eng.express(rho, n):
+            for sigma in basis:
+                eng.word_on_basis(word, sigma, n)
     images = list(eng.__dict__["_memo_word_on_basis"].values())
     vecs = images + [eng.generator_on((k, c), vec, n) for k in range(n)
                      for c in eng.model.working_classes() for vec in images]
