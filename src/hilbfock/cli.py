@@ -195,11 +195,11 @@ def cmd_product(args):
     n = parse_level(args.n)
     engine = _engine(model, args)
     rho, sigma = (_basis_arg(model, _load_json_arg(a)) for a in (args.rho, args.sigma))
-    coords = engine.b_product(rho, sigma, n)
+    vec = engine.product_index(rho, sigma, n)
+    coords = engine.coordinates(vec, n)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(engine.product_vector(rho, sigma, n).to_json(model),
-                      fh, indent=2)
+            json.dump(engine.fock_vector(vec, n).to_json(model), fh, indent=2)
             fh.write("\n")
     expansion = [{"nu": nu.to_json(model), "coeff": qstr(c)}
                  for nu, c in sorted(coords.items(), key=lambda t: t[0].key())]

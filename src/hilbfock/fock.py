@@ -14,18 +14,21 @@ is the t-deformed orbifold side with s = t^{1/3}: the bracket
 s m delta_{m,-n} int(xy) has scale kappa = s, and there are no canonical
 families.
 
-FockSpace.run_word is the one operator-word loop, and it runs on Python
-ints.  The model stores its pairing as integer numerators pair_num over one
-denominator pair_den, so the raw annihilator multiplies by m * pair_num
-only, and every annihilation owes the same rational factor
-ann_scale = kappa / pair_den.  word_plan resolves a word (raw operators,
-integer Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once
-per Fock space: it is the one cache of resolved words, and it alone applies
-a caller's label filter to the tensor.  word_int runs a word on a scaled
-integer vector (terms, num, den), worth terms * num / den, and returns one;
-apply_word_tau is its rational wrapper.  run_word reads raw operator
-images per monomial from raw_image, the one memo of them.
-The transposition oracle, the lambda-sum kernel and the ring engine stay in
+The kernel has two primitives.  A raw operator is named by its signed
+index i: FockSpace.raw(i, c, terms) is the one dispatch, to create_raw for
+i < 0 and to annihilate_raw for i > 0, and raw_image memoizes it per
+(i, c, monomial).  An integer vector is a pair (terms, den) of integer
+coefficients over one positive denominator, worth terms / den.  The model
+stores its pairing as integer numerators pair_num over one denominator
+pair_den, so the raw annihilator multiplies by m * pair_num only, and every
+annihilation owes the same rational factor ann_scale = kappa / pair_den.
+word_plan resolves a word (its indices rightmost first, the integer
+Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once per Fock
+space: it is the one cache of resolved words, and it alone applies a
+caller's label filter to the tensor.  run_word is the one operator-word
+loop, in Python ints; word_int runs a word on an integer vector and
+returns one, and apply_word_tau is its rational wrapper.  The
+transposition oracle, the lambda-sum kernel and the ring engine stay in
 integers and meet the rationals only in their results.
 
 FockSpace builds the basis classes b_rho(n) but reads no vector back in
@@ -37,7 +40,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import EngineError, WeightError
-from .linalg import LinearCombination, memoized, row_add_scaled
+from .linalg import LinearCombination, memoized, row_add_scaled, row_scaled
 from .partitions import enumerate_partition_functions, unit_normalization
 from .rational import ONE, Q, integer_lift, qstr
 
@@ -82,10 +85,10 @@ class FockVector(LinearCombination):
 
 
 def lift(v):
-    """v as a scaled integer vector (terms, 1, den): its coefficients'
-    numerators over their least common denominator."""
+    """v as an integer vector (terms, den): its coefficients' numerators
+    over their least common denominator."""
     den, nums = integer_lift(list(v.terms.values()))
-    return dict(zip(v.terms, nums)), 1, den
+    return dict(zip(v.terms, nums)), den
 
 
 class FockSpace:
@@ -156,6 +159,11 @@ class FockSpace:
                     sign_w = -sign_w
         return {m_: v for m_, v in out.items() if v}
 
+    def raw(self, i, c, terms):
+        """The raw operator a_i(e_c) on a term dict, i != 0: the one caller of
+        create_raw (i < 0) and annihilate_raw (i > 0)."""
+        return self.create_raw(-i, c, terms) if i < 0 else self.annihilate_raw(i, c, terms)
+
     # -- public operator application ------------------------------------------------
 
     def apply_heisenberg(self, n, cls, v):
@@ -165,52 +173,47 @@ class FockSpace:
         return self.apply_word_tau((n,), cls, v)
 
     def word_int(self, indices, cls, vec):
-        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on a scaled integer
-        vector (terms, num, den), as a scaled integer vector (out, num, den):
-        the true image is out * num / den (see the module docstring).
+        """The operator a_{i_1}...a_{i_k}(tau_{k*}(cls)) on an integer vector
+        (terms, den), as an integer vector.
 
         indices is the operator word left to right; the rightmost factor acts
         first.  k = 0 degenerates to multiplication by the integral of cls.
         """
-        terms, num, den = vec
+        terms, den = vec
         if not terms:
-            return {}, 1, 1
+            return {}, 1
         if not indices:
             integral = self.model.integrate(cls)
             if not integral:
-                return {}, 1, 1
-            return dict(terms), num * integral.numerator, den * integral.denominator
+                return {}, 1
+            return row_scaled(terms, integral.numerator), den * integral.denominator
         ops, tensor, num_w, den_w = self.word_plan(indices, cls)
-        return self.run_word(ops, tensor, terms, {}), num * num_w, den * den_w
+        return self.run_word(ops, tensor, terms, {}, num_w), den * den_w
 
     @memoized
     def word_plan(self, indices, cls, drop=frozenset()):
         """A word of k >= 1 factors resolved once per Fock space, as (ops,
-        tensor, num, den): the raw operator of each factor, rightmost first,
-        the integer Kuenneth tensor, and the scale num / den of its images.
+        tensor, num, den): the indices of its factors, rightmost first, the
+        integer Kuenneth tensor, and the scale num / den of its images.
         The creations left of the first annihilation act last, so a label
         they create stays in every monomial they make: the slot tuples that
         create a label of drop there are left out, over the denominator of
         the whole tensor.  Pass the labels that the caller's reduction
-        deletes anyway.  ops holds the functions of the class, not methods
-        bound to this space, so the memo makes no reference cycle and a
-        dropped space is freed at once."""
+        deletes anyway."""
         k = len(indices)
         den_t, tensor = self.model.int_tensor(cls, k)
         if drop:
             lead = next((j for j, i in enumerate(indices) if i > 0), k)
             tensor = [(w, slots) for w, slots in tensor if drop.isdisjoint(slots[:lead])]
-        ops = [(FockSpace.create_raw, -i) if i < 0 else (FockSpace.annihilate_raw, i)
-               for i in reversed(indices)]
         ann = sum(1 for i in indices if i > 0)
-        return (ops, tensor, self.ann_scale.numerator ** ann,
+        return (indices[::-1], tensor, self.ann_scale.numerator ** ann,
                 self.ann_scale.denominator ** ann * den_t)
 
     @memoized
-    def raw_image(self, op, n, c, mono):
-        """The raw operator op (a function of the class: no reference cycle)
-        on one monomial, once per Fock space; no caller may mutate it."""
-        return op(self, n, c, {mono: 1})
+    def raw_image(self, i, c, mono):
+        """raw(i, c) on one monomial, once per Fock space; no caller may
+        mutate it."""
+        return self.raw(i, c, {mono: 1})
 
     def run_word(self, ops, tensor, terms, out, scale=1):
         """Add scale times the integer image of terms under a resolved word
@@ -219,15 +222,15 @@ class FockSpace:
         image = self.raw_image
         for w, slots in tensor:
             cur, w = terms, w * scale
-            for (op, n), c in zip(ops, reversed(slots)):
+            for i, c in zip(ops, reversed(slots)):
                 if len(cur) == 1:
                     # the shared image itself, its coefficient moved into w
                     ((mono, x),) = cur.items()
-                    cur, w = image(op, n, c, mono), w * x
+                    cur, w = image(i, c, mono), w * x
                 else:
                     nxt = {}
                     for mono, x in cur.items():
-                        row_add_scaled(nxt, image(op, n, c, mono), x)
+                        row_add_scaled(nxt, image(i, c, mono), x)
                     cur = nxt
                 if not cur:
                     break
@@ -239,8 +242,8 @@ class FockSpace:
         """The operator of word_int applied to a FockVector, as a FockVector
         equal term by term to the rational computation.  k = 1 is
         a_{i_1}(cls)."""
-        out, num, den = self.word_int(indices, cls, lift(v))
-        return FockVector({mono: Q(c * num, den) for mono, c in out.items()})
+        out, den = self.word_int(indices, cls, lift(v))
+        return FockVector({mono: Q(c, den) for mono, c in out.items()})
 
     # -- distinguished vectors and bases ------------------------------------------------
 
@@ -284,7 +287,7 @@ class FockSpace:
 
     def annihilate_point(self, v):
         """-a_1([x]); sends b_rho(n+1) to b_rho(n)."""
-        out = self.annihilate_raw(1, self.model.point, v.terms)
+        out = self.raw(1, self.model.point, v.terms)
         return FockVector(out).scaled(-self.ann_scale)
 
     # -- bookkeeping -----------------------------------------------------------------
@@ -309,8 +312,8 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
     10 violations.  Weight 0 (the vacuum) and index 1 are the least bounds
     that check a bracket: lower ones are refused.
 
-    The commutators run the integer raw operators on the term dicts, and
-    fill no memo: most images are read once.  Each annihilation in the pair
+    The commutators call raw on the integer term dicts, and fill no memo:
+    most images are read once.  Each annihilation in the pair
     owes the factor ann_scale, so the integer commutator is compared with
     kappa * m * int(e_i e_j) / ann_scale^#annihilations.
     """
@@ -318,26 +321,20 @@ def verify_heisenberg(fock, max_weight=5, max_index=4):
         raise ValueError("the bounds leave no bracket to check; need "
                          "--max-weight >= 0 and --max-index >= 1")
     model = fock.model
-    dim = model.dim
     parities = model.parities
     kappa = fock.kappa
-    ann_scale = fock.ann_scale
     monos = [m for w in range(max_weight + 1) for m in fock.enumerate_monomials(w)]
     indices = [i for i in range(-max_index, max_index + 1) if i]
-
-    def compose(idx, c, terms):
-        return fock.create_raw(-idx, c, terms) if idx < 0 else \
-            fock.annihilate_raw(idx, c, terms)
-
+    raw = fock.raw
     witnesses = []
-    scales = [ann_scale ** a for a in range(3)]
-    ops = [(m, i) for m in indices for i in range(dim)]
+    scales = [fock.ann_scale ** a for a in range(3)]
+    ops = [(m, i) for m in indices for i in range(model.dim)]
     for mono in monos:
-        images = [compose(m, i, {mono: 1}) for m, i in ops]
+        images = [raw(m, i, {mono: 1}) for m, i in ops]
         for oi, (m, i) in enumerate(ops):
             for oj, (n, j) in enumerate(ops[oi:], oi):
-                lhs = compose(m, i, images[oj]) if images[oj] else {}
-                rhs = compose(n, j, images[oi]) if images[oi] else {}
+                lhs = raw(m, i, images[oj]) if images[oj] else {}
+                rhs = raw(n, j, images[oi]) if images[oi] else {}
                 sign = -1 if parities[i] and parities[j] else 1
                 comm = row_add_scaled(lhs, rhs, -sign)
                 c0 = kappa * m * model.pairing[i][j] if m == -n else 0

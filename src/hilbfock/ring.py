@@ -147,11 +147,13 @@ class RingEngine:
         families are accepted only modulo an ideal containing K."""
         model = self.model
         op = chern_operator(self.fock, k, model.basis_class(c))
-        if op.has_unknown_terms and not (
-                self.quotient and model.reduce_class(model.canonical).is_zero()):
-            raise UnknownCoefficientsError(
-                "unknown universal coefficients required (the restriction "
-                "ideal does not contain the canonical class)")
+        if op.has_unknown_terms:
+            if not self.quotient:
+                _require_known_coefficients(model)  # a family means K != 0
+            elif not model.reduce_class(model.canonical).is_zero():
+                raise UnknownCoefficientsError(
+                    "unknown universal coefficients required (the restriction "
+                    "ideal does not contain the canonical class)")
         return op
 
     @memoized
@@ -187,7 +189,7 @@ class RingEngine:
                 index, monos, _, degrees = self.level(n)
                 out, d, markers = operator_int(self.fock, self.operator(*factor),
                                                  {monos[i]: 1}, self.model.ideal_pivots)
-                if not all(self.fock.in_ideal(mv) for mv, _, _ in markers):
+                if not all(self.fock.in_ideal(mv) for mv, _ in markers):
                     raise EngineError("canonical-class marker term failed to vanish "
                                       "under reduction; ideal is not K-closed")
                 # the reduction: an image monomial outside the basis has an ideal label
@@ -204,7 +206,7 @@ class RingEngine:
     def index_vector(self, v, n):
         """A reduced level-n Fock vector as an index vector."""
         index = self.level(n)[0]
-        terms, _, den = lift(v)
+        terms, den = lift(v)
         stray = next(iter(terms.keys() - index.keys()), None)
         if stray is not None:
             if mono_weight(stray) != n:
@@ -313,10 +315,6 @@ class RingEngine:
                             for terms, d in [self.product_index(basis[i], basis[j], n)]])
         return _normal(out, den * x[1] * y[1])
 
-    def product_vector(self, rho, sigma, n):
-        """The cup product b_rho(n) . b_sigma(n) as a Fock vector."""
-        return self.fock_vector(self.product_index(rho, sigma, n), n)
-
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational, the
         decoded product_index that a structure table keeps."""
@@ -390,6 +388,13 @@ def _require_known_coefficients(model):
         raise UnknownCoefficientsError(
             "unknown universal coefficients required (projective model with "
             "nonzero canonical class)")
+
+
+def _require_polynomiality(model):
+    """The models of the polynomiality sweep and of the fit of one triple."""
+    if model.has_ideal:
+        raise ModelError("polynomiality is the projective statement")
+    _require_known_coefficients(model)
 
 
 def verify_n_independence(engine, n_values):
@@ -471,6 +476,7 @@ def poly_eval(coeffs, x):
 def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
     """Fit the structure constant of a fixed triple as a polynomial in the
     level, verify the degree bound, and exactly check the leftover points."""
+    _require_polynomiality(engine.model)
     unit = engine.model.unit
     bound = max(0, rho.cost(unit) + sigma.cost(unit) - nu.cost(unit))
     start = max(rho.cost(unit), sigma.cost(unit), nu.cost(unit))
@@ -510,9 +516,7 @@ def verify_polynomiality(model, n_values, bound_max=4):
     Every other triple is zero at all its levels, which the zero polynomial
     fits within any bound.  A range in which no triple has enough levels
     checks nothing and is refused."""
-    if model.has_ideal:
-        raise ModelError("polynomiality is the projective statement")
-    _require_known_coefficients(model)
+    _require_polynomiality(model)
     engine = RingEngine(model)
     ns = sorted(n_values)
     degree = engine.degree
@@ -579,7 +583,7 @@ def verify_ideal_suite(model, n_values, parts=("absorb", "contains", "generate")
         """The supports of the known part and of the markers of the operator
         on mono, as integer term dicts, and whether one leaves the subspace."""
         known, _, marks = operator_int(fock, operator(k, c), {mono: 1})
-        vecs = [known, *(mv for mv, _, _ in marks)]
+        vecs = [known, *(mv for mv, _ in marks)]
         return vecs, not all(map(fock.in_ideal, vecs))
 
     runs = [_ideal_level(fock, images, n, parts) for n in ns]
@@ -870,7 +874,7 @@ def verify_marker_vanishing(model, n):
             if not op.has_unknown_terms:
                 continue
             for mono in monos:
-                for mv, _, _ in operator_int(fock, op, {mono: 1})[2]:
+                for mv, _ in operator_int(fock, op, {mono: 1})[2]:
                     checked += 1
                     if not fock.in_ideal(mv):
                         witnesses.append({"k": k, "alpha": model.basis[c].name,

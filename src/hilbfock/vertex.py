@@ -21,8 +21,9 @@ is its rational wrapper.  A family's lambda words and weights do not depend
 on its class: _lambda_terms enumerates them once per Fock space.  A caller
 whose reduction deletes some labels passes them to operator_int as drop;
 the plan hands them on to FockSpace.word_plan, the one place that filters
-a Kuenneth tensor.  The oracles below run every word on scaled integer
-vectors through FockSpace.word_int, over the plans its Fock space keeps.
+a Kuenneth tensor.  The oracles below run every word on integer vectors
+(terms, den) through FockSpace.word_int, over the plans its Fock space
+keeps.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def operator_int(fock, op, terms, drop=frozenset()):
     """The kernel of apply_operator: op on an integer term dict whose
     monomials share one part multiset, through that multiset's plan, as
     (out, den, markers): the known part is out / den, and markers lists the
-    nonzero canonical-class term values as scaled integer vectors.  drop
+    nonzero canonical-class term values as integer vectors (mv, den).  drop
     names labels that the caller's reduction deletes: the known part skips
     the terms that create one of them (see FockSpace.word_plan), so it is
     exact only after that reduction.  The canonical-class terms always run
@@ -172,8 +173,8 @@ def operator_int(fock, op, terms, drop=frozenset()):
     out = {}
     for ops, tensor, scale in known:
         fock.run_word(ops, tensor, terms, out, scale)
-    markers = [(mv, num, d) for ops, tensor, num, d in marks
-               if (mv := fock.run_word(ops, tensor, terms, {}))]
+    markers = [(mv, d) for ops, tensor, num, d in marks
+               if (mv := fock.run_word(ops, tensor, terms, {}, num))]
     return out, den, markers
 
 
@@ -183,17 +184,16 @@ def apply_operator(fock, op, v):
     known sums the terms with rational weights, and markers lists the
     nonzero unit-weight values of the canonical-class terms, whose universal
     weights are unknown."""
-    terms, _, den_v = lift(v)
+    terms, den_v = lift(v)
     groups = {}
     for mono, w in terms.items():
         groups.setdefault(_parts_multiset(mono), {})[mono] = w
-    out = {}
-    markers = []
+    out, markers = {}, []
     for group in groups.values():
         known, den, marks = operator_int(fock, op, group)
         row_add_scaled(out, known, Q(1, den * den_v))
-        markers += [FockVector({mono: Q(c * num, d * den_v) for mono, c in mv.items()})
-                    for mv, num, d in marks]
+        markers += [FockVector({mono: Q(c, d * den_v) for mono, c in mv.items()})
+                    for mv, d in marks]
     return FockVector(out), markers
 
 
@@ -215,12 +215,11 @@ def chern_class(fock, k, alpha, n):
 
 
 def _defect(pieces):
-    """The sum of c * vec over pairs (vec, (cn, cd)) of a scaled integer
-    vector and a rational coefficient cn / cd, added in ints over the lcm of
-    the denominators: linalg.combine's (out, den), out empty iff the sum is
+    """The sum of c * vec over pairs (vec, (cn, cd)) of an integer vector
+    and a rational coefficient cn / cd, added in ints over the lcm of the
+    denominators: linalg.combine's (out, den), out empty iff the sum is
     zero."""
-    return combine([(terms, num * cn, den * cd)
-                    for (terms, num, den), (cn, cd) in pieces if terms])
+    return combine([(terms, cn, den * cd) for (terms, den), (cn, cd) in pieces if terms])
 
 
 def _part_i_terms(fock, ns, ms):
@@ -355,8 +354,8 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     weight_max, all representative label pairs, against the deterministic
     probe family.
 
-    The sweep runs in scaled integer vectors and decides each defect from
-    its integer sum.  Every word runs through FockSpace.word_int, whose
+    The sweep runs in integer vectors (terms, den) and decides each defect
+    from its integer sum.  Every word runs through FockSpace.word_int, whose
     plans the Fock space resolves once per (word, class), on classes built
     once per sweep, one object for equal ones: the representatives, their
     products and their Euler multiples.  Each probe is lifted once, and a word that acts on a probe

@@ -453,6 +453,15 @@ def test_hostile_inputs_exit_2(tmp_path):
         assert_usage_error(res)
         assert f"level {levels[0]} has no class but b_empty" in res.stderr
 
+    # polynomiality is the projective statement: a quotient model is refused
+    # by the sweep and by the fit of one triple alike
+    for model, cls in (("c2", "1"), ("ale_2", "h1")):
+        triple = json.dumps({"rho": {cls: [1]}, "sigma": {cls: [1]}, "nu": {cls: [2]}})
+        for extra in ((), ("--triple", triple)):
+            res = run_cli("verify", "polynomiality", "--model", model, "--n", "3..7", *extra)
+            assert_usage_error(res)
+            assert "polynomiality is the projective statement" in res.stderr
+
     # an integer bound above the reach: rejected before any enumeration
     for vid, model, option in (("lemma-ks", "odd_toy", "--max-weight"),
                                ("heisenberg", "c2", "--max-weight"),

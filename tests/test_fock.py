@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reduce
+from hilbfock import fock as fock_module
+from hilbfock import ring as ring_module
 from hilbfock.errors import EngineError, ModelError, WeightError
 from hilbfock.fock import FockSpace, FockVector, mono_weight, verify_heisenberg
 from hilbfock.models import builtin_model
 from hilbfock.partitions import (GenPartition, PartitionFunction,
                                  enumerate_partition_functions)
 from hilbfock.rational import Q, parse_q
+from hilbfock.ring import RingEngine
 from hilbfock.surface import GradedClass
+from hilbfock.vertex import verify_lemma_ks
 
 
 def test_single_contraction(models):
@@ -256,6 +260,54 @@ def test_heisenberg_sweep_fills_no_memo(models):
     assert "_memo_raw_image" not in fock.__dict__
 
 
+def test_raw_is_the_one_dispatch(models):
+    """raw(i, c) is create_raw(-i, c) for i < 0 and annihilate_raw(i, c) for
+    i > 0, on every monomial of weight <= 3 alone and on all of them at
+    once, odd signs included."""
+    for name in ("odd_toy", "c2"):
+        fock = FockSpace(models(name))
+        monos = [m for w in range(4) for m in fock.enumerate_monomials(w)]
+        vecs = [{mono: 1} for mono in monos] + [{mono: j for j, mono in enumerate(monos, 1)}]
+        signs = set()
+        for terms in vecs:
+            for c in range(fock.model.dim):
+                for i in range(1, 4):
+                    created = fock.create_raw(i, c, terms)
+                    assert fock.raw(-i, c, terms) == created
+                    assert fock.raw(i, c, terms) == fock.annihilate_raw(i, c, terms)
+                    signs.update(x < 0 for x in created.values())
+        # a creation past an odd entry flips the sign on odd_toy alone
+        assert signs == ({False, True} if name == "odd_toy" else {False})
+
+
+def _plain(x):
+    return type(x) is int or (type(x) is tuple and all(map(_plain, x)))
+
+
+def test_plans_and_raw_images_name_operators_by_index(models, monkeypatch):
+    """After a structure table and a lemma-ks sweep on one Fock space, every
+    raw-image memo key is (index, label, monomial) and every resolved word
+    holds its indices, rightmost first: plain ints and tuples, no function."""
+    model = models("odd_toy")
+    fock = FockSpace(model)
+
+    class Shared(FockSpace):
+        def __new__(cls, *args):
+            return fock
+
+    # every Fock space that the sweep and the engine build is this one
+    monkeypatch.setattr(fock_module, "FockSpace", Shared)
+    monkeypatch.setattr(ring_module, "FockSpace", Shared)
+    RingEngine(model).structure_constants(3)
+    assert verify_lemma_ks(model, 3, 3)["ok"]
+    images = fock.__dict__["_memo_raw_image"]
+    plans = fock.__dict__["_memo_word_plan"]
+    assert len(images) > 100 and len(plans) > 10
+    assert all(len(key) == 3 and _plain(key) for key in images)
+    for key, (ops, *_) in plans.items():
+        assert _plain(ops) and ops == key[0][::-1]
+
+
 # -- the integer word kernel against a rational reference ----------------------------
 
 
@@ -328,7 +380,7 @@ def _reference_word_tau(fock, indices, cls, v):
 @pytest.mark.parametrize("setup", ["ale_2", "cotangent_g1 s=2/3", "half_pairing"])
 def test_word_kernel_matches_rational_reference(setup, models):
     """Every word of weight <= 4, the empty word and the empty vector, both
-    through apply_word_tau and as out * num / den of the integer kernel,
+    through apply_word_tau and as out / den of the integer kernel,
     against the probe family, on a model whose Gram inverse has thirds, a
     deformed space and a pairing with pair_den 2."""
     from hilbfock.vertex import _class_reps, _probe_vectors, _signed_tuples
@@ -363,19 +415,18 @@ def test_word_kernel_matches_rational_reference(setup, models):
             assert fock.apply_word_tau((), cls, v).terms == want
             assert _kernel_image(fock, (), cls, v) == want
         for word in [()] + words:
-            assert fock.word_int(word, cls, ({}, 1, 1))[0] == {}
+            assert fock.word_int(word, cls, ({}, 1)) == ({}, 1)
             assert fock.apply_word_tau(word, cls, FockVector.zero()).is_zero()
 
 
 def _kernel_image(fock, word, cls, v):
-    """out * num / den of the integer kernel on v as its numerators over
-    their common denominator, in plain Fractions."""
+    """out / den of the integer kernel on v as its numerators over their
+    common denominator, in plain Fractions."""
     den_v = lcm(*(c.denominator for c in v.terms.values()))
     terms = {mono: int(c * den_v) for mono, c in v.terms.items()}
-    out, num, den = fock.word_int(word, cls, (terms, 1, den_v))
-    assert all(type(c) is int for c in out.values())
-    scale = Fraction(num, den)
-    return {mono: c * scale for mono, c in out.items() if c}
+    out, den = fock.word_int(word, cls, (terms, den_v))
+    assert all(type(c) is int for c in out.values()) and type(den) is int
+    return {mono: Fraction(c, den) for mono, c in out.items() if c}
 
 
 def test_word_plan_filters_the_whole_tensor():

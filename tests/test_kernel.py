@@ -89,11 +89,11 @@ def operator_filtered(fock, op, v, drop):
     out = {}
     markers = []
     for terms in _groups(v).values():
-        terms, _, den_v = lift(FockVector(terms))
+        terms, den_v = lift(FockVector(terms))
         known, den, marks = operator_int(fock, op, terms, drop)
         row_add_scaled(out, known, Q(1, den * den_v))
-        markers += [FockVector({mono: Q(c * num, d * den_v) for mono, c in mv.items()})
-                    for mv, num, d in marks]
+        markers += [FockVector({mono: Q(c, d * den_v) for mono, c in mv.items()})
+                    for mv, d in marks]
     return FockVector(out), markers
 
 

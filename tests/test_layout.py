@@ -100,6 +100,26 @@ def test_every_definition_is_referenced_in_src():
         + ", ".join(unused)
 
 
+def test_raw_operators_have_one_dispatch():
+    """Inside the package only FockSpace.raw names create_raw or
+    annihilate_raw: every other caller names a raw operator by its signed
+    index through raw, so the dispatch and any count of raw calls have one
+    home."""
+    raw_names = {"create_raw", "annihilate_raw"}
+    trees = _trees()
+    space = next(node for node in trees["fock.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "FockSpace")
+    allowed = {id(node) for method in space.body if isinstance(method, ast.FunctionDef)
+               and method.name == "raw" for node in ast.walk(method)}
+    offenders = [f"{fname}:{node.lineno}" for fname, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if (getattr(node, "attr", None) in raw_names
+                     or getattr(node, "id", None) in raw_names)
+                 and id(node) not in allowed]
+    assert not offenders, "raw operator named outside FockSpace.raw: " \
+        + ", ".join(offenders)
+
+
 def _package_imports(tree):
     """The hilbfock modules a module imports, at any depth of its tree."""
     out = set()

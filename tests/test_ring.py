@@ -33,8 +33,8 @@ def test_express_single_part(engines):
     for n in (2, 3, 5):
         # one word, pivot coefficient -1 with this normalization
         assert eng.express(rho, n) == {((1, 0),): Q(-1)}
-        assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == \
-            eng.fock.b_class(rho, n)
+        assert eng.fock_vector(eng.product_index(rho, PartitionFunction.EMPTY, n),
+                               n) == eng.fock.b_class(rho, n)
 
 
 def test_express_roundtrip_everywhere(engines):
@@ -43,8 +43,9 @@ def test_express_roundtrip_everywhere(engines):
         for n in range(nmax + 1):
             for rho in eng.basis(n):
                 # the words of the expression, applied to the unit, give b_rho(n)
-                assert eng.product_vector(rho, PartitionFunction.EMPTY, n) == \
-                    eng.fock.b_class(rho, n), (name, n, rho)
+                assert eng.fock_vector(eng.product_index(
+                    rho, PartitionFunction.EMPTY, n), n) == eng.fock.b_class(rho, n), \
+                    (name, n, rho)
 
 
 def test_unit_row(engines):
@@ -610,7 +611,7 @@ def test_literal_cup_absorption_k_trivial(models):
     assert ideal_rows
     for rho in ideal_rows:
         for sigma in basis:
-            prod = eng.product_vector(rho, sigma, n)
+            prod = eng.fock_vector(eng.product_index(rho, sigma, n), n)
             reduced = FockVector({m: w for m, w in prod.terms.items()
                                   if not any(c in model.ideal_pivots
                                              for _, c in m)})

@@ -63,7 +63,8 @@ def test_gate_rejection(models):
     with pytest.raises(UnknownCoefficientsError):
         chern_class(f, 1, p2.basis_class(0), 2)
     # the engine refuses the operator itself, before any application
-    with pytest.raises(UnknownCoefficientsError, match="does not contain"):
+    with pytest.raises(UnknownCoefficientsError,
+                       match="projective model with nonzero canonical class"):
         RingEngine(p2).operator(1, 0)
     # the raw application leaves the markers to the caller
     known, markers = apply_operator(f, chern_operator(f, 1, p2.basis_class(0)),
@@ -375,9 +376,10 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
 
 
 def test_a_dropped_fock_space_is_freed_without_the_collector(models, monkeypatch):
-    """The plan memo holds the functions of FockSpace, not methods bound to
-    its space, so neither a dropped engine nor a finished sweep leaves a
-    reference cycle: reference counting alone frees every Fock space."""
+    """The plan and raw-image memos name raw operators by their signed
+    indices and hold no method bound to the space, so neither a dropped
+    engine nor a finished sweep leaves a reference cycle: reference
+    counting alone frees every Fock space."""
     spaces = []
     real_init = FockSpace.__init__
 
