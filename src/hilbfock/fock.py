@@ -26,10 +26,11 @@ word_plan resolves a word (its indices rightmost first, the integer
 Kuenneth tensor, scale ann_scale^(#annihilations) / den_tau) once per Fock
 space: it is the one cache of resolved words, and it alone applies a
 caller's label filter to the tensor.  run_word is the one operator-word
-loop, in Python ints; word_int runs a word on an integer vector and
-returns one, and apply_word_tau is its rational wrapper.  The
-transposition oracle, the lambda-sum kernel and the ring engine stay in
-integers and meet the rationals only in their results.
+loop, in Python ints: it reads each raw image straight from the raw_image
+table and calls raw_image only on a miss.  word_int runs a word on an
+integer vector and returns one, and apply_word_tau is its rational
+wrapper.  The transposition oracle, the lambda-sum kernel and the ring
+engine stay in integers and meet the rationals only in their results.
 
 FockSpace builds the basis classes b_rho(n) but reads no vector back in
 that basis: RingEngine.level is the one decoder from monomials to rho.
@@ -218,19 +219,24 @@ class FockSpace:
     def run_word(self, ops, tensor, terms, out, scale=1):
         """Add scale times the integer image of terms under a resolved word
         (see word_plan) into the term dict out; returns out.  Each factor
-        reads the raw image of each monomial and scales it."""
-        image = self.raw_image
+        reads the raw image of each monomial from the raw_image table,
+        calling raw_image only on a miss, and scales it."""
+        memo, image = FockSpace.raw_image.table(self), self.raw_image
         for w, slots in tensor:
             cur, w = terms, w * scale
             for i, c in zip(ops, reversed(slots)):
                 if len(cur) == 1:
                     # the shared image itself, its coefficient moved into w
                     ((mono, x),) = cur.items()
-                    cur, w = image(i, c, mono), w * x
+                    w *= x
+                    cur = memo.get((i, c, mono))
+                    if cur is None:
+                        cur = image(i, c, mono)
                 else:
                     nxt = {}
                     for mono, x in cur.items():
-                        row_add_scaled(nxt, image(i, c, mono), x)
+                        got = memo.get((i, c, mono))
+                        row_add_scaled(nxt, image(i, c, mono) if got is None else got, x)
                     cur = nxt
                 if not cur:
                     break
@@ -286,9 +292,11 @@ class FockSpace:
         return all(any(c in pivots for _, c in mono) for mono in terms)
 
     def annihilate_point(self, v):
-        """-a_1([x]); sends b_rho(n+1) to b_rho(n)."""
+        """kappa^{-1} a_1([x]), which is -a_1([x]) on the Hilbert side; sends
+        b_rho(n+1) to b_rho(n) on both sides, the level unit to the level
+        unit.  a_1([x]) is ann_scale times its raw image."""
         out = self.raw(1, self.model.point, v.terms)
-        return FockVector(out).scaled(-self.ann_scale)
+        return FockVector(out).scaled(self.ann_scale / self.kappa)
 
     # -- bookkeeping -----------------------------------------------------------------
 

@@ -22,8 +22,15 @@ def memoized(method):
     """Memoize a method (or a function of an object) per object on its
     positional arguments.  The table lives in the object's __dict__, so each
     engine or model owns its memo and a fresh object starts empty; a call
-    that raises stores nothing.  The method never returns None."""
+    that raises stores nothing.  The method never returns None.
+
+    wrapper.table(obj) is obj's table, keyed on the argument tuple: a hot
+    loop reads it directly and calls the method only on a miss, which saves
+    the wrapper's call on every hit."""
     name = "_memo_" + method.__name__
+
+    def table(obj):
+        return obj.__dict__.setdefault(name, {})
 
     @wraps(method)
     def wrapper(self, *args):
@@ -32,6 +39,7 @@ def memoized(method):
         if got is None:
             got = memo[args] = method(self, *args)
         return got
+    wrapper.table = table
     return wrapper
 
 

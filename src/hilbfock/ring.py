@@ -13,21 +13,26 @@ Vectors are integers keyed by basis index over one denominator (see
 RingEngine.level).  A generator's row on each basis monomial comes from
 the kernel vertex.operator_int, reduced, with its markers checked and
 every entry checked to have the degree of the monomial plus that of the
-generator, so that every word image is homogeneous; word_on_basis and
-product_index add rows and weights in ints.  In a quotient the rows skip
-the terms that create ideal labels, which the reduction would delete.
-product_index is the one product, normalised once and checked again for
-degree additivity; a product whose degree no level-n class has is zero,
-and it returns that without running a word.  multiply extends it
-bilinearly to two index vectors, in ints.  A structure table keeps its
-integer rows, checks super-commutativity on them and decodes them only to
-render; StructureTable.get and b_product decode one to rationals.  Fock
-vectors meet the engine and its verifiers only at the edge: index_vector
-and fock_vector convert, and level is the one decoder from monomials to
-basis classes.  Point annihilation is one map on index vectors
-(point_image on a class, point_down on a vector), and the ideal checks run
-operator_int on integer term dicts, where membership in the ideal depends
-on the support alone.
+generator, so that every word image is homogeneous.  Tables are built word
+by word: word_images keeps, per generator word and level, the word's
+image of each basis class, and word_columns fills the columns asked for
+in one pass, suffix first through generator_on.  product_row is the one
+product, kept per engine in product_rows: a product whose degree no
+level-n class has is zero from the start, and every other one is one
+combine over the words of express, read from their images, normalised
+once and checked again for degree additivity.  product_index is its
+one-column case, and word_on_basis reads one image; multiply extends
+product_row bilinearly to two index vectors, in ints.  In a quotient the
+rows skip the terms that create ideal labels, which the reduction would
+delete.  A structure table keeps its integer rows, checks
+super-commutativity on them and decodes them only to render;
+StructureTable.get and b_product decode one to rationals.  Fock vectors
+meet the engine and its verifiers only at the edge: index_vector and
+fock_vector convert, and level is the one decoder from monomials to basis
+classes.  Point annihilation is one map on index vectors (point_image on a
+class, point_down on a vector), and the ideal checks run operator_int on
+integer term dicts, where membership in the ideal depends on the support
+alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -51,6 +56,11 @@ from .vertex import (SparsePolynomial, chern_operator, lehn_apply,
                      operator_int, phi_map)
 
 
+# the zero index vector, shared by every image and product that is zero by
+# degree or by cost; no caller mutates it
+_ZERO = ({}, 1)
+
+
 def _normal(terms, den):
     """An index vector over its gcd-normalised denominator (RingEngine.level)."""
     g = gcd(den, *terms.values())
@@ -59,14 +69,13 @@ def _normal(terms, den):
 
 class StructureTable:
     """All cup-product structure constants at a fixed level, as integer rows:
-    rows[i][j] is b_i(n) . b_j(n), the index vector of product_index, for
+    rows[i][j] is b_i(n) . b_j(n), the index vector of product_row, for
     the classes basis[i] of the engine.  get decodes one entry, render all."""
 
     def __init__(self, engine, n, rows):
         self.engine, self.n, self.rows = engine, n, rows
         self.side, self.s = engine.side, engine.fock.s
-        self.basis = engine.basis(n)
-        self.position = {rho: i for i, rho in enumerate(self.basis)}
+        self.basis, self.position = engine.basis(n), engine.position(n)
 
     def get(self, rho, sigma):
         """The structure constants of b_rho(n) . b_sigma(n): nu -> rational."""
@@ -84,11 +93,13 @@ class StructureTable:
         order = sorted(range(len(basis)), key=lambda i: basis[i].key())
         rank = {i: r for r, i in enumerate(order)}
         text = [json.dumps(pf.to_json(model), indent=2, sort_keys=True) for pf in basis]
-        nu_at, pf_at = ([t.replace("\n", "\n" + pad) for t in text]
-                        for pad in (" " * 10, " " * 6))
-
-        def array(items, pad):
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+        # the text of a class after its coefficient as nu, and around a cell as
+        # rho and as sigma, each built once
+        nu_tail = ['",\n          "nu": ' + t.replace("\n", "\n" + " " * 10) + "\n        }"
+                   for t in text]
+        pf_at = [t.replace("\n", "\n" + " " * 6) for t in text]
+        rho_at = [',\n      "rho": ' + t + ',\n      "sigma": ' for t in pf_at]
+        sigma_at = [t + "\n    }" for t in pf_at]
 
         def coeff(c, den):
             g = gcd(c, den)
@@ -96,19 +107,24 @@ class StructureTable:
 
         rows = []
         for i in order:
+            row, rho = self.rows[i], rho_at[i]
+            empty = '    {\n      "entries": []' + rho
             for j in order:
-                terms, den = self.rows[i][j]
-                entries = array(['        {\n          "coeff": "'
-                                 + coeff(terms[k] * norms[k], den)
-                                 + '",\n          "nu": ' + nu_at[k] + "\n        }"
-                                 for k in sorted(terms, key=rank.__getitem__)], " " * 6)
-                rows.append('    {\n      "entries": ' + entries + ',\n      "rho": '
-                            + pf_at[i] + ',\n      "sigma": ' + pf_at[j] + "\n    }")
+                terms, den = row[j]
+                if not terms:
+                    rows.append(empty + sigma_at[j])
+                    continue
+                entries = ",\n".join(['        {\n          "coeff": "'
+                                      + coeff(terms[k] * norms[k], den) + nu_tail[k]
+                                      for k in sorted(terms, key=rank.__getitem__)])
+                rows.append('    {\n      "entries": [\n' + entries + "\n      ]" + rho
+                            + sigma_at[j])
         head = [f'  "n": {json.dumps(self.n)}']
         if self.s is not None:
             head.append(f'  "s": {json.dumps(qstr(self.s))}')
         head.append(f'  "side": {json.dumps(self.side)}')
-        head.append('  "table": ' + array(rows, "  "))
+        # never empty: every level has b_empty
+        head.append('  "table": [\n' + ",\n".join(rows) + "\n  ]")
         return "{\n" + ",\n".join(head) + "\n}\n"
 
 
@@ -134,7 +150,14 @@ class RingEngine:
 
     @memoized
     def basis(self, n):
-        return enumerate_partition_functions(self.model, n)
+        """The level-n classes in basis order.  A class that a lower level
+        has is the object basis(n - 1) holds, so that a lookup across levels
+        finds it by identity."""
+        classes = enumerate_partition_functions(self.model, n)
+        if n > 0:
+            lower = {rho: rho for rho in self.basis(n - 1)}
+            classes = [lower.get(rho, rho) for rho in classes]
+        return classes
 
     @memoized
     def degree(self, rho):
@@ -182,7 +205,7 @@ class RingEngine:
         is filled: factor (k, c) raises the degree by 2k + deg c."""
         terms, den = vec
         if not terms:
-            return {}, 1
+            return _ZERO
         rows = self.generator_rows(factor, n)
         for i in terms:
             if rows[i] is None:
@@ -265,54 +288,105 @@ class RingEngine:
         return {basis[i]: Q(c * norms[i], vec[1]) for i, c in vec[0].items()}
 
     @memoized
-    def word_on_basis(self, word, sigma, n):
-        """The generator word applied to b_sigma(n), as an index vector; zero
-        when b_sigma(n) is zero by cost."""
-        if word:
-            return self.generator_on(word[0], self.word_on_basis(word[1:], sigma, n), n)
-        if sigma.cost(self.model.unit) > n:
-            return {}, 1
-        index, _, norms, _ = self.level(n)
-        i = index.get(next(iter(self.fock.b_class(sigma, n).terms), None))
-        if i is None:
+    def position(self, n):
+        """The level-n basis index of each class of basis(n)."""
+        return {rho: i for i, rho in enumerate(self.basis(n))}
+
+    def column(self, sigma, n):
+        """The level-n basis index of sigma; None when b_sigma(n) is zero by
+        cost."""
+        j = self.position(n).get(sigma)
+        if j is None and sigma.cost(self.model.unit) <= n:
             raise EngineError(f"{sigma!r} is not a basis class at level {n}")
-        return {i: 1}, norms[i]
+        return j
+
+    @memoized
+    def word_images(self, word, n):
+        """Entry j: the generator word applied to b_j(n), as an index vector,
+        or None until word_columns fills it.  The empty word's entries are
+        the basis vectors."""
+        if word:
+            return [None] * len(self.basis(n))
+        return [({j: 1}, norm) for j, norm in enumerate(self.level(n)[2])]
+
+    def word_columns(self, word, cols, n):
+        """word_images(word, n) with the columns cols filled, suffix first: a
+        column is the first factor's generator_on of the same column of the
+        rest of the word."""
+        images = self.word_images(word, n)
+        todo = [j for j in cols if images[j] is None]
+        if todo:
+            factor, rest = word[0], self.word_columns(word[1:], todo, n)
+            for j in todo:
+                images[j] = self.generator_on(factor, rest[j], n)
+        return images
+
+    def word_on_basis(self, word, sigma, n):
+        """The generator word applied to b_sigma(n), as an index vector, read
+        from word_images; zero when b_sigma(n) is zero by cost."""
+        j = self.column(sigma, n)
+        return _ZERO if j is None else self.word_columns(word, (j,), n)[j]
 
     @memoized
     def level_degrees(self, n):
         """The set of degrees that the level-n classes take."""
         return frozenset(self.level(n)[3])
 
-    def product_index(self, rho, sigma, n):
-        """b_rho(n) . b_sigma(n) as a gcd-normalised index vector: the words of
-        express on b_sigma(n), weighted in ints.  A product whose degree no
-        level-n class has is zero, and no word runs for it; express(rho, n)
-        still does, with its checks and operator gates.  Degree additivity is
-        asserted on every product computed, on top of the per-row check of
-        generator_on."""
-        expr = self.express(rho, n)
-        target = self.degree(rho) + self.degree(sigma)
-        if target not in self.level_degrees(n):
-            return {}, 1
-        out, den = _normal(*combine([(terms, w.numerator, w.denominator * d)
-                                     for word, w in expr.items()
-                                     for terms, d in [self.word_on_basis(word, sigma, n)]
-                                     if terms]))
-        if out:
-            degrees = self.level(n)[3]
+    @memoized
+    def product_rows(self, rho, n):
+        """Entry j: b_rho(n) . b_j(n) as product_row computes it, or None
+        until it does.  A product whose degree no level-n class has is zero,
+        and its entry is zero from the start.  The list is made after
+        express(rho, n), so every product of rho meets its checks and
+        operator gates."""
+        self.express(rho, n)
+        deg, have = self.degree(rho), self.level_degrees(n)
+        return [None if deg + d in have else _ZERO for d in self.level(n)[3]]
+
+    def product_row(self, rho, cols, n):
+        """product_rows(rho, n) with the columns cols filled: the one product.
+        Entry j is the gcd-normalised index vector of b_rho(n) . b_j(n), the
+        words of express on b_j(n) weighted in ints, computed once per
+        engine.  One word_columns pass fills each word's images on the
+        columns to compute, and degree additivity is asserted on every
+        product, on top of the per-row check of generator_on.  No caller may
+        mutate an entry."""
+        row = self.product_rows(rho, n)
+        todo = [j for j in cols if row[j] is None]
+        if not todo:
+            return row
+        degrees, target = self.level(n)[3], self.degree(rho)
+        words = [(self.word_columns(word, todo, n), w.numerator, w.denominator)
+                 for word, w in self.express(rho, n).items()]
+        for j in todo:
+            out, den = _normal(*combine([(images[j][0], num, d * images[j][1])
+                                         for images, num, d in words if images[j][0]]))
             for i in out:
-                if degrees[i] != target:
+                if degrees[i] != target + degrees[j]:
                     raise EngineError(f"degree additivity violated in {rho!r} . "
-                                      f"{sigma!r} at {self.basis(n)[i]!r}")
-        return out, den
+                                      f"{self.basis(n)[j]!r} at {self.basis(n)[i]!r}")
+            row[j] = out, den
+        return row
+
+    def product_index(self, rho, sigma, n):
+        """b_rho(n) . b_sigma(n) as a gcd-normalised index vector: the one
+        column sigma of product_row.  It is ({}, 1) when b_sigma(n) is zero
+        by cost, after express(rho, n) and its checks; a sigma that is no
+        basis class is refused."""
+        j = self.column(sigma, n)
+        if j is None:
+            self.express(rho, n)
+            return _ZERO
+        return self.product_row(rho, (j,), n)[j]
 
     def multiply(self, x, y, n):
-        """The cup product of two level-n index vectors: product_index
+        """The cup product of two level-n index vectors: product_row
         extended bilinearly, with monos[i] = norms[i] * b_i(n), in ints."""
         basis, norms = self.basis(n), self.level(n)[2]
         out, den = combine([(terms, a * b * norms[i] * norms[j], d)
-                            for i, a in x[0].items() for j, b in y[0].items()
-                            for terms, d in [self.product_index(basis[i], basis[j], n)]])
+                            for i, a in x[0].items()
+                            for row in [self.product_row(basis[i], y[0], n)]
+                            for j, b in y[0].items() for terms, d in [row[j]]])
         return _normal(out, den * x[1] * y[1])
 
     def b_product(self, rho, sigma, n):
@@ -322,26 +396,27 @@ class RingEngine:
 
     @memoized
     def point_image(self, rho, n):
-        """-a_1([x]) b_rho(n+1), the point annihilation of a level-(n+1)
-        class, as a level-n index vector."""
+        """The point annihilation kappa^{-1} a_1([x]) of b_rho(n+1), a
+        level-(n+1) class, as a level-n index vector (FockSpace.annihilate_point)."""
         fock = self.fock
         return self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
 
     def point_down(self, vec, n):
-        """-a_1([x]) on a level-(n+1) index vector: the point_image rows added
-        up in ints, as a level-n index vector."""
+        """The point annihilation on a level-(n+1) index vector: the
+        point_image rows added up in ints, as a level-n index vector."""
         basis, norms = self.basis(n + 1), self.level(n + 1)[2]
         out, den = combine([(terms, c * norms[i], d) for i, c in vec[0].items()
                             for terms, d in [self.point_image(basis[i], n)]])
         return _normal(out, den * vec[1])
 
     def structure_constants(self, n):
-        """The level-n structure table: every product_index, kept as an
-        integer row, with super-commutativity asserted over the whole table.
-        A pair that is zero by degree runs no word; every class still meets
-        b_empty, so express runs for each one."""
+        """The level-n structure table: every product_row, kept as integer
+        rows, with super-commutativity asserted over the whole table.  A pair
+        that is zero by degree runs no word; every class still meets b_empty,
+        so express runs for each one."""
         basis = self.basis(n)
-        rows = [[self.product_index(rho, sigma, n) for sigma in basis] for rho in basis]
+        cols = range(len(basis))
+        rows = [self.product_row(rho, cols, n) for rho in basis]
         odd = [d % 2 for d in self.level(n)[3]]
         for i, row in enumerate(rows):
             for j in range(i, len(row)):

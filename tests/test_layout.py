@@ -155,3 +155,24 @@ def test_module_layers():
     assert not any(wrong.values()), f"imports against the layering: {wrong}"
     # the probe sees the imports that are allowed
     assert {"fock", "linalg", "partitions", "rational"} <= _package_imports(trees["vertex.py"])
+
+
+def test_one_product_method_combines_word_images():
+    """RingEngine.product_row is the one product: no other function both
+    reads word images (word_on_basis, word_images, word_columns) and sums
+    them, with combine or row_add_scaled, or over the words of express.
+    express itself reads one image, its leading word's on b_empty, and sums
+    the expressions of lower classes.  A second product loop, say in
+    structure_constants or multiply, would be found here."""
+    readers = {"word_on_basis", "word_images", "word_columns"}
+    summers = {"express", "combine", "row_add_scaled"}
+    found = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                         for sub in ast.walk(node) if sub is not node}
+                if names & readers and names & summers:
+                    found.add(node.name)
+    assert found == {"product_row", "express"}, \
+        "word images combined outside product_row: " + ", ".join(sorted(found))

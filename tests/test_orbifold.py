@@ -7,7 +7,7 @@ from hilbfock.errors import EngineError, ModelError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
-from hilbfock.ring import (RingEngine, verify_marker_vanishing,
+from hilbfock.ring import (RingEngine, verify_a_homomorphism, verify_marker_vanishing,
                            verify_orb_n_independence, verify_ring_isomorphism)
 from hilbfock.vertex import apply_operator, chern_class, chern_operator
 
@@ -227,3 +227,13 @@ def test_marker_vanishing(models):
     with pytest.raises(UnknownCoefficientsError):
         verify_marker_vanishing(models("cotangent_g1").with_ideal(
             [models("cotangent_g1").point], suffix="tiny"), 2)
+
+
+@pytest.mark.parametrize("s", [Q(2, 3), Q(5), Q(-7, 2)])
+@pytest.mark.parametrize("name", ["c2", "ale_2", "cotangent_g1"])
+def test_point_annihilation_is_a_homomorphism_on_the_deformed_side(models, name, s):
+    """kappa^{-1} a_1([x]) sends the deformed level unit to the level unit
+    and each class to its namesake, and is a ring homomorphism, for every
+    deformation parameter, not only s = -1."""
+    rep = verify_a_homomorphism(RingEngine(models(name), s), [1, 2, 3])
+    assert rep["ok"], rep["witnesses"][:3]

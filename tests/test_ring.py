@@ -10,6 +10,7 @@ from hilbfock.errors import (EngineError, ModelError, UnknownCoefficientsError,
                              WeightError)
 from hilbfock.fock import FockSpace, FockVector
 from hilbfock.linalg import combine, row_add_scaled
+from hilbfock.models import BUILTIN
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import (LehnEngine, RingEngine,
@@ -290,6 +291,49 @@ def test_integer_table_equals_the_rational_products(models, name, n, s):
     assert nonzero > len(basis)
 
 
+@pytest.mark.parametrize("s", [None, Q(2)])
+@pytest.mark.parametrize("name", BUILTIN)
+def test_table_rows_are_the_one_column_products(models, name, s):
+    """A table built word by word equals, entry by entry, product_index on a
+    fresh engine, which computes each product as its one column: every
+    built-in model that computes, on both sides, at every level up to 3."""
+    computed = 0
+    for n in range(4):
+        try:
+            table = RingEngine(models(name), s).structure_constants(n)
+        except UnknownCoefficientsError:
+            continue
+        fresh = RingEngine(models(name), s)
+        basis = fresh.basis(n)
+        for i, rho in enumerate(basis):
+            for j, sigma in enumerate(basis):
+                assert table.rows[i][j] == fresh.product_index(rho, sigma, n), \
+                    (n, rho, sigma)
+        computed += 1
+    assert computed >= 2
+
+
+@pytest.mark.parametrize("name, n, s", [("toy_b2_1", 4, None), ("odd_toy", 3, None),
+                                        ("c2", 5, None), ("ale_2", 3, Q(2))])
+def test_the_table_fills_only_the_columns_the_sieve_keeps(models, name, n, s):
+    """After a table, each nonempty word holds images on exactly the columns
+    j that some class rho needs through it: the words of express(rho, n) and
+    their suffixes, on the j with deg rho + deg b_j a level-n degree."""
+    eng = RingEngine(models(name), s)
+    eng.structure_constants(n)
+    basis, degrees, have = eng.basis(n), eng.level(n)[3], eng.level_degrees(n)
+    needed = {}
+    for rho in basis:
+        kept = {j for j, d in enumerate(degrees) if eng.degree(rho) + d in have}
+        for word in eng.express(rho, n):
+            for t in range(len(word)):
+                needed.setdefault(word[t:], set()).update(kept)
+    filled = {word: {j for j, vec in enumerate(images) if vec is not None}
+              for (word, _), images in RingEngine.word_images.table(eng).items() if word}
+    assert filled == needed
+    assert any(len(cols) < len(basis) for cols in filled.values())
+
+
 def _odd_pair(engine, n):
     """Two odd-degree classes with a nonzero product at level n."""
     table = engine.structure_constants(n)
@@ -298,42 +342,38 @@ def _odd_pair(engine, n):
                 and table.get(rho, sigma))
 
 
-def test_a_perturbed_row_trips_super_commutativity(models, monkeypatch):
-    """One integer row changed with its degrees intact fails the table's
-    super-commutativity assertion: a doubled c2 row, and an odd.odd row of
-    odd_toy replaced by its mirror without the sign."""
-    real = RingEngine.product_index
+def test_a_perturbed_row_trips_super_commutativity(models):
+    """One memoized product changed with its degrees intact fails the table's
+    super-commutativity assertion: a doubled c2 entry, and an odd.odd entry
+    of odd_toy replaced by its mirror without the sign.  Each is put into
+    product_rows before the table is built, and the table keeps it."""
     c2 = RingEngine(models("c2"))
-    doubled = next((rho, sigma) for rho in c2.basis(3) for sigma in c2.basis(3)
-                   if rho != sigma and c2.b_product(rho, sigma, 3))
-    unsigned = _odd_pair(RingEngine(models("odd_toy")), 3)
-
-    def perturbed(self, rho, sigma, n):
-        terms, den = real(self, rho, sigma, n)
-        if (rho, sigma) == doubled:
-            return {i: 2 * c for i, c in terms.items()}, den
-        if (rho, sigma) == unsigned:
-            return real(self, sigma, rho, n)
-        return terms, den
-
-    monkeypatch.setattr(RingEngine, "product_index", perturbed)
-    for name in ("c2", "odd_toy"):
+    rho, sigma = next((rho, sigma) for rho in c2.basis(3) for sigma in c2.basis(3)
+                      if rho != sigma and c2.product_index(rho, sigma, 3)[0])
+    terms, den = c2.product_index(rho, sigma, 3)
+    c2.product_rows(rho, 3)[c2.position(3)[sigma]] = {i: 2 * c for i, c in terms.items()}, den
+    odd = RingEngine(models("odd_toy"))
+    rho, sigma = _odd_pair(RingEngine(models("odd_toy")), 3)
+    odd.product_index(rho, sigma, 3)
+    odd.product_rows(rho, 3)[odd.position(3)[sigma]] = odd.product_index(sigma, rho, 3)
+    for eng in (c2, odd):
         with pytest.raises(EngineError, match="super-commutativity"):
-            RingEngine(models(name)).structure_constants(3)
+            eng.structure_constants(3)
 
 
 def test_a_wrong_degree_entry_trips_degree_additivity(models):
     """A memoized word image given one entry of another degree makes the
-    next table fail its degree-additivity assertion."""
+    next product that reads it fail its degree-additivity assertion."""
     eng = RingEngine(models("toy_b2_1"))
-    eng.structure_constants(3)
-    degrees = eng.level(3)[3]
-    memo = eng.__dict__["_memo_word_on_basis"]
-    key = next((word, sigma, 3) for rho in eng.basis(3) for word in eng.express(rho, 3)
-               for sigma in eng.basis(3) if memo[(word, sigma, 3)][0])
-    terms, den = memo[key]
+    basis, degrees, have = eng.basis(3), eng.level(3)[3], eng.level_degrees(3)
+    word, j = next((word, j) for rho in basis for word in eng.express(rho, 3) if word
+                   for j, sigma in enumerate(basis)
+                   if eng.degree(rho) + degrees[j] in have
+                   and eng.word_on_basis(word, sigma, 3)[0])
+    images = eng.word_images(word, 3)
+    terms, den = images[j]
     wrong = next(i for i, d in enumerate(degrees) if d != degrees[next(iter(terms))])
-    memo[key] = ({**terms, wrong: 1}, den)
+    images[j] = ({**terms, wrong: 1}, den)
     with pytest.raises(EngineError, match="degree additivity"):
         eng.structure_constants(3)
 
@@ -363,9 +403,14 @@ def test_a_degree_empty_product_runs_no_word(models):
     rho = PartitionFunction({0: (1,)})
     assert 2 * eng.degree(rho) not in eng.level_degrees(2)
     eng.express(rho, 2)
-    before = list(eng.__dict__["_memo_word_on_basis"])
+
+    def filled():
+        return {key: [j for j, vec in enumerate(images) if vec is not None]
+                for key, images in RingEngine.word_images.table(eng).items()}
+
+    before = filled()
     assert eng.product_index(rho, rho, 2) == ({}, 1)
-    assert list(eng.__dict__["_memo_word_on_basis"]) == before
+    assert filled() == before
 
 
 def test_a_degree_empty_product_keeps_the_express_errors(models):
@@ -421,7 +466,8 @@ def test_word_images_are_normalised(models, name, n, s):
         for word in eng.express(rho, n):
             for sigma in basis:
                 eng.word_on_basis(word, sigma, n)
-    images = list(eng.__dict__["_memo_word_on_basis"].values())
+    images = [vec for column in RingEngine.word_images.table(eng).values()
+              for vec in column if vec is not None]
     vecs = images + [eng.generator_on((k, c), vec, n) for k in range(n)
                      for c in eng.model.working_classes() for vec in images]
     assert len(images) > 20
@@ -452,11 +498,27 @@ def test_memos_are_per_engine(models):
 
 def test_failed_call_is_not_memoized(models):
     """A memoized method that raises stores nothing: the gate raises on
-    every call."""
+    every call, and the method's table holds only the calls that returned."""
     eng = RingEngine(models("p2"))
+    op = eng.operator(0, 0)
     for _ in range(2):
         with pytest.raises(UnknownCoefficientsError):
             eng.operator(1, 0)
+    assert RingEngine.operator.table(eng) == {(0, 0): op}
+
+
+def test_word_on_basis_edge_cases(models):
+    """word_on_basis reads its column from the basis positions: a class
+    whose cost exceeds the level gives zero, and one that is no basis class
+    (a repeated odd part, an ideal label) is refused."""
+    c2 = RingEngine(models("c2"))
+    word = ((1, 0),)
+    assert c2.word_on_basis(word, PartitionFunction({0: (3,)}), 1) == ({}, 1)
+    with pytest.raises(EngineError, match="not a basis class"):
+        c2.word_on_basis(word, PartitionFunction({models("c2").point: (1,)}), 2)
+    odd = RingEngine(models("odd_toy"))
+    with pytest.raises(EngineError, match="not a basis class"):
+        odd.word_on_basis((), PartitionFunction({models("odd_toy").index_of("u"): (1, 1)}), 3)
 
 
 def test_n_independence_small(engines):
