@@ -37,13 +37,13 @@ REACH = 100
 
 def parse_range(text):
     """'a..b' inclusive, or a single integer; levels lie in 0..REACH."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty level range")
-    else:
-        lo = hi = int(text)
+    match = re.fullmatch(r"(-?[0-9]+)(?:\.\.(-?[0-9]+))?", text)
+    if match is None:
+        raise ValueError(f"--n {text!r} is neither a level a nor a range a..b")
+    lo = int(match[1])
+    hi = lo if match[2] is None else int(match[2])
+    if hi < lo:
+        raise ValueError("empty level range")
     if lo < 0:
         raise ValueError(f"level {lo} is negative")
     if hi > REACH:

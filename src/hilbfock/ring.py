@@ -9,28 +9,22 @@ restriction ideal everything happens in the quotient: applications are
 reduced after every operator, which is legitimate because the ideal subspace
 absorbs the operators.
 
-Vectors are integers keyed by basis index over one denominator (see
-RingEngine.level).  A generator's row on each basis monomial comes from
-the kernel vertex.operator_int, reduced, with its markers checked and
-every entry checked to have the degree of the monomial plus that of the
-generator, so that every word image is homogeneous.  Tables are built word
-by word: word_images keeps, per generator word and level, the word's
-image of each basis class, and word_columns fills the columns asked for
-in one pass, suffix first through generator_on.  product_row is the one
-product, kept per engine in product_rows: a product whose degree no
-level-n class has is zero from the start, and every other one is one
-combine over the words of express, read from their images, normalised
-once and checked again for degree additivity.  product_index is its
-one-column case, and word_on_basis reads one image; multiply extends
-product_row bilinearly to two index vectors, in ints.  In a quotient the
-rows skip the terms that create ideal labels, which the reduction would
-delete.  A structure table keeps its integer rows, checks
-super-commutativity on them and decodes them only to render;
-StructureTable.get and b_product decode one to rationals.  Fock vectors
-meet the engine and its verifiers only at the edge: index_vector and
-fock_vector convert, and level is the one decoder from monomials to basis
-classes.  Point annihilation is one map on index vectors (point_image on a
-class, point_down on a vector), and the ideal checks run operator_int on
+A level-n index vector (terms, den) is sum(terms[i] * b_i(n)) / den (see
+RingEngine.level).  word_images is the one image table: per generator word
+and level, the word's image of each basis class.  word_columns fills a
+one-letter word's columns from the kernel vertex.operator_int, reduced,
+with markers and degree checked, and a longer word's from its suffix's
+through generator_on.  _apply applies a linear map given by its columns;
+generator_on, multiply and point_down go through it.  product_row is the
+one product, kept per engine in product_rows: zero from the start where no
+level-n class has its degree, else one combine over the words of express,
+checked again for degree additivity.  product_index is its one-column case
+and word_on_basis reads one image.  In a quotient the kernel skips the terms
+that create ideal labels, which the reduction would delete.  A structure
+table keeps integer rows, checks super-commutativity on them and decodes
+them only to render.  Fock vectors meet the engine only at the edge:
+index_vector and fock_vector convert.  Point annihilation is point_image on
+a class and point_down on a vector; the ideal checks run operator_int on
 integer term dicts, where membership in the ideal depends on the support
 alone.
 
@@ -67,6 +61,13 @@ def _normal(terms, den):
     return ({i: c // g for i, c in terms.items()}, den // g) if g > 1 else (terms, den)
 
 
+def _apply(cols, vec):
+    """The linear map whose column i is the index vector cols[i], applied to
+    the index vector vec in ints and gcd-normalised."""
+    out, common = combine([(cols[i][0], c, cols[i][1]) for i, c in vec[0].items()])
+    return _normal(out, vec[1] * common)
+
+
 class StructureTable:
     """All cup-product structure constants at a fixed level, as integer rows:
     rows[i][j] is b_i(n) . b_j(n), the index vector of product_row, for
@@ -89,7 +90,7 @@ class StructureTable:
         the pure-Python encoder whenever it indents; here each class goes
         through it once, and each coefficient is the reduced fraction of its
         integers."""
-        basis, norms = self.basis, self.engine.level(self.n)[2]
+        basis = self.basis
         order = sorted(range(len(basis)), key=lambda i: basis[i].key())
         rank = {i: r for r, i in enumerate(order)}
         text = [json.dumps(pf.to_json(model), indent=2, sort_keys=True) for pf in basis]
@@ -115,7 +116,7 @@ class StructureTable:
                     rows.append(empty + sigma_at[j])
                     continue
                 entries = ",\n".join(['        {\n          "coeff": "'
-                                      + coeff(terms[k] * norms[k], den) + nu_tail[k]
+                                      + coeff(terms[k], den) + nu_tail[k]
                                       for k in sorted(terms, key=rank.__getitem__)])
                 rows.append('    {\n      "entries": [\n' + entries + "\n      ]" + rho
                             + sigma_at[j])
@@ -181,10 +182,9 @@ class RingEngine:
 
     @memoized
     def level(self, n):
-        """(index, monos, norms, degrees) of the level-n basis: b_i(n) =
-        monos[i] / norms[i] has degree degrees[i], and index inverts monos.
-        An index vector (terms, den) is sum(terms[i] * monos[i]) / den, with
-        gcd(den, *terms) = 1 and den > 0 wherever it is compared or memoized."""
+        """(index, monos, norms, degrees): b_i(n) = monos[i] / norms[i] has
+        degree degrees[i], and index inverts monos.  An index vector (terms,
+        den) is sum(terms[i] * b_i(n)) / den, gcd-normalised, with den > 0."""
         monos, norms = [], []
         for rho in self.basis(n):
             ((mono, c),) = self.fock.b_class(rho, n).terms.items()
@@ -193,54 +193,26 @@ class RingEngine:
         return ({mono: i for i, mono in enumerate(monos)}, monos, norms,
                 [self.degree(rho) for rho in self.basis(n)])
 
-    @memoized
-    def generator_rows(self, factor, n):
-        """Row i: the generator on the i-th basis monomial, as an index
-        vector; generator_on fills each row when it first needs it."""
-        return [None] * len(self.basis(n))
-
     def generator_on(self, factor, vec, n):
-        """One degree-shift operator on a level-n index vector, reduced in a
-        quotient: its rows added up in ints.  A row is checked once, when it
-        is filled: factor (k, c) raises the degree by 2k + deg c."""
-        terms, den = vec
-        if not terms:
-            return _ZERO
-        rows = self.generator_rows(factor, n)
-        for i in terms:
-            if rows[i] is None:
-                index, monos, _, degrees = self.level(n)
-                out, d, markers = operator_int(self.fock, self.operator(*factor),
-                                                 {monos[i]: 1}, self.model.ideal_pivots)
-                if not all(self.fock.in_ideal(mv) for mv, _ in markers):
-                    raise EngineError("canonical-class marker term failed to vanish "
-                                      "under reduction; ideal is not K-closed")
-                # the reduction: an image monomial outside the basis has an ideal label
-                row = _normal({index[m]: c for m, c in out.items() if m in index}, d)
-                k, c = factor
-                target = degrees[i] + 2 * k + self.model.degrees[c]
-                if any(degrees[j] != target for j in row[0]):
-                    raise EngineError(f"degree additivity violated by {factor!r} "
-                                      f"on {self.basis(n)[i]!r} at level {n}")
-                rows[i] = row
-        out, common = combine([(rows[i][0], c, rows[i][1]) for i, c in terms.items()])
-        return _normal(out, den * common)
+        """One degree-shift operator on a level-n index vector: the columns
+        of the one-letter word (factor,) applied to vec."""
+        return _apply(self.word_columns((factor,), vec[0], n), vec)
 
     def index_vector(self, v, n):
         """A reduced level-n Fock vector as an index vector."""
-        index = self.level(n)[0]
+        index, _, norms, _ = self.level(n)
         terms, den = lift(v)
         stray = next(iter(terms.keys() - index.keys()), None)
         if stray is not None:
             if mono_weight(stray) != n:
                 raise WeightError(f"monomial of weight {mono_weight(stray)} at level {n}")
             raise EngineError("vector is not reduced modulo the ideal")
-        return {index[m]: c for m, c in terms.items()}, den
+        return _normal({index[m]: c * norms[index[m]] for m, c in terms.items()}, den)
 
     def fock_vector(self, vec, n):
         """A level-n index vector as a Fock vector."""
-        monos = self.level(n)[1]
-        return FockVector({monos[i]: Q(c, vec[1]) for i, c in vec[0].items()})
+        _, monos, norms, _ = self.level(n)
+        return FockVector({monos[i]: Q(c, vec[1] * norms[i]) for i, c in vec[0].items()})
 
     def generator_word(self, rho):
         """The word whose evaluation has leading term a nonzero multiple of
@@ -284,8 +256,8 @@ class RingEngine:
     def coordinates(self, vec, n):
         """A level-n index vector in the basis {b_rho(n)}: its integers become
         rationals here only."""
-        basis, norms = self.basis(n), self.level(n)[2]
-        return {basis[i]: Q(c * norms[i], vec[1]) for i, c in vec[0].items()}
+        basis = self.basis(n)
+        return {basis[i]: Q(c, vec[1]) for i, c in vec[0].items()}
 
     @memoized
     def position(self, n):
@@ -304,21 +276,41 @@ class RingEngine:
     def word_images(self, word, n):
         """Entry j: the generator word applied to b_j(n), as an index vector,
         or None until word_columns fills it.  The empty word's entries are
-        the basis vectors."""
+        the basis vectors ({j: 1}, 1)."""
         if word:
             return [None] * len(self.basis(n))
-        return [({j: 1}, norm) for j, norm in enumerate(self.level(n)[2])]
+        return [({j: 1}, 1) for j in range(len(self.basis(n)))]
 
     def word_columns(self, word, cols, n):
-        """word_images(word, n) with the columns cols filled, suffix first: a
-        column is the first factor's generator_on of the same column of the
-        rest of the word."""
+        """word_images(word, n) with the columns cols filled: a one-letter
+        word's from the kernel, reduced, markers and degree checked; a longer
+        word's by generator_on of its suffix's."""
         images = self.word_images(word, n)
         todo = [j for j in cols if images[j] is None]
-        if todo:
-            factor, rest = word[0], self.word_columns(word[1:], todo, n)
+        if not todo:
+            return images
+        factor = word[0]
+        if len(word) > 1:
+            rest = self.word_columns(word[1:], todo, n)
             for j in todo:
                 images[j] = self.generator_on(factor, rest[j], n)
+            return images
+        index, monos, norms, degrees = self.level(n)
+        k, c = factor
+        for j in todo:
+            out, d, markers = operator_int(self.fock, self.operator(k, c),
+                                           {monos[j]: 1}, self.model.ideal_pivots)
+            if not all(self.fock.in_ideal(mv) for mv, _ in markers):
+                raise EngineError("canonical-class marker term failed to vanish "
+                                  "under reduction; ideal is not K-closed")
+            # the reduction: an image monomial outside the basis has an ideal label
+            image = _normal({index[m]: v * norms[index[m]] for m, v in out.items()
+                             if m in index}, d * norms[j])
+            target = degrees[j] + 2 * k + self.model.degrees[c]
+            if any(degrees[i] != target for i in image[0]):
+                raise EngineError(f"degree additivity violated by {factor!r} "
+                                  f"on {self.basis(n)[j]!r} at level {n}")
+            images[j] = image
         return images
 
     def word_on_basis(self, word, sigma, n):
@@ -349,8 +341,8 @@ class RingEngine:
         words of express on b_j(n) weighted in ints, computed once per
         engine.  One word_columns pass fills each word's images on the
         columns to compute, and degree additivity is asserted on every
-        product, on top of the per-row check of generator_on.  No caller may
-        mutate an entry."""
+        product, on top of the check on each one-letter image.  No caller
+        may mutate an entry."""
         row = self.product_rows(rho, n)
         todo = [j for j in cols if row[j] is None]
         if not todo:
@@ -380,14 +372,11 @@ class RingEngine:
         return self.product_row(rho, (j,), n)[j]
 
     def multiply(self, x, y, n):
-        """The cup product of two level-n index vectors: product_row
-        extended bilinearly, with monos[i] = norms[i] * b_i(n), in ints."""
-        basis, norms = self.basis(n), self.level(n)[2]
-        out, den = combine([(terms, a * b * norms[i] * norms[j], d)
-                            for i, a in x[0].items()
-                            for row in [self.product_row(basis[i], y[0], n)]
-                            for j, b in y[0].items() for terms, d in [row[j]]])
-        return _normal(out, den * x[1] * y[1])
+        """The cup product of two level-n index vectors, in ints: each
+        b_i(n) . y applies product_row to y, and x applies those."""
+        basis = self.basis(n)
+        return _apply({i: _apply(self.product_row(basis[i], y[0], n), y)
+                       for i in x[0]}, x)
 
     def b_product(self, rho, sigma, n):
         """Structure constants of b_rho(n) . b_sigma(n): nu -> rational, the
@@ -403,11 +392,9 @@ class RingEngine:
 
     def point_down(self, vec, n):
         """The point annihilation on a level-(n+1) index vector: the
-        point_image rows added up in ints, as a level-n index vector."""
-        basis, norms = self.basis(n + 1), self.level(n + 1)[2]
-        out, den = combine([(terms, c * norms[i], d) for i, c in vec[0].items()
-                            for terms, d in [self.point_image(basis[i], n)]])
-        return _normal(out, den * vec[1])
+        point_image columns applied to it, as a level-n index vector."""
+        basis = self.basis(n + 1)
+        return _apply({i: self.point_image(basis[i], n) for i in vec[0]}, vec)
 
     def structure_constants(self, n):
         """The level-n structure table: every product_row, kept as integer
@@ -831,8 +818,8 @@ def verify_fh_ring(model, norm_bound=5, cost_bound=None):
                                       "c": model.basis[c].name})
 
     # monomials of the one-part symbols, indexed by P(S_X) with ||rho|| <= bound;
-    # rank and span membership survive the positive rescaling from basis
-    # classes to monomials, so the integer terms of the index vectors will do
+    # rank and span membership do not see a row's denominator, so the integer
+    # terms of the index vectors will do
     window = [rho for rho in engine.basis(n_eval) if rho.total() <= norm_bound]
     gen_window = engine.basis(cost_bound)
     # one call, so that both windows share the prefix products
@@ -1055,12 +1042,11 @@ def verify_affine_plane_quotient(model, n_values):
                         "sigma": sigma.to_json(quotient),
                     })
         # one-term normal forms of the distinguished classes, on the level unit
-        index = engine.level(n)[0]
         for k in range(n):
             got = engine.word_on_basis(((k, unit),), PartitionFunction.EMPTY, n)
             mono = ((k + 1, unit),) + ((1, unit),) * (n - k - 1)
             want = Q((-1) ** k, factorial(k + 1) * factorial(n - k - 1))
-            if got != ({index[mono]: want.numerator}, want.denominator):
+            if got != engine.index_vector(FockVector({mono: want}), n):
                 found.append({"part": "normal-form", "k": k})
             # and the polynomial image agrees with the differential-operator route
             via_phi = phi_map(engine.fock_vector(got, n), quotient)

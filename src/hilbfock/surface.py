@@ -447,14 +447,21 @@ class SurfaceModel:
             coeffs = {}
             for t in _json_list(items, what):
                 t = _json_object(t, f"a term of {what}")
-                coeffs[idx(t["name"])] = parse_q(t["coeff"])
+                i = idx(t["name"])
+                if i in coeffs:
+                    raise ModelError(f"class {t['name']!r} is named twice in {what}")
+                coeffs[i] = parse_q(t["coeff"])
             return GradedClass(coeffs)
 
         products = {}
         for p in _json_list(obj.get("products", []), "'products'"):
             p = _json_object(p, "a product")
-            products[(idx(p["left"]), idx(p["right"]))] = \
-                cls_from(p["result"], "a product result").terms
+            pair = (idx(p["left"]), idx(p["right"]))
+            if pair in products:
+                raise ModelError(f"the product ({p['left']!r}, {p['right']!r}) is given twice")
+            products[pair] = cls_from(p["result"], "a product result").terms
+        if not isinstance(obj.get("name", ""), str):
+            raise ModelError("a model name must be a string")
         model = cls.__new__(cls)
         SurfaceModel.__init__(
             model, basis, products, idx(obj["unit"]), idx(obj["point"]),

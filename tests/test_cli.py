@@ -48,6 +48,15 @@ def test_parse_range():
     assert parse_range("99..100") == [99, 100]
     with pytest.raises(ValueError, match="out of reach"):
         parse_range("101")
+    # text that is neither a nor a..b is refused by one message naming it
+    for text in ("1..2..3", "3.5", "1..", "..2", "", " 3", "+3", "two"):
+        with pytest.raises(ValueError, match="neither a level a nor a range a..b") as err:
+            parse_range(text)
+        assert repr(text) in str(err.value)
+    with pytest.raises(ValueError, match="negative"):
+        parse_range("-2..1")
+    with pytest.raises(ValueError, match="empty level range"):
+        parse_range("3..-1")
 
 
 def test_validate_pass(capsys):
@@ -417,6 +426,29 @@ def test_hostile_inputs_exit_2(tmp_path):
         res = run_cli(*args, "--model", str(model))
         assert_usage_error(res)
         assert "not homogeneous" in res.stderr
+
+    # a product given twice, a class named twice in one class expression and
+    # a name that is no string were each resolved silently: all are refused
+    toy = builtin_model("toy_b2_1").to_json()
+    x, x2 = {"name": "x", "coeff": "1"}, {"name": "x", "coeff": "2"}
+    hh = {"left": "h", "right": "h", "result": [x]}
+    for key, value, named in (("products", [hh, {**hh, "result": [x2]}], "('h', 'h')"),
+                              ("products", [{**hh, "result": [x, x2]}], "'x'"),
+                              ("euler", [x, x2], "'x'"),
+                              ("canonical", [x, x2], "'x'"),
+                              ("ideal", [[x, x2]], "'x'"),
+                              ("name", ["x"], "name")):
+        model.write_text(json.dumps({**toy, key: value}))
+        for args in (("validate",), ("product", "--n", "1", "--rho", '{"h": [1]}',
+                                     "--sigma", '{"h": [1]}')):
+            res = run_cli(*args, "--model", str(model))
+            assert_usage_error(res)
+            assert named in res.stderr, res.stderr
+    # --n text that is neither a level nor a range names the text, not Python
+    for text in ("1..2..3", "3.5", "1.."):
+        res = run_cli("product", "--model", "c2", "--n", text, "--rho", "{}", "--sigma", "{}")
+        assert_usage_error(res)
+        assert repr(text) in res.stderr, res.stderr
 
     # bounds under which a verifier checks nothing, and level ranges given to
     # commands that compute at one level

@@ -143,8 +143,8 @@ def test_apply_operator_matches_fraction_reference(models, name, s):
 @pytest.mark.parametrize("s", SIDES, ids=["hilbert", "s=2", "s=-7/2"])
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_apply_generator_matches_fraction_reference(models, name, s):
-    """The engine's generator rows, summed over a vector, equal the reference
-    generator on each basis class of levels 1..3 and on their sum."""
+    """The engine's one-letter images, applied to a vector, equal the
+    reference generator on each basis class of levels 1..3 and on their sum."""
     model = models(name)
     eng = RingEngine(model, s)
     checked = 0

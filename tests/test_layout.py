@@ -160,12 +160,13 @@ def test_module_layers():
 def test_one_product_method_combines_word_images():
     """RingEngine.product_row is the one product: no other function both
     reads word images (word_on_basis, word_images, word_columns) and sums
-    them, with combine or row_add_scaled, or over the words of express.
-    express itself reads one image, its leading word's on b_empty, and sums
-    the expressions of lower classes.  A second product loop, say in
-    structure_constants or multiply, would be found here."""
+    them, with combine, _apply or row_add_scaled, or over the words of
+    express.  express itself reads one image, its leading word's on
+    b_empty, and sums the expressions of lower classes; generator_on applies
+    the one-letter images of its generator to a vector.  A second product
+    loop, say in structure_constants or multiply, would be found here."""
     readers = {"word_on_basis", "word_images", "word_columns"}
-    summers = {"express", "combine", "row_add_scaled"}
+    summers = {"express", "combine", "_apply", "row_add_scaled"}
     found = set()
     for tree in _trees().values():
         for node in ast.walk(tree):
@@ -174,5 +175,5 @@ def test_one_product_method_combines_word_images():
                          for sub in ast.walk(node) if sub is not node}
                 if names & readers and names & summers:
                     found.add(node.name)
-    assert found == {"product_row", "express"}, \
+    assert found == {"product_row", "express", "generator_on"}, \
         "word images combined outside product_row: " + ", ".join(sorted(found))

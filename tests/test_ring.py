@@ -64,6 +64,49 @@ def test_unit_row(engines):
     assert eng.fock_vector(eng.index_vector(v, 3), 3) == v
 
 
+@pytest.mark.parametrize("s", [None, Q(2)])
+@pytest.mark.parametrize("name", BUILTIN)
+def test_index_vectors_are_basis_coordinates(models, name, s):
+    """A level-n index vector is sum(terms[i] * b_i(n)) / den: b_j(n) is
+    ({j: 1}, 1) as the empty word's image and as the index vector of its
+    Fock class, and fock_vector and index_vector are inverse, on every
+    built-in model, on both sides, at every level up to 3."""
+    eng = RingEngine(models(name), s)
+    for n in range(4):
+        basis = eng.basis(n)
+        mixed = FockVector()
+        for j, rho in enumerate(basis):
+            unit, v = ({j: 1}, 1), eng.fock.b_class(rho, n)
+            assert eng.word_on_basis((), rho, n) == unit
+            assert eng.index_vector(v, n) == unit
+            assert eng.fock_vector(unit, n) == v
+            mixed = mixed + v.scaled(Q(j + 1, j + 2))
+        vec = eng.index_vector(mixed, n)
+        assert vec == ({j: Q(j + 1, j + 2) * vec[1] for j in range(len(basis))}, vec[1])
+        assert eng.fock_vector(vec, n) == mixed
+        assert eng.index_vector(eng.fock_vector(vec, n), n) == vec
+
+
+@pytest.mark.parametrize("name, n, s", [("c2", 4, None), ("toy_b2_1", 3, None),
+                                        ("odd_toy", 3, None), ("cotangent_g1", 3, None),
+                                        ("ale_2", 3, Q(2))])
+def test_generator_on_reads_the_one_letter_images(models, name, n, s):
+    """The engine keeps one image per (word, basis class): once a table is
+    built, generator_on on b_j(n) is the one-letter word's image of b_j(n)
+    on every filled column, and no second per-generator table exists."""
+    eng = RingEngine(models(name), s)
+    eng.structure_constants(n)
+    filled = 0
+    for (word, m), images in RingEngine.word_images.table(eng).items():
+        if len(word) == 1 and m == n:
+            for j, image in enumerate(images):
+                if image is not None:
+                    filled += 1
+                    assert eng.generator_on(word[0], ({j: 1}, 1), n) == image, (word, j)
+    assert filled > len(eng.basis(n))
+    assert not hasattr(RingEngine, "generator_rows")
+
+
 def test_level_one_collapses_to_surface(models, engines):
     """At level one the ring is the (quotient) surface algebra itself: the
     strongest independent anchor for the whole pipeline."""
@@ -379,8 +422,8 @@ def test_a_wrong_degree_entry_trips_degree_additivity(models):
 
 
 def test_a_wrong_degree_row_entry_trips_the_row_check(models, monkeypatch):
-    """A generator row given one basis monomial of another degree is refused
-    when generator_on fills it, with no product computed."""
+    """A one-letter image given one basis monomial of another degree is
+    refused when word_columns fills it, with no product computed."""
     import hilbfock.ring as ring
     model = models("c2")
     unit_mono = ((1, model.unit),) * 3
