@@ -13,13 +13,14 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
 from .fock import FockSpace, verify_heisenberg
 from .models import load_model
 from .partitions import PartitionFunction
-from .rational import parse_q, qstr
+from .rational import load_json, parse_int, parse_q, qstr
 from .reports import RunReport
 from .ring import (RingEngine, fit_polynomial_in_n, verify_a_homomorphism,
                    verify_affine_plane_quotient, verify_fh_ring,
@@ -40,8 +41,8 @@ def parse_range(text):
     match = re.fullmatch(r"(-?[0-9]+)(?:\.\.(-?[0-9]+))?", text)
     if match is None:
         raise ValueError(f"--n {text!r} is neither a level a nor a range a..b")
-    lo = int(match[1])
-    hi = lo if match[2] is None else int(match[2])
+    lo = parse_int(match[1], "--n")
+    hi = lo if match[2] is None else parse_int(match[2], "--n")
     if hi < lo:
         raise ValueError("empty level range")
     if lo < 0:
@@ -71,11 +72,11 @@ def _basis_arg(model, obj):
     return rho
 
 
-def _load_json_arg(text):
+def _load_json_arg(text, option):
+    """The JSON document that the option gives inline or as @file."""
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+        text = Path(text[1:]).read_text(encoding="utf-8")
+    return load_json(text, option)
 
 
 @functools.cache
@@ -166,7 +167,7 @@ def _table_text(engine, model, n):
 def _engine(model, args):
     """The ring engine of the requested side; s (default -1) is for the orbifold only."""
     if args.side == "orbifold":
-        return RingEngine(model, parse_q("-1" if args.s is None else args.s))
+        return RingEngine(model, parse_q("-1" if args.s is None else args.s, "--s"))
     if args.s is not None:
         raise ValueError("--s applies only with --side orbifold")
     return RingEngine(model)
@@ -194,7 +195,8 @@ def cmd_product(args):
     model = load_model(args.model)
     n = parse_level(args.n)
     engine = _engine(model, args)
-    rho, sigma = (_basis_arg(model, _load_json_arg(a)) for a in (args.rho, args.sigma))
+    rho, sigma = (_basis_arg(model, _load_json_arg(text, option))
+                  for text, option in ((args.rho, "--rho"), (args.sigma, "--sigma")))
     vec = engine.product_index(rho, sigma, n)
     coords = engine.coordinates(vec, n)
     if args.dump:
@@ -225,12 +227,8 @@ def cmd_structure_constants(args):
 
 
 def cmd_lehn(args):
-    if args.poly == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(args.poly, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    image = lehn_apply(args.k, SparsePolynomial.from_json(obj))
+    text = sys.stdin.read() if args.poly == "-" else Path(args.poly).read_text(encoding="utf-8")
+    image = lehn_apply(args.k, SparsePolynomial.from_json(load_json(text, "--poly")))
     out = image.to_json()
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     return RunReport("lehn-apply", "-", {"k": args.k}, "pass",
@@ -245,7 +243,7 @@ def cmd_lehn(args):
 
 def _fit_triple(model, levels, text):
     """polynomiality --triple: the fit of the one triple that text names."""
-    spec = _load_json_arg(text)
+    spec = _load_json_arg(text, "--triple")
     keys = ("rho", "sigma", "nu")
     shape = "--triple must be a JSON object {rho, sigma, nu}"
     if not isinstance(spec, dict):
@@ -285,7 +283,7 @@ REGISTRY = {
     "a-homomorphism": (1, ("--n",), lambda m, ns, a: verify_a_homomorphism(RingEngine(m), ns)),
     "ring-isom": (1, ("--n",), lambda m, ns, a: verify_ring_isomorphism(m, ns)),
     "orb-n-independence": (2, ("--n", "--s"), lambda m, ns, a:
-                           verify_orb_n_independence(m, ns, parse_q(a.s))),
+                           verify_orb_n_independence(m, ns, parse_q(a.s, "--s"))),
 }
 
 

@@ -7,6 +7,7 @@ import os
 from importlib import resources
 
 from ..errors import ModelError
+from ..rational import load_json
 from ..surface import SurfaceModel
 
 BUILTIN = (
@@ -34,5 +35,5 @@ def load_model(spec):
     """Load a model from a file path, or fall back to a built-in name."""
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
-            return SurfaceModel.from_json(json.load(fh))
+            return SurfaceModel.from_json(load_json(fh.read(), "--model"))
     return builtin_model(spec)

@@ -7,6 +7,8 @@ surface the engine needs; the engine never touches floating point.
 
 from __future__ import annotations
 
+import json
+import sys
 from math import lcm
 
 try:
@@ -22,17 +24,36 @@ def qstr(x) -> str:
     return str(Q(x))
 
 
-def parse_q(s):
-    """Parse 'p' or 'p/q'; plain ints pass through."""
+def parse_int(text, what):
+    """int(text), but a text of more digits than Python converts is refused
+    by its digit count, in a message that names what."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit and sum(map(str.isdigit, text)) > limit:
+        raise ValueError(f"{what} has a number of more than {limit} digits")
+    return int(text)
+
+
+def parse_q(s, what="rational"):
+    """Parse 'p' or 'p/q', named what in errors; plain ints pass through."""
     if isinstance(s, int):
         return Q(s)
     txt = str(s).strip()
-    if "/" in txt:
-        num, den = txt.split("/")
-        if not int(den):
-            raise ValueError(f"rational {txt!r} has a zero denominator")
-        return Q(int(num), int(den))
-    return Q(int(txt))
+    num, *den = txt.split("/")
+    if len(den) > 1:
+        raise ValueError(f"{what} {txt!r} is neither p nor p/q")
+    d = parse_int(den[0], what) if den else 1
+    if not d:
+        raise ValueError(f"rational {txt!r} has a zero denominator")
+    return Q(parse_int(num, what), d)
+
+
+def load_json(text, what):
+    """json.loads, but integer literals of more digits than Python converts
+    and nesting past its recursion limit are refused naming what."""
+    try:
+        return json.loads(text, parse_int=lambda t: parse_int(t, what))
+    except RecursionError:
+        raise ValueError(f"{what} holds JSON nested too deeply") from None
 
 
 def integer_lift(values):

@@ -10,23 +10,25 @@ reduced after every operator, which is legitimate because the ideal subspace
 absorbs the operators.
 
 A level-n index vector (terms, den) is sum(terms[i] * b_i(n)) / den (see
-RingEngine.level).  word_images is the one image table: per generator word
-and level, the word's image of each basis class.  word_columns fills a
-one-letter word's columns from the kernel vertex.operator_int, reduced,
-with markers and degree checked, and a longer word's from its suffix's
-through generator_on.  _apply applies a linear map given by its columns;
-generator_on, multiply and point_down go through it.  product_row is the
-one product, kept per engine in product_rows: zero from the start where no
-level-n class has its degree, else one combine over the words of express,
-checked again for degree additivity.  product_index is its one-column case
-and word_on_basis reads one image.  In a quotient the kernel skips the terms
-that create ideal labels, which the reduction would delete.  A structure
-table keeps integer rows, checks super-commutativity on them and decodes
-them only to render.  Fock vectors meet the engine only at the edge:
-index_vector and fock_vector convert.  Point annihilation is point_image on
-a class and point_down on a vector; the ideal checks run operator_int on
-integer term dicts, where membership in the ideal depends on the support
-alone.
+RingEngine.level), and basis(n) extends basis(n - 1), so index i names one
+class at every level from its cost on.  word_images is the one image table:
+per generator word and level, the word's image of each basis class.
+word_columns fills a one-letter word's columns from the kernel
+vertex.operator_int, reduced, with markers and degree checked, and a longer
+word's from its suffix's through generator_on.  _apply applies a linear map
+given by its columns; generator_on, multiply and the point annihilation go
+through it.  product_row is the one product, kept per engine in
+product_rows: zero from the start where no level-n class has its degree,
+else one combine over the words of express, checked again for degree
+additivity.  product_index is its one-column case and word_on_basis reads
+one image.  In a quotient the kernel skips the terms that create ideal
+labels, which the reduction would delete.  A structure table keeps integer
+rows, checks super-commutativity on them and decodes them only to render.
+Fock vectors meet the engine only at the edge: index_vector and fock_vector
+convert.  Point annihilation is one column list per level, point_images(n),
+whose entry i is the image of b_i(n+1) at level n; the ideal checks run
+operator_int on integer term dicts, where membership in the ideal depends on
+the support alone.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -36,6 +38,7 @@ ring, which the comparison verifiers check.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cache
 from math import factorial, gcd
 
@@ -151,14 +154,14 @@ class RingEngine:
 
     @memoized
     def basis(self, n):
-        """The level-n classes in basis order.  A class that a lower level
-        has is the object basis(n - 1) holds, so that a lookup across levels
-        finds it by identity."""
+        """The level-n classes by (cost, key): basis(n - 1), the very objects,
+        extended by those of cost n, so index i names one class at every
+        level from its cost on; an enumeration not so ordered is refused."""
         classes = enumerate_partition_functions(self.model, n)
-        if n > 0:
-            lower = {rho: rho for rho in self.basis(n - 1)}
-            classes = [lower.get(rho, rho) for rho in classes]
-        return classes
+        prev = self.basis(n - 1) if n else []
+        if classes[:len(prev)] != prev:
+            raise EngineError(f"the level-{n} basis does not begin with level {n - 1}'s")
+        return prev + classes[len(prev):]
 
     @memoized
     def degree(self, rho):
@@ -384,17 +387,12 @@ class RingEngine:
         return self.coordinates(self.product_index(rho, sigma, n), n)
 
     @memoized
-    def point_image(self, rho, n):
-        """The point annihilation kappa^{-1} a_1([x]) of b_rho(n+1), a
-        level-(n+1) class, as a level-n index vector (FockSpace.annihilate_point)."""
+    def point_images(self, n):
+        """Entry i: the point annihilation kappa^{-1} a_1([x]) of b_i(n+1) as
+        a level-n index vector (FockSpace.annihilate_point), columns for _apply."""
         fock = self.fock
-        return self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
-
-    def point_down(self, vec, n):
-        """The point annihilation on a level-(n+1) index vector: the
-        point_image columns applied to it, as a level-n index vector."""
-        basis = self.basis(n + 1)
-        return _apply({i: self.point_image(basis[i], n) for i in vec[0]}, vec)
+        return [self.index_vector(fock.annihilate_point(fock.b_class(rho, n + 1)), n)
+                for rho in self.basis(n + 1)]
 
     def structure_constants(self, n):
         """The level-n structure table: every product_row, kept as integer
@@ -461,36 +459,31 @@ def _require_polynomiality(model):
 
 def verify_n_independence(engine, n_values):
     """Exact cross-level equality of all structure constants defined on the
-    whole range (a quotient ring: the projective statement is
-    verify_mod_h4_independence)."""
+    whole range, compared in the integer table cells by index (a quotient
+    ring: the projective statement is verify_mod_h4_independence)."""
     if not engine.model.has_ideal:
         raise ModelError("level-independence needs a model with an ideal; "
                          "use mod-h4-independence for projective models")
     ns = sorted(n_values)
     shared = engine.basis(ns[0])
     _require_products(shared, ns[0])
-    tables = {n: engine.structure_constants(n) for n in ns}
-    shared_set = set(shared)
+    m = len(shared)
+    tables = [engine.structure_constants(n).rows for n in ns]
     witnesses = []
-    checked = 0
-    for rho in shared:
-        for sigma in shared:
-            seen = {}
-            for n in ns:
-                for nu, c in tables[n].get(rho, sigma).items():
-                    if nu in shared_set:
-                        seen.setdefault(nu, {})[n] = c
-            for nu in shared:
-                vals = [seen.get(nu, {}).get(n, Q(0)) for n in ns]
-                checked += 1
-                if any(v != vals[0] for v in vals):
+    for i, rho in enumerate(shared):
+        for j, sigma in enumerate(shared):
+            cells = [rows[i][j] for rows in tables]
+            t0, d0 = cells[0]
+            for k in sorted({k for terms, _ in cells for k in terms if k < m}):
+                if any(t.get(k, 0) * d0 != t0.get(k, 0) * d for t, d in cells):
                     witnesses.append({
                         "rho": rho.to_json(engine.model),
                         "sigma": sigma.to_json(engine.model),
-                        "nu": nu.to_json(engine.model),
-                        "values": {str(n): qstr(v) for n, v in zip(ns, vals)},
+                        "nu": shared[k].to_json(engine.model),
+                        "values": {str(n): qstr(Q(t.get(k, 0), d))
+                                   for n, (t, d) in zip(ns, cells)},
                     })
-    return {"ok": not witnesses, "triples_checked": checked, "witnesses": witnesses}
+    return {"ok": not witnesses, "triples_checked": m ** 3, "witnesses": witnesses}
 
 
 def verify_mod_h4_independence(model, n_values):
@@ -506,23 +499,15 @@ def verify_mod_h4_independence(model, n_values):
 def lagrange_coefficients(points):
     """Exact interpolating polynomial through (x, y) pairs, as a coefficient
     list in ascending powers."""
-    m = len(points)
-    coeffs = [Q(0)] * m
+    coeffs = [Q(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
-        basis = [Q(1)]
-        denom = Q(1)
+        basis, scale = [Q(1)], Q(yi)
         for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= Q(xi - xj)
-            new = [Q(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-        scale = yi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
+            if j != i:
+                # basis times (x - xj), the scale over (xi - xj)
+                basis = [p - xj * q for p, q in zip([0, *basis], [*basis, 0])]
+                scale /= xi - xj
+        coeffs = [c + b * scale for c, b in zip(coeffs, basis)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -567,56 +552,57 @@ def fit_report(values, bound):
     }
 
 
-def verify_polynomiality(model, n_values, bound_max=4):
+POLY_BOUND_MAX = 4  # the largest degree bound of a fitted triple
+
+
+def verify_polynomiality(model, n_values):
     """Fit every triple (rho, sigma, nu) whose degree bound is at most
-    bound_max and which has bound + 3 levels from its start on.
+    POLY_BOUND_MAX and which has bound + 3 levels from its start on.
 
     The sweep runs pair by pair.  The bound and the start depend on nu only
     through its cost, so the triples are counted per cost class of nu.  Each
     pair's product is computed once per level from the first start on, and
-    only the nu in the support of those products are fitted, in basis order.
-    Every other triple is zero at all its levels, which the zero polynomial
-    fits within any bound.  A range in which no triple has enough levels
-    checks nothing and is refused."""
+    only the nu in the support of those products are fitted, by index, in
+    basis order.  Every other triple is zero at all its levels, which the
+    zero polynomial fits within any bound.  A range in which no triple has
+    enough levels checks nothing and is refused."""
     _require_polynomiality(model)
     engine = RingEngine(model)
     ns = sorted(n_values)
-    degree = engine.degree
     top = engine.basis(ns[-1])
-    cost = {nu: nu.cost(model.unit) for nu in top}
+    cost = [nu.cost(model.unit) for nu in top]
+    degree = [engine.degree(nu) for nu in top]
     targets = {}  # degree -> cost -> number of classes
-    for nu in top:
-        by_cost = targets.setdefault(degree(nu), {})
-        by_cost[cost[nu]] = by_cost.get(cost[nu], 0) + 1
+    for (d, c), count in Counter(zip(degree, cost)).items():
+        targets.setdefault(d, {})[c] = count
     base = engine.basis(ns[0])
     _require_products(base, ns[0])
     witnesses = []
     fitted = 0
-    for rho in base:
-        for sigma in base:
-            pair_cost = cost[rho] + cost[sigma]
+    for i, rho in enumerate(base):
+        for j, sigma in enumerate(base):
+            pair_cost = cost[i] + cost[j]
             starts = {}  # cost of nu -> the first level of its fits
-            for nu_cost, count in targets.get(degree(rho) + degree(sigma), {}).items():
+            for nu_cost, count in targets.get(degree[i] + degree[j], {}).items():
                 bound = pair_cost - nu_cost
-                start = max(cost[rho], cost[sigma], nu_cost)
-                if 0 <= bound <= bound_max and \
+                start = max(cost[i], cost[j], nu_cost)
+                if 0 <= bound <= POLY_BOUND_MAX and \
                         sum(1 for n in ns if n >= start) >= bound + 3:
                     starts[nu_cost] = start
                     fitted += count
             if not starts:
                 continue
             first = min(starts.values())
-            products = [(n, engine.b_product(rho, sigma, n)) for n in ns if n >= first]
-            support = {nu for _, prods in products for nu in prods if cost[nu] in starts}
-            # the basis order is by (cost, key)
-            for nu in sorted(support, key=lambda nu: (cost[nu], nu.key())):
-                start = starts[cost[nu]]
-                rep = fit_report([(n, prods.get(nu, Q(0))) for n, prods in products
-                                  if n >= start], pair_cost - cost[nu])
+            products = [(n, engine.product_index(rho, sigma, n)) for n in ns if n >= first]
+            support = {k for _, (terms, _) in products for k in terms if cost[k] in starts}
+            for k in sorted(support):
+                start = starts[cost[k]]
+                rep = fit_report([(n, Q(terms.get(k, 0), den)) for n, (terms, den) in products
+                                  if n >= start], pair_cost - cost[k])
                 if not rep["ok"]:
                     witnesses.append({
                         "rho": rho.to_json(model), "sigma": sigma.to_json(model),
-                        "nu": nu.to_json(model), "report": rep,
+                        "nu": top[k].to_json(model), "report": rep,
                     })
     if not fitted:
         raise ValueError(f"no triple has enough levels in {ns[0]}..{ns[-1]} "
@@ -729,10 +715,10 @@ def _ideal_level(fock, images, n, parts):
 
 
 def _point_misses(engine, n):
-    """The level-n classes that point annihilation does not send from their
-    level-(n+1) namesakes to themselves."""
-    return [rho for rho in engine.basis(n)
-            if engine.point_image(rho, n) != engine.word_on_basis((), rho, n)]
+    """The level-n classes b_i(n) that point annihilation does not send from
+    their level-(n+1) namesakes to themselves: point_images(n)[i] != b_i(n)."""
+    images = engine.point_images(n)
+    return [rho for i, rho in enumerate(engine.basis(n)) if images[i] != ({i: 1}, 1)]
 
 
 def verify_a_homomorphism(engine, n_values):
@@ -752,12 +738,11 @@ def verify_a_homomorphism(engine, n_values):
     for n in ns:
         found = [{"part": "basis-image", "rho": rho.to_json(model)}
                  for rho in _point_misses(engine, n)]
-        upper = engine.basis(n + 1)
-        for rho in upper:
-            for sigma in upper:
-                image = engine.point_down(engine.product_index(rho, sigma, n + 1), n)
-                if image != engine.multiply(engine.point_image(rho, n),
-                                            engine.point_image(sigma, n), n):
+        images, upper = engine.point_images(n), engine.basis(n + 1)
+        for i, rho in enumerate(upper):
+            row = engine.product_row(rho, range(len(upper)), n + 1)
+            for j, sigma in enumerate(upper):
+                if _apply(images, row[j]) != engine.multiply(images[i], images[j], n):
                     found.append({"part": "ring-hom", "rho": rho.to_json(model),
                                   "sigma": sigma.to_json(model)})
         witnesses += found[:20]
@@ -782,22 +767,18 @@ def monomial_vectors(engine, rhos, n_eval):
     return {rho: vector(rho) for rho in rhos}
 
 
-def verify_fh_ring(model, norm_bound=5, cost_bound=None):
+def verify_fh_ring(model, norm_bound=5):
     """Build the stable ring and verify its structure: the structure
     constants stabilize between two probe levels, generation by the
-    one-part symbols up to cost_bound (default min(norm_bound, 5)), linear
-    independence of their monomials of norm at most norm_bound, vanishing
-    odd squares, and the commuting tower of point-annihilation maps.  The
-    monomials are evaluated at level 2 * norm_bound; a negative norm_bound
-    leaves no monomial and a cost_bound above that level leaves the
-    generation window unevaluated, so both are refused."""
+    one-part symbols up to cost min(norm_bound, 5), linear independence of
+    their monomials of norm at most norm_bound, vanishing odd squares, and
+    the commuting tower of point-annihilation maps.  The monomials are
+    evaluated at level 2 * norm_bound; a negative norm_bound leaves no
+    monomial and is refused."""
     if norm_bound < 0:
         raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
     n_eval = 2 * norm_bound
-    if cost_bound is None:
-        cost_bound = min(norm_bound, 5)
-    if cost_bound > n_eval:
-        raise ValueError(f"cost bound {cost_bound} exceeds the evaluation level {n_eval}")
+    cost_bound = min(norm_bound, 5)
     engine = RingEngine(model)
     if not model.has_ideal:
         raise ModelError("the stable ring needs a model with an ideal")
@@ -889,12 +870,11 @@ def verify_ring_isomorphism(model, n_values):
     orb = RingEngine(model, -1)
     witnesses = []
     for n in ns:
-        found = []
         rows_h, rows_o = hilb.structure_constants(n).rows, orb.structure_constants(n).rows
         basis = hilb.basis(n)
-        found += [{"part": "table", "rho": rho.to_json(model), "sigma": sigma.to_json(model)}
-                  for i, rho in enumerate(basis) for j, sigma in enumerate(basis)
-                  if rows_h[i][j] != rows_o[i][j]][:10]
+        found = [{"part": "table", "rho": rho.to_json(model), "sigma": sigma.to_json(model)}
+                 for i, rho in enumerate(basis) for j, sigma in enumerate(basis)
+                 if rows_h[i][j] != rows_o[i][j]][:10]
 
         # the intermediate identity: O_k(alpha, n) o P = G_k(alpha, n) . P; at
         # P = b_empty(n), the level unit, it says that each deformed
@@ -964,18 +944,13 @@ class LehnEngine:
         if n < cost:
             return SparsePolynomial()
         unit_parts = [1] * (n - cost) + [r + 1 for r in parts]
-        exps = {}
-        for r in unit_parts:
-            exps[r] = exps.get(r, 0) + 1
-        return SparsePolynomial.monomial(exps, unit_normalization(unit_parts))
+        return SparsePolynomial.monomial(Counter(unit_parts), unit_normalization(unit_parts))
 
     @staticmethod
     def expand(poly, n, unit):
         coords = {}
         for mono, w in poly.terms.items():
-            unit_parts = []
-            for var, e in mono:
-                unit_parts.extend([var] * e)
+            unit_parts = [var for var, e in mono for _ in range(e)]
             if sum(unit_parts) != n:
                 raise WeightError("polynomial is not homogeneous of the level degree")
             parts = tuple(sorted((r - 1 for r in unit_parts if r >= 2), reverse=True))

@@ -36,7 +36,7 @@ from .errors import EngineError, UnknownCoefficientsError
 from .fock import FockVector, lift
 from .linalg import LinearCombination, combine, memoized, row_add_scaled
 from .partitions import GenPartition, partitions_with_length
-from .rational import ONE, Q, parse_q, qstr
+from .rational import ONE, Q, parse_int, parse_q, qstr
 
 MAIN = "main"
 EULER = "euler"
@@ -563,7 +563,7 @@ class SparsePolynomial(LinearCombination):
                                  '"monomial" object {variable: exponent}')
             exps = {}
             for v, e in mono.items():
-                var = int(v)
+                var = parse_int(v, "a polynomial variable")
                 if var < 1 or type(e) is not int or e < 0:
                     raise ValueError(f"bad monomial entry {v!r}: {e!r} (variables "
                                      "are positive, exponents nonnegative integers)")

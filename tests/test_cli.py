@@ -450,6 +450,45 @@ def test_hostile_inputs_exit_2(tmp_path):
         assert_usage_error(res)
         assert repr(text) in res.stderr, res.stderr
 
+    # JSON nested past Python's recursion limit, as --rho, --model or --poly
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for args in (("product", "--model", "c2", "--n", "2", "--rho", f"@{deep}",
+                  "--sigma", "{}"),
+                 ("validate", "--model", str(deep)),
+                 ("lehn-apply", "--k", "1", "--poly", str(deep))):
+        res = run_cli(*args)
+        assert_usage_error(res)
+        assert "nested too deeply" in res.stderr, res.stderr
+    # a number past Python's int-conversion limit is refused by its digit
+    # count, naming the option, as --n, as --s, inside --rho JSON and as a
+    # polynomial's variable
+    huge = "1" * 5000
+    poly.write_text(json.dumps({"terms": [{"coeff": "1", "monomial": {huge: 1}}]}))
+    for option, args in (("--n", ("product", "--model", "c2", "--n", huge,
+                                  "--rho", "{}", "--sigma", "{}")),
+                         ("--s", ("product", "--model", "c2", "--n", "2", "--side",
+                                  "orbifold", "--s", huge, "--rho", "{}", "--sigma", "{}")),
+                         ("--s", ("verify", "orb-n-independence", "--model", "c2",
+                                  "--n", "2..3", "--s", f"1/{huge}")),
+                         ("--rho", ("product", "--model", "toy_b2_1", "--n", "2",
+                                    "--rho", f'{{"h": [{huge}]}}', "--sigma", "{}")),
+                         ("a polynomial variable", ("lehn-apply", "--k", "1",
+                                                    "--poly", str(poly)))):
+        res = run_cli(*args)
+        assert_usage_error(res)
+        assert res.stderr == f"error: {option} has a number of more than 4300 digits\n"
+    # a rational with two slashes names its text, as --s and as a model coeff
+    res = run_cli("verify", "orb-n-independence", "--model", "c2", "--n", "2..3",
+                  "--s", "1/2/3")
+    assert_usage_error(res)
+    assert "'1/2/3' is neither p nor p/q" in res.stderr, res.stderr
+    model.write_text(json.dumps({**toy, "products": [{**hh, "result": [
+        {"name": "x", "coeff": "1/2/3"}]}]}))
+    res = run_cli("validate", "--model", str(model))
+    assert_usage_error(res)
+    assert "'1/2/3' is neither p nor p/q" in res.stderr, res.stderr
+
     # bounds under which a verifier checks nothing, and level ranges given to
     # commands that compute at one level
     for args in (("verify", "heisenberg", "--model", "c2", "--max-weight", "-1"),

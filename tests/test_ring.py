@@ -87,6 +87,31 @@ def test_index_vectors_are_basis_coordinates(models, name, s):
         assert eng.index_vector(eng.fock_vector(vec, n), n) == vec
 
 
+@pytest.mark.parametrize("s", [None, Q(2)])
+@pytest.mark.parametrize("name", BUILTIN)
+def test_each_basis_begins_with_the_one_below(models, name, s):
+    """basis(n) begins with the very objects of basis(n - 1), so index i
+    names one class at every level from its cost on: on every built-in
+    model, on both sides, at every level up to 5."""
+    eng = RingEngine(models(name), s)
+    for n in range(1, 6):
+        lower, upper = eng.basis(n - 1), eng.basis(n)
+        assert len(upper) >= len(lower)
+        assert all(a is b for a, b in zip(lower, upper[:len(lower)])), (name, n)
+
+
+def test_a_basis_that_does_not_extend_the_one_below_is_refused(models, monkeypatch):
+    """An enumeration whose level-n list does not begin with level n - 1's
+    would let one index name two classes: basis refuses it."""
+    from hilbfock import ring
+    real = ring.enumerate_partition_functions
+    monkeypatch.setattr(ring, "enumerate_partition_functions",
+                        lambda model, n: real(model, n)[::-1])
+    eng = RingEngine(models("toy_b2_1"))
+    with pytest.raises(EngineError, match="level-1 basis does not begin with level 0"):
+        eng.basis(2)
+
+
 @pytest.mark.parametrize("name, n, s", [("c2", 4, None), ("toy_b2_1", 3, None),
                                         ("odd_toy", 3, None), ("cotangent_g1", 3, None),
                                         ("ale_2", 3, Q(2))])
@@ -665,17 +690,18 @@ def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
     rho = PartitionFunction.from_json(model, {"h": [1]})
     nu = PartitionFunction.from_json(model, {"h": [2]})
     ns, bad = range(3, 8), 5
-    b_product = RingEngine.b_product
+    product_index = RingEngine.product_index
     engine = RingEngine(model)
-    assert all(nu not in b_product(engine, rho, rho, n) for n in ns)
+    k = engine.position(ns[0])[nu]
+    assert all(k not in product_index(engine, rho, rho, n)[0] for n in ns)
 
     def perturbed(self, r, s, n):
-        prods = b_product(self, r, s, n)
+        terms, den = product_index(self, r, s, n)
         if (r, s, n) == (rho, rho, bad):
-            prods = {**prods, nu: prods.get(nu, Q(0)) + 1}
-        return prods
+            terms = {**terms, k: terms.get(k, 0) + den}
+        return terms, den
 
-    monkeypatch.setattr(RingEngine, "b_product", perturbed)
+    monkeypatch.setattr(RingEngine, "product_index", perturbed)
     got = verify_polynomiality(model, ns)
     want = per_triple_polynomiality(model, ns)
     assert not got["ok"] and got["triples_fitted"] == want["triples_fitted"]
@@ -746,7 +772,7 @@ def test_doubled_point_annihilation_is_caught(models, monkeypatch):
     images = [w["rho"] for w in rep["witnesses"] if w["part"] == "basis-image"]
     assert images == [rho.to_json(c2) for rho in eng.basis(2)]
     assert any(w["part"] == "ring-hom" for w in rep["witnesses"])
-    rep = verify_fh_ring(c2, norm_bound=1, cost_bound=1)
+    rep = verify_fh_ring(c2, norm_bound=1)
     assert not rep["ok"]
     assert {w["part"] for w in rep["witnesses"]} == {"tower"}
 
@@ -762,21 +788,14 @@ def test_fh_ring_basics(engines):
 
 
 def test_fh_odd_squares(models):
-    rep = verify_fh_ring(models("cotangent_g1"), norm_bound=2, cost_bound=2)
+    rep = verify_fh_ring(models("cotangent_g1"), norm_bound=2)
     assert rep["ok"], rep["witnesses"]
 
 
 def test_fh_ring_c2(models):
-    rep = verify_fh_ring(models("c2"), norm_bound=4, cost_bound=4)
+    rep = verify_fh_ring(models("c2"), norm_bound=4)
     assert rep["ok"]
     assert rep["monomials_checked"] == rep["independent"]
-
-
-def test_fh_ring_refuses_a_cost_bound_past_the_evaluation_level(models):
-    """A class of cost above 2 * norm_bound is zero at the evaluation level,
-    so its generation probe would hold without a check."""
-    with pytest.raises(ValueError, match="evaluation level 2"):
-        verify_fh_ring(models("c2"), norm_bound=1, cost_bound=3)
 
 
 def test_monomial_vectors_prefix_sharing(engines):
