@@ -52,6 +52,15 @@ def parse_range(text):
     return list(range(lo, hi + 1))
 
 
+def parse_integer(text, option):
+    """The integer that an option's text names, read through parse_int, so
+    that a text which is no integer or has too many digits is refused in
+    one message naming the option."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"{option} {text!r} is not an integer")
+    return parse_int(text, option)
+
+
 def parse_level(text):
     """A single nonnegative level: a range of several is a usage error."""
     levels = parse_range(text)
@@ -124,7 +133,7 @@ def build_parser():
     p = sub.add_parser("lehn-apply", parents=[shared],
                        help="apply the degree-k differential operator to a polynomial")
     p.set_defaults(cmd=cmd_lehn)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--poly", required=True, help="polynomial JSON file ('-' for stdin)")
     p.add_argument("--out", help="write the image polynomial here")
 
@@ -227,11 +236,12 @@ def cmd_structure_constants(args):
 
 
 def cmd_lehn(args):
+    k = parse_integer(args.k, "--k")
     text = sys.stdin.read() if args.poly == "-" else Path(args.poly).read_text(encoding="utf-8")
-    image = lehn_apply(args.k, SparsePolynomial.from_json(load_json(text, "--poly")))
+    image = lehn_apply(k, SparsePolynomial.from_json(load_json(text, "--poly")))
     out = image.to_json()
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    return RunReport("lehn-apply", "-", {"k": args.k}, "pass",
+    return RunReport("lehn-apply", "-", {"k": k}, "pass",
                      details={"image": out}), text
 
 
@@ -256,15 +266,17 @@ def _fit_triple(model, levels, text):
     return fit_polynomial_in_n(engine, rho, sigma, nu, levels)
 
 
-# the options a verifier may read, each declared once
+# the options a verifier may read, each declared once; the integer bounds
+# keep their text, which cmd_verify reads through parse_integer
 VERIFY_OPTIONS = {
     "--n": {"help": "level or inclusive range a..b"},
     "--s": {"default": "-1", "help": "deformation parameter t^{1/3}"},
     "--triple": {"help": "JSON {rho, sigma, nu} or @file: fit this one triple"},
-    "--norm-bound": {"type": int, "default": 5},
-    "--max-weight": {"type": int, "default": 5},
-    "--max-index": {"type": int, "default": 4},
+    "--norm-bound": {"default": "5"},
+    "--max-weight": {"default": "5"},
+    "--max-index": {"default": "4"},
 }
+BOUNDS = ("--norm-bound", "--max-weight", "--max-index")
 
 # verifier id -> (least number of levels --n must give, options it reads,
 # call on (model, levels, args))
@@ -293,11 +305,13 @@ def cmd_verify(args):
     least, options, call = REGISTRY[vid]
     # an integer bound is a level, a weight or an index: no run above REACH
     # would finish (lemma-ks alone checks about (2w)^5/120 words at weight w)
-    for option in options:
-        value = getattr(args, option[2:].replace("-", "_"))
-        if VERIFY_OPTIONS[option].get("type") is int and value > REACH:
+    for option in (o for o in options if o in BOUNDS):
+        dest = option[2:].replace("-", "_")
+        value = parse_integer(getattr(args, dest), option)
+        if value > REACH:
             raise ValueError(f"{option} {value} is out of reach; "
                              f"verifiers take at most {REACH}")
+        setattr(args, dest, value)
     levels = parse_range(args.n) if args.n else None
     if least and len(levels or ()) < least:
         raise ValueError(f"verifier {vid!r} needs --n" +

@@ -21,9 +21,10 @@ is its rational wrapper.  A family's lambda words and weights do not depend
 on its class: _lambda_terms enumerates them once per Fock space.  A caller
 whose reduction deletes some labels passes them to operator_int as drop;
 the plan hands them on to FockSpace.word_plan, the one place that filters
-a Kuenneth tensor.  The oracles below run every word on integer vectors
-(terms, den) through FockSpace.word_int, over the plans its Fock space
-keeps.
+a Kuenneth tensor.  The oracles below run on integer vectors (terms, den),
+over the plans their Fock space keeps: every word on a probe through
+FockSpace.word_int, and the outer word of a composed product from a table
+of per-monomial images local to the sweep (verify_lemma_ks).
 """
 
 from __future__ import annotations
@@ -215,11 +216,41 @@ def chern_class(fock, k, alpha, n):
 
 
 def _defect(pieces):
-    """The sum of c * vec over pairs (vec, (cn, cd)) of an integer vector
-    and a rational coefficient cn / cd, added in ints over the lcm of the
-    denominators: linalg.combine's (out, den), out empty iff the sum is
-    zero."""
-    return combine([(terms, cn, den * cd) for (terms, den), (cn, cd) in pieces if terms])
+    """Whether the sum of c * vec over pairs (vec, (cn, cd)) of an integer
+    vector and a rational coefficient cn / cd is nonzero, read off its
+    nonempty pieces.  Without any, it is zero; two with coefficients of one
+    magnitude over one denominator, as in -a + b or -a - b, are decided by
+    comparing the term dicts of a and +-b; any other sum is added in ints
+    over the lcm of the denominators (linalg.combine)."""
+    live = [(terms, cn, den * cd) for (terms, den), (cn, cd) in pieces if terms]
+    if not live:
+        return False
+    if len(live) == 2:
+        (a, an, ad), (b, bn, bd) = live
+        if ad == bd and an == -bn:
+            return a != b
+        if ad == bd and an == bn:
+            return a != {k: -x for k, x in b.items()}
+    return bool(combine(live)[0])
+
+
+def _compose(fock, plan, images, vec):
+    """The word of a resolved plan (FockSpace.word_plan) on the integer
+    vector vec, equal to FockSpace.word_int's, term by term and in its
+    denominator: the sum of vec's coefficients times the images of its
+    monomials.  images maps a monomial to its integer image under the plan;
+    a monomial it lacks is run once through FockSpace.run_word and kept."""
+    terms, den = vec
+    if not terms:
+        return {}, 1
+    ops, tensor, num, den_w = plan
+    out = {}
+    for mono, x in terms.items():
+        got = images.get(mono)
+        if got is None:
+            got = images[mono] = fock.run_word(ops, tensor, {mono: 1}, {}, num)
+        row_add_scaled(out, got, x)
+    return out, den * den_w
 
 
 def _part_i_terms(fock, ns, ms):
@@ -354,18 +385,22 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     weight_max, all representative label pairs, against the deterministic
     probe family.
 
-    The sweep runs in integer vectors (terms, den) and decides each defect
-    from its integer sum.  Every word runs through FockSpace.word_int, whose
-    plans the Fock space resolves once per (word, class), on classes built
-    once per sweep, one object for equal ones: the representatives, their
-    products and their Euler multiples.  Each probe is lifted once, and a word that acts on a probe
-    itself is applied once per sweep.  Part (i) decides each instance
-    (ns, ms, alpha, beta) together with its swap (ms, ns, beta, alpha),
-    which has the same probes and the same two composed products
-    W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v: the pair
-    computes each once per probe and holds no others.  Each member counts
-    its probes up to its first failure, as it would alone, and part (i)'s
-    failures are put back in sweep order before part (ii)'s follow.  Bounds
+    The sweep runs in integer vectors (terms, den), on classes built once
+    per sweep, one object for equal ones: the representatives, their
+    products and their Euler multiples.  Each probe is lifted once, and a
+    word that acts on a probe itself runs once per sweep through
+    FockSpace.word_int.  Part (i) decides each instance (ns, ms, alpha,
+    beta) together with its swap (ms, ns, beta, alpha), which has the same
+    probes and the same two composed products W_ns(alpha) W_ms(beta) v and
+    W_ms(beta) W_ns(alpha) v.  The pair resolves its outer words' plans and
+    its contraction terms once, and builds each product once per probe,
+    summed by _compose from a table local to the sweep: for each outer
+    word and class, the integer image of each monomial it has met, each
+    filled once through FockSpace.run_word.  Each member counts its probes
+    up to its first failure, as it would alone, and part (i)'s failures are
+    put back in sweep order before part (ii)'s follow.  _defect decides a
+    defect of two nonempty pieces of one magnitude over one denominator by
+    comparing their term dicts, and any other from its integer sum.  Bounds
     that leave no instance (ksum_max or weight_max below 2) are refused."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
@@ -391,6 +426,12 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     def on_probes(word, cls, vi):
         return fock.word_int(word, cls, lifted[vi])
 
+    @cache
+    def outer_images(word, ci):
+        # the image of each monomial met so far under word(classes[ci]) as
+        # an outer word, filled by _compose
+        return {}
+
     def decide_pair(ns, ms, ai, bi, positions, todo):
         # decides the instance (ns, ms, ai, bi) at positions[0] and, given a
         # second position, its swap (ms, ns, bi, ai) there; returns the
@@ -401,17 +442,23 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
             inst = (ms, ns, bi, ai) if swapped else (ns, ms, ai, bi)
             x, y, a, b = inst
             live.append((pos, inst, swapped, products[a][b], _part_i_terms(fock, x, y)))
+        # the outer words' plans and image tables, once per pair: W_ns(alpha)
+        # on W_ms(beta) v, and W_ms(beta) on W_ns(alpha) v
+        alpha, beta = classes[ai], classes[bi]
+        (plan_n, images_n), (plan_m, images_m) = [
+            (fock.word_plan(ns, alpha), outer_images(ns, ai)),
+            (fock.word_plan(ms, beta), outer_images(ms, bi))]
         count = 0
         for vi in todo:
-            nm = fock.word_int(ns, classes[ai], on_probes(ms, classes[bi], vi))
-            mn = (nm if len(positions) == 1
-                  else fock.word_int(ms, classes[bi], on_probes(ns, classes[ai], vi)))
+            nm = _compose(fock, plan_n, images_n, on_probes(ms, beta, vi))
+            mn = nm if len(positions) == 1 else \
+                _compose(fock, plan_m, images_m, on_probes(ns, alpha, vi))
             for member in list(live):
                 pos, inst, swapped, ab, contractions = member
                 count += 1
                 lead, trail = (mn, nm) if swapped else (nm, mn)
                 contracted = [(on_probes(word, ab, vi), c) for word, c in contractions]
-                if _defect([(lead, (-1, 1)), (trail, (sign, 1))] + contracted)[0]:
+                if _defect([(lead, (-1, 1)), (trail, (sign, 1))] + contracted):
                     failures.append((pos, inst))
                     live.remove(member)
             if not live:
@@ -457,7 +504,7 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
                     for vi in todo:
                         checked += 1
                         if _defect([(on_probes(word, cls, vi), c)
-                                    for word, cls, c in words])[0]:
+                                    for word, cls, c in words]):
                             if len(witnesses) < MAX_WITNESSES:
                                 witnesses.append({"ns": ns, "j": j,
                                                   "alpha": names[ai], "part": "ii"})

@@ -474,10 +474,25 @@ def test_hostile_inputs_exit_2(tmp_path):
                          ("--rho", ("product", "--model", "toy_b2_1", "--n", "2",
                                     "--rho", f'{{"h": [{huge}]}}', "--sigma", "{}")),
                          ("a polynomial variable", ("lehn-apply", "--k", "1",
-                                                    "--poly", str(poly)))):
+                                                    "--poly", str(poly))),
+                         ("--k", ("lehn-apply", "--k", huge, "--poly", str(poly))),
+                         ("--max-weight", ("verify", "lemma-ks", "--model", "c2",
+                                           "--max-weight", huge)),
+                         ("--max-index", ("verify", "heisenberg", "--model", "c2",
+                                          "--max-index", huge)),
+                         ("--norm-bound", ("verify", "fh-ring", "--model", "c2",
+                                           "--norm-bound", huge))):
         res = run_cli(*args)
         assert_usage_error(res)
         assert res.stderr == f"error: {option} has a number of more than 4300 digits\n"
+    # an integer option whose text is no integer is named in one line too
+    for option, args in (("--k", ("lehn-apply", "--poly", str(poly))),
+                         ("--max-weight", ("verify", "heisenberg", "--model", "c2")),
+                         ("--max-index", ("verify", "heisenberg", "--model", "c2")),
+                         ("--norm-bound", ("verify", "fh-ring", "--model", "c2"))):
+        res = run_cli(*args, option, "2.5")
+        assert_usage_error(res)
+        assert res.stderr == f"error: {option} '2.5' is not an integer\n"
     # a rational with two slashes names its text, as --s and as a model coeff
     res = run_cli("verify", "orb-n-independence", "--model", "c2", "--n", "2..3",
                   "--s", "1/2/3")

@@ -16,7 +16,7 @@ from hilbfock import ring as ring_module
 from hilbfock import vertex
 from hilbfock.errors import EngineError, UnknownCoefficientsError
 from hilbfock.fock import FockSpace, FockVector
-from hilbfock.linalg import memoized, row_add_scaled
+from hilbfock.linalg import combine, memoized, row_add_scaled
 from hilbfock.partitions import (GenPartition, PartitionFunction,
                                  partitions_with_length)
 from hilbfock.rational import Q
@@ -289,6 +289,15 @@ def _part_i_witness(ns, ms, alpha, beta):
     return {"ns": ns, "ms": ms, "alpha": alpha, "beta": beta, "part": "i"}
 
 
+# the first part (i) failures of toy_b2_1, in sweep order, when the
+# contraction terms are off by their own value
+_CONTRACTION_FAULT_WITNESSES = [_part_i_witness((1,), (-1,), "1", "x"),
+                                _part_i_witness((1,), (-1,), "h", "h"),
+                                _part_i_witness((1,), (-1,), "x", "1"),
+                                _part_i_witness((-1,), (1,), "1", "x"),
+                                _part_i_witness((-1,), (1,), "h", "h")]
+
+
 def test_lemma_ks_failing_report_keeps_sweep_order(models, monkeypatch):
     """Part (i) decides each instance with its swap, yet a failing sweep
     reports its witnesses and counts exactly as a one-instance-at-a-time
@@ -303,25 +312,123 @@ def test_lemma_ks_failing_report_keeps_sweep_order(models, monkeypatch):
         self.kappa = 2 * self.kappa
 
     monkeypatch.setattr(FockSpace, "__init__", doubled_kappa)
-    witnesses = [_part_i_witness((1,), (-1,), "1", "x"),
-                 _part_i_witness((1,), (-1,), "h", "h"),
-                 _part_i_witness((1,), (-1,), "x", "1"),
-                 _part_i_witness((-1,), (1,), "1", "x"),
-                 _part_i_witness((-1,), (1,), "h", "h")]
+    witnesses = _CONTRACTION_FAULT_WITNESSES
     assert verify_lemma_ks(toy, 3, 3) == {
         "ok": False, "instances_checked": 3162, "witnesses": witnesses}
     assert verify_lemma_ks(toy, 5, 4) == {
         "ok": False, "instances_checked": 15356, "witnesses": witnesses}
 
 
+def _outside_the_kernel(monkeypatch):
+    """Wrap FockSpace.word_int so that the returned list is nonempty exactly
+    while a word_int call runs: a run_word call made while it is empty fills
+    the sweep's table of outer-word images."""
+    inside = []
+    real_kernel = FockSpace.word_int
+
+    def marking_kernel(self, word, cls, vec):
+        inside.append(word)
+        try:
+            return real_kernel(self, word, cls, vec)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(FockSpace, "word_int", marking_kernel)
+    return inside
+
+
+def test_a_fault_in_the_outer_images_fails_part_i(models, monkeypatch):
+    """The composed products of part (i) are summed from the table of
+    per-monomial outer-word images, so a fault in the images it is filled
+    from still fails the sweep.  With every filled image doubled, the two
+    products stop cancelling against the contraction terms exactly where
+    those terms are nonzero, as under a doubled contraction scale: part (i)
+    reports the same witnesses in the same order.  Part (ii) reads no
+    composed product, so it checks every probe and the count differs."""
+    toy = models("toy_b2_1")
+    inside = _outside_the_kernel(monkeypatch)
+    real_run = FockSpace.run_word
+
+    def doubled_fill(self, ops, tensor, terms, out, scale=1):
+        return real_run(self, ops, tensor, terms, out, scale if inside else 2 * scale)
+
+    monkeypatch.setattr(FockSpace, "run_word", doubled_fill)
+    for bounds, checked in (((3, 3), 3288), ((5, 4), 15888)):
+        assert verify_lemma_ks(toy, *bounds) == {
+            "ok": False, "instances_checked": checked,
+            "witnesses": _CONTRACTION_FAULT_WITNESSES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.dictionaries(st.sampled_from("ab"), st.sampled_from([-2, -1, 1])),
+                          st.sampled_from([1, 2]),
+                          st.sampled_from([(-1, 1), (1, 1), (-1, 2), (2, 1)])),
+                max_size=3))
+def test_defect_reads_zero_where_the_integer_sum_does(pieces):
+    """_defect's shortcuts (no nonempty piece; two of one coefficient
+    magnitude over one denominator) agree with linalg.combine's sum."""
+    pieces = [((terms, den), c) for terms, den, c in pieces]
+    total, _ = combine([(terms, cn, den * cd) for (terms, den), (cn, cd) in pieces])
+    assert vertex._defect(pieces) == bool(total)
+
+
+def test_a_broken_commutation_fails_the_two_piece_checks(models, monkeypatch):
+    """A fault that only a commutation sees, a_{-2}(1) on the vacuum at
+    twice its value, fails just the checks that _defect decides by
+    comparing two term dicts: part (i) instances without a contraction and
+    part (ii) transpositions without the Euler word."""
+    real_raw = FockSpace.raw
+
+    def doubled_on_vacuum(self, i, c, terms):
+        got = real_raw(self, i, c, terms)
+        if i == -2 and c == self.model.unit and terms == {(): 1}:
+            return {mono: 2 * x for mono, x in got.items()}
+        return got
+
+    monkeypatch.setattr(FockSpace, "raw", doubled_on_vacuum)
+    monkeypatch.setattr(vertex, "MAX_WITNESSES", 100)
+    rep = verify_lemma_ks(models("toy_b2_1"), 3, 3)
+    assert not rep["ok"] and rep["instances_checked"] == 4048
+    part_i = [w for w in rep["witnesses"] if w["part"] == "i"]
+    assert len(part_i) == 8
+    assert not any(n == -m for w in part_i for n in w["ns"] for m in w["ms"])
+    assert [w for w in rep["witnesses"] if w["part"] == "ii"] == [
+        {"ns": ns, "j": 0, "alpha": "1", "part": "ii"}
+        for ns in ((1, -2), (-1, -2), (-2, 1), (-2, -1))]
+
+
+@pytest.mark.parametrize("name, s, bounds", [("toy_b2_1", None, (4, 3)),
+                                             ("odd_toy", None, (4, 3)),
+                                             ("cotangent_g1", Q(2, 3), (3, 2))])
+def test_composed_products_equal_the_word_kernel(models, monkeypatch, name, s, bounds):
+    """Every composed product W_ns(alpha) W_ms(beta) v that the sweep sums
+    from its per-monomial image table equals FockSpace.word_int of the
+    outer word on the inner image, term for term and in its denominator:
+    with odd signs (odd_toy) and with a deformed bracket (cotangent_g1 at
+    s = 2/3) too."""
+    real_compose = vertex._compose
+    inners = Counter()
+
+    def checked_compose(fock, plan, images, vec):
+        got = real_compose(fock, plan, images, vec)
+        ((word, cls),) = [key for key, resolved in FockSpace.word_plan.table(fock).items()
+                          if resolved is plan]
+        assert got == fock.word_int(word, cls, vec)
+        inners[bool(vec[0])] += 1
+        return got
+
+    monkeypatch.setattr(vertex, "_compose", checked_compose)
+    assert verify_lemma_ks(models(name), *bounds, s=s)["ok"]
+    assert inners[True] > 100 and inners[False]
+
+
 def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
     """No (word, class, probe vector) triple goes through the integer word
-    kernel twice in one sweep, no composed product (outer word, class, inner
-    word, class, probe) is computed twice, word_plan resolves each (word,
+    kernel twice in one sweep, no outer word's image of a monomial (outer
+    word, class, monomial) is filled twice, word_plan resolves each (word,
     class) once per sweep, and neither the probe memo nor the pairing of
     each part (i) instance with its swap moves the instance count."""
     probes = []
-    inner = {}      # id of an inner image's terms -> (terms, word, class key, probe)
     real_lift = vertex.lift
 
     def recording_lift(v):
@@ -330,49 +437,57 @@ def test_lemma_ks_applies_each_probe_word_once(models, monkeypatch):
         return got
 
     on_probes = Counter()
-    composed = Counter()
+    fills = Counter()
     resolved = Counter()
     calls = Counter()
+    owner = {}      # id of a resolved plan's factors -> (word, class key)
     real_kernel = FockSpace.word_int
+    real_run = FockSpace.run_word
     real_plan = FockSpace.word_plan.__wrapped__
 
     def counting_kernel(self, word, cls, vec):
         calls["all"] += 1
-        got = real_kernel(self, word, cls, vec)
         for vi, probe in enumerate(probes):
             if vec is probe:
                 on_probes[(word, cls.key(), vi)] += 1
-                inner[id(got[0])] = (got[0], word, cls.key(), vi)
-        src = inner.get(id(vec[0]))
-        if src is not None and src[0] is vec[0]:
-            # an outer word on the image of a probe: one composed product
-            composed[(word, cls.key()) + src[1:]] += 1
-        return got
+        return real_kernel(self, word, cls, vec)
+
+    def counting_run(self, ops, tensor, terms, out, scale=1):
+        if not inside:
+            # a fill of the outer-word table: one monomial's image alone
+            ((mono, x),) = terms.items()
+            assert x == 1 and out == {}
+            fills[owner[id(ops)] + (mono,)] += 1
+        return real_run(self, ops, tensor, terms, out, scale)
 
     @wraps(real_plan)
     def counting_plan(self, indices, cls, drop=frozenset()):
         resolved[(indices, cls.key(), drop)] += 1
-        return real_plan(self, indices, cls, drop)
+        got = real_plan(self, indices, cls, drop)
+        owner[id(got[0])] = (indices, cls.key())
+        return got
 
     monkeypatch.setattr(vertex, "lift", recording_lift)
     monkeypatch.setattr(FockSpace, "word_int", counting_kernel)
+    inside = _outside_the_kernel(monkeypatch)
+    monkeypatch.setattr(FockSpace, "run_word", counting_run)
     monkeypatch.setattr(FockSpace, "word_plan", memoized(counting_plan))
     # instances as counted without the probe memo, which made 17,316 and
-    # 47,848 word calls, and before the pairing, which made 7,351 and 20,318;
-    # the total counts every word_int call, the probes' own construction
-    # and the outer words on the images of probes, empty ones too, included
-    for name, checked, applied, plans in (("toy_b2_1", 4200, 4201, 76),
-                                          ("odd_toy", 11320, 11262, 100)):
-        probes.clear()
-        inner.clear()
-        for counter in (on_probes, composed, resolved, calls):
-            counter.clear()
+    # 47,848 word calls, before the pairing, which made 7,351 and 20,318, and
+    # before the outer-word table, which made 4,201 and 11,262; the word_int
+    # calls are now the probes' own construction and the words on the
+    # probes, and every composed product is summed from the fills
+    for name, checked, applied, filled, plans in (("toy_b2_1", 4200, 1051, 1257, 76),
+                                                  ("odd_toy", 11320, 2206, 2828, 100)):
+        for memo in (probes, on_probes, fills, resolved, calls, owner):
+            memo.clear()
         rep = verify_lemma_ks(models(name), ksum_max=5, weight_max=3)
         assert rep["ok"] and rep["instances_checked"] == checked
         assert on_probes and max(on_probes.values()) == 1
-        assert composed and max(composed.values()) == 1
+        assert fills and max(fills.values()) == 1
         assert resolved and max(resolved.values()) == 1
-        assert calls["all"] == applied and sum(resolved.values()) == plans
+        assert calls["all"] == applied and sum(fills.values()) == filled
+        assert sum(resolved.values()) == plans
 
 
 def test_a_dropped_fock_space_is_freed_without_the_collector(models, monkeypatch):
