@@ -28,7 +28,9 @@ Fock vectors meet the engine only at the edge: index_vector and fock_vector
 convert.  Point annihilation is one column list per level, point_images(n),
 whose entry i is the image of b_i(n+1) at level n; the ideal checks run
 operator_int on integer term dicts, where membership in the ideal depends on
-the support alone.
+the support alone.  verify_polynomiality reads one product_row per class and
+level and decides each fit in ints by divided differences (fits_in_integers);
+fit_report's rationals serve only the triples that fail.
 
 The same engine with a rational flavour s = t^{1/3} is the deformed
 symmetric-product side; at s = -1 it must reproduce the Hilbert-scheme
@@ -520,19 +522,35 @@ def poly_eval(coeffs, x):
     return acc
 
 
+def _require_distinct(ns):
+    """Each of the sorted levels is one point of a fit: a level given twice
+    would make the interpolation divide by zero, or count one point as two
+    checks."""
+    for a, b in zip(ns, ns[1:]):
+        if a == b:
+            raise ValueError(f"level {a} is given twice; a fit needs distinct levels")
+
+
 def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
     """Fit the structure constant of a fixed triple as a polynomial in the
-    level, verify the degree bound, and exactly check the leftover points."""
+    level, verify the degree bound, and exactly check the leftover points.
+    Each value is the one cell nu of product_index at its level."""
     _require_polynomiality(engine.model)
+    ns = sorted(n_values)
+    _require_distinct(ns)
     unit = engine.model.unit
     bound = max(0, rho.cost(unit) + sigma.cost(unit) - nu.cost(unit))
     start = max(rho.cost(unit), sigma.cost(unit), nu.cost(unit))
-    ns = [n for n in sorted(n_values) if n >= start]
+    ns = [n for n in ns if n >= start]
     if len(ns) < bound + 3:
         raise EngineError(
             f"need at least {bound + 3} levels for degree bound {bound}, have {len(ns)}")
-    return fit_report([(n, engine.b_product(rho, sigma, n).get(nu, Q(0))) for n in ns],
-                      bound)
+    values = []
+    for n in ns:
+        terms, den = engine.product_index(rho, sigma, n)
+        # a nu that is no level-n basis class has no cell: its value is zero
+        values.append((n, Q(terms.get(engine.position(n).get(nu), 0), den)))
+    return fit_report(values, bound)
 
 
 def fit_report(values, bound):
@@ -552,6 +570,43 @@ def fit_report(values, bound):
     }
 
 
+def divided_difference_weights(levels):
+    """The integer weights W_t = L / prod_{s != t}(n_t - n_s) over distinct
+    levels, with L the least positive integer that makes every W_t an
+    integer: sum_t W_t * y_t is L times the top divided difference of the
+    values y_t."""
+    prods = []
+    for t, x in enumerate(levels):
+        p = 1
+        for s, y in enumerate(levels):
+            if s != t:
+                p *= x - y
+        prods.append(p)
+    lcm = 1
+    for p in prods:
+        lcm = lcm * abs(p) // gcd(lcm, p)
+    return [lcm // p for p in prods]
+
+
+def fits_in_integers(points, bound, weights=divided_difference_weights):
+    """fit_report's ok, decided in ints on (level, num, den) points at distinct
+    sorted levels.  The points lie on one polynomial of degree <= bound
+    exactly when every window of bound + 2 consecutive points has a zero
+    (bound + 1)-th divided difference: sum_t W_t * num_t * (D / den_t) = 0,
+    with W the weights of the window's levels and D the lcm of its
+    denominators.  weights may be a cache of divided_difference_weights."""
+    width = bound + 2
+    for a in range(len(points) - width + 1):
+        window = points[a:a + width]
+        lcm = 1
+        for _, _, d in window:
+            lcm = lcm * d // gcd(lcm, d)
+        if sum(w * num * (lcm // d) for w, (_, num, d)
+               in zip(weights(tuple(n for n, _, _ in window)), window)):
+            return False
+    return True
+
+
 POLY_BOUND_MAX = 4  # the largest degree bound of a fitted triple
 
 
@@ -559,51 +614,67 @@ def verify_polynomiality(model, n_values):
     """Fit every triple (rho, sigma, nu) whose degree bound is at most
     POLY_BOUND_MAX and which has bound + 3 levels from its start on.
 
-    The sweep runs pair by pair.  The bound and the start depend on nu only
-    through its cost, so the triples are counted per cost class of nu.  Each
-    pair's product is computed once per level from the first start on, and
-    only the nu in the support of those products are fitted, by index, in
-    basis order.  Every other triple is zero at all its levels, which the
-    zero polynomial fits within any bound.  A range in which no triple has
-    enough levels checks nothing and is refused."""
+    The sweep runs class by class.  The bound and the start depend on nu only
+    through its cost, so the triples are counted per cost class of nu.  For
+    each rho the pairs (rho, sigma) with a fit are collected first, and at
+    each level one product_row call computes the columns of the pairs whose
+    first start it has reached; index j names sigma at every level, as
+    basis(n) extends basis(ns[0]).  Only the nu in the support of a pair's
+    products are fitted, by index, in basis order; every other triple is
+    zero at all its levels, which the zero polynomial fits within any bound.
+    A fit is decided in ints by fits_in_integers, with the divided-difference
+    weights cached per sweep; only a triple that fails it is reported
+    through fit_report, which must agree.  A range in which no triple has
+    enough levels checks nothing and is refused, as are repeated levels."""
     _require_polynomiality(model)
-    engine = RingEngine(model)
     ns = sorted(n_values)
+    _require_distinct(ns)
+    engine = RingEngine(model)
     top = engine.basis(ns[-1])
     cost = [nu.cost(model.unit) for nu in top]
     degree = [engine.degree(nu) for nu in top]
     targets = {}  # degree -> cost -> number of classes
     for (d, c), count in Counter(zip(degree, cost)).items():
         targets.setdefault(d, {})[c] = count
+    levels_from = {c: sum(1 for n in ns if n >= c) for c in set(cost)}
     base = engine.basis(ns[0])
     _require_products(base, ns[0])
+    weights = cache(divided_difference_weights)
     witnesses = []
     fitted = 0
     for i, rho in enumerate(base):
-        for j, sigma in enumerate(base):
+        pairs = []  # (j, cost of nu -> the first level of its fits, first start)
+        for j in range(len(base)):
             pair_cost = cost[i] + cost[j]
-            starts = {}  # cost of nu -> the first level of its fits
+            starts = {}
             for nu_cost, count in targets.get(degree[i] + degree[j], {}).items():
                 bound = pair_cost - nu_cost
                 start = max(cost[i], cost[j], nu_cost)
-                if 0 <= bound <= POLY_BOUND_MAX and \
-                        sum(1 for n in ns if n >= start) >= bound + 3:
+                if 0 <= bound <= POLY_BOUND_MAX and levels_from[start] >= bound + 3:
                     starts[nu_cost] = start
                     fitted += count
-            if not starts:
-                continue
-            first = min(starts.values())
-            products = [(n, engine.product_index(rho, sigma, n)) for n in ns if n >= first]
+            if starts:
+                pairs.append((j, starts, min(starts.values())))
+        rows = {}
+        for n in ns:
+            cols = [j for j, _, first in pairs if first <= n]
+            if cols:
+                rows[n] = engine.product_row(rho, cols, n)
+        for j, starts, first in pairs:
+            products = [(n, rows[n][j]) for n in ns if n >= first]
             support = {k for _, (terms, _) in products for k in terms if cost[k] in starts}
             for k in sorted(support):
-                start = starts[cost[k]]
-                rep = fit_report([(n, Q(terms.get(k, 0), den)) for n, (terms, den) in products
-                                  if n >= start], pair_cost - cost[k])
-                if not rep["ok"]:
-                    witnesses.append({
-                        "rho": rho.to_json(model), "sigma": sigma.to_json(model),
-                        "nu": top[k].to_json(model), "report": rep,
-                    })
+                start, bound = starts[cost[k]], cost[i] + cost[j] - cost[k]
+                points = [(n, terms.get(k, 0), den) for n, (terms, den) in products
+                          if n >= start]
+                if fits_in_integers(points, bound, weights):
+                    continue
+                rep = fit_report([(n, Q(num, den)) for n, num, den in points], bound)
+                triple = {"rho": rho.to_json(model), "sigma": base[j].to_json(model),
+                          "nu": top[k].to_json(model)}
+                if rep["ok"]:
+                    raise EngineError(f"the integer fit and fit_report disagree on {triple}")
+                witnesses.append({**triple, "report": rep})
     if not fitted:
         raise ValueError(f"no triple has enough levels in {ns[0]}..{ns[-1]} "
                          "for a checked fit; widen --n")

@@ -1,9 +1,12 @@
 """Cup products, generator expressions, stable-ring structure, verifiers."""
 
 import json
+from functools import cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reduce
 from hilbfock.errors import (EngineError, ModelError, UnknownCoefficientsError,
@@ -13,8 +16,9 @@ from hilbfock.linalg import combine, row_add_scaled
 from hilbfock.models import BUILTIN
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
-from hilbfock.ring import (LehnEngine, RingEngine,
-                           fit_polynomial_in_n, lagrange_coefficients,
+from hilbfock.ring import (LehnEngine, RingEngine, divided_difference_weights,
+                           fit_polynomial_in_n, fit_report, fits_in_integers,
+                           lagrange_coefficients,
                            monomial_vectors, poly_eval,
                            verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
@@ -683,6 +687,24 @@ def test_polynomiality_sweep_matches_per_triple_fits(models, name):
         per_triple_polynomiality(models(name), ns)
 
 
+def perturb_square(monkeypatch, rho, j, bad, k):
+    """Make RingEngine.product_row return, at level bad, a copied row of rho
+    whose entry j (the index of rho) has its cell k moved by one.  The sweep
+    and the per-triple reference both read products through product_row, so
+    both see the perturbation."""
+    product_row = RingEngine.product_row
+
+    def perturbed(self, r, cols, n):
+        row = product_row(self, r, cols, n)
+        if (r, n) == (rho, bad) and j in cols:
+            terms, den = row[j]
+            row = list(row)
+            row[j] = {**terms, k: terms.get(k, 0) + den}, den
+        return row
+
+    monkeypatch.setattr(RingEngine, "product_row", perturbed)
+
+
 def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
     """A constant that is nonzero at one level only is reported, with the same
     witness bytes as the per-triple reference gives."""
@@ -694,14 +716,7 @@ def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
     engine = RingEngine(model)
     k = engine.position(ns[0])[nu]
     assert all(k not in product_index(engine, rho, rho, n)[0] for n in ns)
-
-    def perturbed(self, r, s, n):
-        terms, den = product_index(self, r, s, n)
-        if (r, s, n) == (rho, rho, bad):
-            terms = {**terms, k: terms.get(k, 0) + den}
-        return terms, den
-
-    monkeypatch.setattr(RingEngine, "product_index", perturbed)
+    perturb_square(monkeypatch, rho, engine.position(ns[0])[rho], bad, k)
     got = verify_polynomiality(model, ns)
     want = per_triple_polynomiality(model, ns)
     assert not got["ok"] and got["triples_fitted"] == want["triples_fitted"]
@@ -709,6 +724,80 @@ def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
         [({"h": [1]}, {"h": [1]}, {"h": [2]})]
     assert got == want
     assert json.dumps(got["witnesses"]) == json.dumps(want["witnesses"])
+
+
+def test_polynomiality_catches_a_change_at_the_last_level(models, monkeypatch):
+    """A product perturbed at the last level alone fails only the last window
+    of its fits, and is reported with that level as the witness."""
+    model = models("toy_b2_1")
+    rho = PartitionFunction.from_json(model, {"h": [1]})
+    ns = range(3, 8)
+    engine = RingEngine(model)
+    k = min(engine.product_index(rho, rho, ns[-1])[0])
+    perturb_square(monkeypatch, rho, engine.position(ns[0])[rho], ns[-1], k)
+    got = verify_polynomiality(model, ns)
+    assert got == per_triple_polynomiality(model, ns)
+    nu = engine.basis(ns[-1])[k].to_json(model)
+    assert [(w["rho"], w["sigma"], w["nu"]) for w in got["witnesses"]] == \
+        [({"h": [1]}, {"h": [1]}, nu)]
+    assert [w["n"] for w in got["witnesses"][0]["report"]["witnesses"]] == [ns[-1]]
+
+
+@pytest.mark.parametrize("ns", [[3, 3, 4, 5, 6], [3, 4, 5, 6, 6]])
+def test_polynomial_fits_refuse_repeated_levels(models, ns):
+    """A level given twice would divide by zero or count as a second check."""
+    model = models("toy_b2_1")
+    with pytest.raises(ValueError, match="level (3|6) is given twice"):
+        verify_polynomiality(model, ns)
+    empty = PartitionFunction({})
+    with pytest.raises(ValueError, match="level (3|6) is given twice"):
+        fit_polynomial_in_n(RingEngine(model), empty, empty, empty, ns)
+
+
+@st.composite
+def fit_points(draw):
+    """(points, bound): (level, num, den) points at distinct sorted levels,
+    consecutive or not, from a polynomial of degree up to bound + 1 with
+    rational coefficients, each level over its own denominator, and at most
+    one point moved off it."""
+    bound = draw(st.integers(0, 4))
+    levels = sorted(draw(st.sets(st.integers(0, 14), min_size=bound + 2,
+                                 max_size=bound + 5)))
+    if draw(st.booleans()):
+        levels = list(range(levels[0], levels[0] + len(levels)))
+    coeffs = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                           min_size=1, max_size=bound + 2))
+    moved = draw(st.sampled_from([None, *range(len(levels))]))
+    points = []
+    for t, n in enumerate(levels):
+        value = poly_eval(coeffs, n) + (Q(1, 7) if t == moved else 0)
+        scale = draw(st.integers(1, 30))
+        points.append((n, value.numerator * scale, value.denominator * scale))
+    return points, bound
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fit_points())
+def test_integer_fit_decision_matches_fit_report(case):
+    points, bound = case
+    want = fit_report([(n, Q(num, den)) for n, num, den in points], bound)["ok"]
+    assert fits_in_integers(points, bound) == want
+    assert fits_in_integers(points, bound, cache(divided_difference_weights)) == want
+
+
+def test_integer_fit_decision_catches_the_last_level():
+    """Only the last window holds the last point: a change there alone is
+    caught, at every bound and on spread-out levels too."""
+    for bound in range(5):
+        for levels in (range(3, bound + 6), range(1, 3 * bound + 14, 3)):
+            # n^bound - 3, each level over its own denominator 5 + n
+            points = [(n, (n ** bound - 3) * (5 + n), 5 + n) for n in levels]
+            assert fits_in_integers(points, bound)
+            n, num, den = points[-1]
+            moved = [*points[:-1], (n, num + 1, den)]
+            assert not fits_in_integers(moved, bound)
+            assert not fit_report([(n, Q(num, den)) for n, num, den in moved],
+                                  bound)["ok"]
 
 
 def test_ideal_suite_small(models):
