@@ -15,7 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import cache
 from .errors import EngineError, ModelError, UnknownCoefficientsError
 from .fock import FockSpace, verify_heisenberg
 from .models import load_model
@@ -161,18 +160,6 @@ def _emit(report, args, text=None):
     report.emit(pretty=args.pretty, with_timing=args.timing)
 
 
-def _table_text(engine, model, n):
-    """The structure-table file: the cached text, or else the rendered text,
-    which is then stored.  The kind changes whenever the file text does."""
-    key = cache.cache_key(model.content_hash, "structure-table-file",
-                          n=n, side=engine.side, s=qstr(engine.fock.kappa))
-    text = cache.load(key)
-    if text is None:
-        text = engine.structure_constants(n).render(model)
-        cache.store(key, text)
-    return text
-
-
 def _engine(model, args):
     """The ring engine of the requested side; s (default -1) is for the orbifold only."""
     if args.side == "orbifold":
@@ -224,12 +211,9 @@ def cmd_structure_constants(args):
     model = load_model(args.model)
     n = parse_level(args.n)
     engine = _engine(model, args)
-    # render only for a reader of the text: --out or the on-disk cache
-    text = None
-    if args.out or cache.cache_dir():
-        text = _table_text(engine, model, n)
-    else:
-        engine.structure_constants(n)  # for its always-on checks
+    # computed for its always-on checks; rendered only for --out to read
+    table = engine.structure_constants(n)
+    text = table.render() if args.out else None
     return RunReport("structure-constants", model.content_hash,
                      {"n": n, **_side_params(engine)}, "pass",
                      details={"entries": len(engine.basis(n)) ** 2}), text

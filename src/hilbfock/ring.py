@@ -88,14 +88,14 @@ class StructureTable:
         row = self.rows[self.position[rho]][self.position[sigma]]
         return self.engine.coordinates(row, self.n)
 
-    def render(self, model):
+    def render(self):
         """The table file: the bytes of json.dumps(obj, indent=2, sort_keys=True)
         and a newline for obj = {n, s?, side, table: [{entries: [{coeff, nu}],
         rho, sigma}]}, rows by (rho, sigma) and entries by nu.  json.dumps runs
         the pure-Python encoder whenever it indents; here each class goes
         through it once, and each coefficient is the reduced fraction of its
         integers."""
-        basis = self.basis
+        basis, model = self.basis, self.engine.model
         order = sorted(range(len(basis)), key=lambda i: basis[i].key())
         rank = {i: r for r, i in enumerate(order)}
         text = [json.dumps(pf.to_json(model), indent=2, sort_keys=True) for pf in basis]
@@ -429,6 +429,19 @@ def _span(ns):
     return f"{ns[0]}..{ns[-1]}" if len(ns) > 1 else str(ns[0])
 
 
+def _levels(n_values, least=1):
+    """The sorted levels of a verifier's run.  Fewer than least of them, or a
+    level given twice, is refused: a repeated level would count one check as
+    two, or make a fit divide by zero."""
+    ns = sorted(n_values)
+    if len(ns) < least:
+        raise ValueError(f"{len(ns)} level(s) given; the check needs at least {least}")
+    for a, b in zip(ns, ns[1:]):
+        if a == b:
+            raise ValueError(f"level {a} is given twice; the levels must be distinct")
+    return ns
+
+
 def _require_products(basis, n):
     """A sweep over the products of the level-n classes checks nothing when
     b_empty is the only one: b_empty . b_empty = b_empty by construction."""
@@ -466,7 +479,7 @@ def verify_n_independence(engine, n_values):
     if not engine.model.has_ideal:
         raise ModelError("level-independence needs a model with an ideal; "
                          "use mod-h4-independence for projective models")
-    ns = sorted(n_values)
+    ns = _levels(n_values, 2)
     shared = engine.basis(ns[0])
     _require_products(shared, ns[0])
     m = len(shared)
@@ -522,22 +535,12 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def _require_distinct(ns):
-    """Each of the sorted levels is one point of a fit: a level given twice
-    would make the interpolation divide by zero, or count one point as two
-    checks."""
-    for a, b in zip(ns, ns[1:]):
-        if a == b:
-            raise ValueError(f"level {a} is given twice; a fit needs distinct levels")
-
-
 def fit_polynomial_in_n(engine, rho, sigma, nu, n_values):
     """Fit the structure constant of a fixed triple as a polynomial in the
     level, verify the degree bound, and exactly check the leftover points.
     Each value is the one cell nu of product_index at its level."""
     _require_polynomiality(engine.model)
-    ns = sorted(n_values)
-    _require_distinct(ns)
+    ns = _levels(n_values)
     unit = engine.model.unit
     bound = max(0, rho.cost(unit) + sigma.cost(unit) - nu.cost(unit))
     start = max(rho.cost(unit), sigma.cost(unit), nu.cost(unit))
@@ -627,8 +630,7 @@ def verify_polynomiality(model, n_values):
     through fit_report, which must agree.  A range in which no triple has
     enough levels checks nothing and is refused, as are repeated levels."""
     _require_polynomiality(model)
-    ns = sorted(n_values)
-    _require_distinct(ns)
+    ns = _levels(n_values)
     engine = RingEngine(model)
     top = engine.basis(ns[-1])
     cost = [nu.cost(model.unit) for nu in top]
@@ -692,7 +694,7 @@ def verify_ideal_suite(model, n_values, parts=("absorb", "contains", "generate")
     if not model.has_ideal:
         raise ModelError("ideal suite needs a model with a restriction ideal")
     fock = FockSpace(model)
-    ns = sorted(n_values)
+    ns = _levels(n_values)
 
     @cache
     def operator(k, c):
@@ -801,7 +803,7 @@ def verify_a_homomorphism(engine, n_values):
     model = engine.model
     if not model.has_ideal:
         raise ModelError("the point-annihilation statement needs an ideal model")
-    ns = sorted(n_values)
+    ns = _levels(n_values)
     if all(len(engine.basis(n + 1)) < 2 for n in ns):
         raise ValueError(f"no level n in --n {_span(ns)} has a class but b_empty "
                          "at level n+1 to check; widen --n")
@@ -927,7 +929,7 @@ def verify_ring_isomorphism(model, n_values):
     model checked at the top level, where the operators of every level in
     the range act).  A range without a level >= 1 is refused.
     """
-    ns = sorted(n_values)
+    ns = _levels(n_values)
     _require_positive(ns)
     if model.has_ideal:
         if not model.reduce_class(model.canonical).is_zero():
@@ -1067,7 +1069,7 @@ def verify_affine_plane_quotient(model, n_values):
     at each level the quotient structure constants match the independent
     polynomial route, and the distinguished classes reduce to their one-term
     normal forms.  A range without a level >= 1 is refused."""
-    ns = sorted(n_values)
+    ns = _levels(n_values)
     _require_positive(ns)
     positive = [i for i in range(model.dim) if model.degrees[i] > 0]
     quotient = model.with_ideal(positive, suffix="affine")

@@ -1,4 +1,4 @@
-"""Command-line behaviour: reports, exit codes, caching, determinism."""
+"""Command-line behaviour: reports, exit codes, table files, determinism."""
 
 import contextlib
 import copy
@@ -139,27 +139,28 @@ def test_report_determinism():
 @pytest.mark.parametrize("argv", [
     ("--model", "c2", "--n", "3"),
     ("--model", "ale_2", "--n", "3", "--side", "orbifold", "--s", "1/2"),
-], ids=["c2", "ale_2-orbifold"])
+    ("--model", "ale_1", "--n", "2", "--side", "orbifold", "--s", "-1"),
+], ids=["c2", "ale_2-orbifold", "ale_1-orbifold"])
 def test_structure_constants_cache(tmp_path, argv):
+    """HILBFOCK_CACHE_DIR names no cache: two runs with it set compute the
+    same table file and report, write nothing under it, and the file is the
+    indented JSON of a table that records its s, -1 included."""
     cache_dir = tmp_path / "cache"
-    out1 = tmp_path / "t1.json"
-    out2 = tmp_path / "t2.json"
+    cache_dir.mkdir()
     env = {"HILBFOCK_CACHE_DIR": str(cache_dir)}
-    r1 = run_cli("structure-constants", *argv, "--out", str(out1), env=env)
-    assert r1.returncode == 0
-    cached_files = list(cache_dir.rglob("*.json"))
-    assert len(cached_files) == 1
-    # the cache holds the table file's bytes
-    assert cached_files[0].read_bytes() == out1.read_bytes()
-    r2 = run_cli("structure-constants", *argv, "--out", str(out2), env=env)
-    assert r2.returncode == 0
-    # the second table and report come from the cache
-    assert out1.read_bytes() == out2.read_bytes()
-    assert r1.stdout == r2.stdout
-    table = json.loads(out1.read_text())
-    assert table["n"] == 3 and table["table"]
-    assert out1.read_text() == json.dumps(table, indent=2, sort_keys=True) + "\n"
-    assert json.loads(r1.stdout)["details"]["entries"] == len(table["table"])
+    runs = []
+    for out in (tmp_path / "t1.json", tmp_path / "t2.json"):
+        res = run_cli("structure-constants", *argv, "--out", str(out), env=env)
+        assert res.returncode == 0
+        runs.append((out.read_text(encoding="utf-8"), res.stdout))
+    assert runs[0] == runs[1]
+    text, stdout = runs[0]
+    table = json.loads(text)
+    assert table["n"] == int(argv[3]) and table["table"]
+    assert table.get("s") == dict(zip(argv, argv[1:])).get("--s")
+    assert text == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    assert json.loads(stdout)["details"]["entries"] == len(table["table"])
+    assert list(cache_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,7 +210,7 @@ def test_table_writer_bytes_equal_json_dump():
                 except EngineError:
                     continue
                 obj = _table_obj(table, model)
-                assert table.render(model) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+                assert table.render() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
                 written += 1
                 empty_rows += sum(not row["entries"] for row in obj["table"])
                 with_s += "s" in obj
@@ -266,14 +267,13 @@ def test_ring_isom_checks_markers_at_the_top_level(capsys):
 
 
 def test_structure_constants_renders_only_for_a_reader(monkeypatch, capsys):
-    """Without --out and without the on-disk cache nothing reads the table
-    text, so the table is computed, and checked, but never rendered."""
-    monkeypatch.delenv("HILBFOCK_CACHE_DIR", raising=False)
+    """Without --out nothing reads the table text, so the table is computed,
+    and checked, but never rendered."""
     argv = ["structure-constants", "--model", "c2", "--n", "3"]
     assert main(argv) == 0
     want = capsys.readouterr().out
 
-    def refuse(self, model):
+    def refuse(self):
         raise AssertionError("rendered a table that nothing reads")
 
     monkeypatch.setattr(StructureTable, "render", refuse)

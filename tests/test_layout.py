@@ -38,6 +38,19 @@ def test_no_function_cache_on_methods():
     assert not offenders, "functools cache on a method: " + ", ".join(offenders)
 
 
+def test_no_module_reads_the_environment():
+    """Every output depends only on argv and the model: no module reads
+    os.environ or os.getenv, which would make a variable a hidden option."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    offenders = [f"{fname}:{node.lineno}" for fname, tree in _trees().items()
+                 for node in ast.walk(tree)
+                 if (getattr(node, "attr", None) in names
+                     or getattr(node, "id", None) in names
+                     or isinstance(node, ast.ImportFrom) and node.module == "os"
+                     and any(alias.name in names for alias in node.names))]
+    assert not offenders, "reads the environment: " + ", ".join(offenders)
+
+
 def _is_empty_dict(value):
     if isinstance(value, ast.Dict):
         return not value.keys

@@ -23,7 +23,8 @@ from hilbfock.ring import (LehnEngine, RingEngine, divided_difference_weights,
                            verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
                            verify_ideal_suite, verify_mod_h4_independence,
-                           verify_n_independence, verify_polynomiality)
+                           verify_n_independence, verify_orb_n_independence,
+                           verify_polynomiality, verify_ring_isomorphism)
 from hilbfock.vertex import apply_operator
 
 
@@ -331,15 +332,14 @@ def test_fit_polynomial_insufficient_range(engines):
         fit_polynomial_in_n(eng, rho, rho, PartitionFunction({}), [3, 4, 5])
 
 
-def test_structure_table_shape_and_json(engines, models):
+def test_structure_table_shape_and_json(engines):
     eng = engines("ale_2")
-    model = models("ale_2")
     table = eng.structure_constants(2)
     basis = eng.basis(2)
     assert table.basis == basis
     assert [len(row) for row in table.rows] == [len(basis)] * len(basis)
     assert all(table.get(r, s) == eng.b_product(r, s, 2) for r in basis for s in basis)
-    obj = json.loads(table.render(model))
+    obj = json.loads(table.render())
     assert obj["n"] == 2 and obj["side"] == "hilbert" and "s" not in obj
     assert len(obj["table"]) == len(basis) ** 2
 
@@ -743,15 +743,50 @@ def test_polynomiality_catches_a_change_at_the_last_level(models, monkeypatch):
     assert [w["n"] for w in got["witnesses"][0]["report"]["witnesses"]] == [ns[-1]]
 
 
+def _fit_empty_triple(model, ns):
+    empty = PartitionFunction({})
+    return fit_polynomial_in_n(RingEngine(model), empty, empty, empty, ns)
+
+
 @pytest.mark.parametrize("ns", [[3, 3, 4, 5, 6], [3, 4, 5, 6, 6]])
 def test_polynomial_fits_refuse_repeated_levels(models, ns):
     """A level given twice would divide by zero or count as a second check."""
     model = models("toy_b2_1")
     with pytest.raises(ValueError, match="level (3|6) is given twice"):
         verify_polynomiality(model, ns)
-    empty = PartitionFunction({})
     with pytest.raises(ValueError, match="level (3|6) is given twice"):
-        fit_polynomial_in_n(RingEngine(model), empty, empty, empty, ns)
+        _fit_empty_triple(model, ns)
+
+
+# every library call that takes a list of levels, on a model it accepts
+LEVEL_CALLS = {
+    "n-independence": ("c2", lambda m, ns: verify_n_independence(RingEngine(m), ns)),
+    "mod-h4-independence": ("toy_b2_1", verify_mod_h4_independence),
+    "orb-n-independence": ("c2", verify_orb_n_independence),
+    "polynomiality": ("toy_b2_1", verify_polynomiality),
+    "fit": ("toy_b2_1", _fit_empty_triple),
+    "ideal": ("c2", verify_ideal_suite),
+    "a-homomorphism": ("c2", lambda m, ns: verify_a_homomorphism(RingEngine(m), ns)),
+    "ring-isom": ("c2", verify_ring_isomorphism),
+    "c2-quotient": ("c2", verify_affine_plane_quotient),
+}
+
+
+@pytest.mark.parametrize("call, ns", [
+    *(pytest.param(call, [], id=f"{call}-none") for call in LEVEL_CALLS),
+    # the fits' repeated levels are test_polynomial_fits_refuse_repeated_levels
+    *(pytest.param(call, [3, 3], id=f"{call}-repeated") for call in LEVEL_CALLS
+      if call not in ("polynomiality", "fit")),
+    *(pytest.param(call, [3], id=f"{call}-one") for call in
+      ("n-independence", "mod-h4-independence", "orb-n-independence")),
+])
+def test_level_lists_that_check_nothing_are_refused(models, call, ns):
+    """No levels, a level given twice, or one level where two are compared
+    is a ValueError before any work, not an IndexError or a pass that
+    counts one comparison as two."""
+    name, run = LEVEL_CALLS[call]
+    with pytest.raises(ValueError, match=r"level\(s\) given|given twice"):
+        run(models(name), ns)
 
 
 @st.composite
