@@ -93,7 +93,8 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pretty", action="store_true", help="indent JSON output")
     shared.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the report")
+                        help="include the wall-clock time of the computation in "
+                        "the report (not the render or write of --out)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_parser(subs, name, cmd, levels=True, side=False, **kw):
@@ -148,15 +149,15 @@ def build_parser():
     return top
 
 
-def _emit(report, args, text=None):
-    """Print the report; with --out, also write text, or else the indented
-    report, to that path."""
-    if args.out:
-        if text is None:
-            text = json.dumps(report.to_json(with_timing=args.timing), indent=2,
-                              sort_keys=True) + "\n"
+def _emit(report, args, chunks=None):
+    """Print the report; with --out, also write the chunks of text, or else
+    the indented report, to that path, each chunk as it comes."""
+    if args.out is not None:
+        if chunks is None:
+            chunks = [json.dumps(report.to_json(with_timing=args.timing), indent=2,
+                                 sort_keys=True) + "\n"]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     report.emit(pretty=args.pretty, with_timing=args.timing)
 
 
@@ -195,7 +196,7 @@ def cmd_product(args):
                   for text, option in ((args.rho, "--rho"), (args.sigma, "--sigma")))
     vec = engine.product_index(rho, sigma, n)
     coords = engine.coordinates(vec, n)
-    if args.dump:
+    if args.dump is not None:
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(engine.fock_vector(vec, n).to_json(model), fh, indent=2)
             fh.write("\n")
@@ -211,12 +212,13 @@ def cmd_structure_constants(args):
     model = load_model(args.model)
     n = parse_level(args.n)
     engine = _engine(model, args)
-    # computed for its always-on checks; rendered only for --out to read
+    # computed for its always-on checks; rendered only for --out to read,
+    # by _emit as it writes, one row at a time
     table = engine.structure_constants(n)
-    text = table.render() if args.out else None
+    chunks = table.render() if args.out is not None else None
     return RunReport("structure-constants", model.content_hash,
                      {"n": n, **_side_params(engine)}, "pass",
-                     details={"entries": len(engine.basis(n)) ** 2}), text
+                     details={"entries": len(engine.basis(n)) ** 2}), chunks
 
 
 def cmd_lehn(args):
@@ -226,7 +228,7 @@ def cmd_lehn(args):
     out = image.to_json()
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
     return RunReport("lehn-apply", "-", {"k": k}, "pass",
-                     details={"image": out}), text
+                     details={"image": out}), [text]
 
 
 # -- verifiers: each id maps (model, levels, args) to one library call ---------
@@ -300,7 +302,7 @@ def cmd_verify(args):
     if least and len(levels or ()) < least:
         raise ValueError(f"verifier {vid!r} needs --n" +
                          (f" with at least {least} levels" if least > 1 else ""))
-    if args.triple:
+    if args.triple is not None:
         rep = details = _fit_triple(model, levels, args.triple)  # printed whole
     else:
         rep = call(model, levels, args)
@@ -319,9 +321,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report, text = args.cmd(args)
+        report, chunks = args.cmd(args)
         report.timing_ms = int((time.monotonic() - started) * 1000)
-        _emit(report, args, text)
+        _emit(report, args, chunks)
     except UnknownCoefficientsError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 3

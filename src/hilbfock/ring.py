@@ -23,7 +23,9 @@ else one combine over the words of express, checked again for degree
 additivity.  product_index is its one-column case and word_on_basis reads
 one image.  In a quotient the kernel skips the terms that create ideal
 labels, which the reduction would delete.  A structure table keeps integer
-rows, checks super-commutativity on them and decodes them only to render.
+rows, checks super-commutativity on them and decodes them only to render,
+one row at a time, into chunks of the file's text that a writer consumes as
+they come, so no more than one row's text is alive at once.
 Fock vectors meet the engine only at the edge: index_vector and fock_vector
 convert.  Point annihilation is one column list per level, point_images(n),
 whose entry i is the image of b_i(n+1) at level n; the ideal checks run
@@ -76,7 +78,8 @@ def _apply(cols, vec):
 class StructureTable:
     """All cup-product structure constants at a fixed level, as integer rows:
     rows[i][j] is b_i(n) . b_j(n), the index vector of product_row, for
-    the classes basis[i] of the engine.  get decodes one entry, render all."""
+    the classes basis[i] of the engine.  get decodes one entry; render
+    decodes all, as the file's text one row rho at a time."""
 
     def __init__(self, engine, n, rows):
         self.engine, self.n, self.rows = engine, n, rows
@@ -89,9 +92,11 @@ class StructureTable:
         return self.engine.coordinates(row, self.n)
 
     def render(self):
-        """The table file: the bytes of json.dumps(obj, indent=2, sort_keys=True)
-        and a newline for obj = {n, s?, side, table: [{entries: [{coeff, nu}],
-        rho, sigma}]}, rows by (rho, sigma) and entries by nu.  json.dumps runs
+        """The table file as chunks of text, one row rho at a time: the head,
+        then one chunk per rho in key order, then the tail.  Joined, they are
+        the bytes of json.dumps(obj, indent=2, sort_keys=True) and a newline
+        for obj = {n, s?, side, table: [{entries: [{coeff, nu}], rho,
+        sigma}]}, rows by (rho, sigma) and entries by nu.  json.dumps runs
         the pure-Python encoder whenever it indents; here each class goes
         through it once, and each coefficient is the reduced fraction of its
         integers."""
@@ -111,27 +116,30 @@ class StructureTable:
             g = gcd(c, den)
             return str(c // g) if g == den else f"{c // g}/{den // g}"
 
-        rows = []
-        for i in order:
-            row, rho = self.rows[i], rho_at[i]
-            empty = '    {\n      "entries": []' + rho
-            for j in order:
-                terms, den = row[j]
-                if not terms:
-                    rows.append(empty + sigma_at[j])
-                    continue
-                entries = ",\n".join(['        {\n          "coeff": "'
-                                      + coeff(terms[k], den) + nu_tail[k]
-                                      for k in sorted(terms, key=rank.__getitem__)])
-                rows.append('    {\n      "entries": [\n' + entries + "\n      ]" + rho
-                            + sigma_at[j])
         head = [f'  "n": {json.dumps(self.n)}']
         if self.s is not None:
             head.append(f'  "s": {json.dumps(qstr(self.s))}')
         head.append(f'  "side": {json.dumps(self.side)}')
+        yield "{\n" + ",\n".join(head) + ',\n  "table": [\n'
         # never empty: every level has b_empty
-        head.append('  "table": [\n' + ",\n".join(rows) + "\n  ]")
-        return "{\n" + ",\n".join(head) + "\n}\n"
+        sep = ""
+        for i in order:
+            row, rho = self.rows[i], rho_at[i]
+            empty = '    {\n      "entries": []' + rho
+            cells = []
+            for j in order:
+                terms, den = row[j]
+                if not terms:
+                    cells.append(empty + sigma_at[j])
+                    continue
+                entries = ",\n".join(['        {\n          "coeff": "'
+                                      + coeff(terms[k], den) + nu_tail[k]
+                                      for k in sorted(terms, key=rank.__getitem__)])
+                cells.append('    {\n      "entries": [\n' + entries + "\n      ]" + rho
+                             + sigma_at[j])
+            yield sep + ",\n".join(cells)
+            sep = ",\n"
+        yield "\n  ]\n}\n"
 
 
 class RingEngine:

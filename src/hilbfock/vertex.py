@@ -266,7 +266,8 @@ def _part_ii_words(fock, ns, j, alpha, e_alpha):
     """The words of part (ii) with their coefficients, as (word, class,
     (cn, cd)): the word, its j-th adjacent transposition, and, with the
     class e_alpha = e.alpha, the Euler-class correction when the two
-    swapped indices cancel."""
+    swapped indices cancel.  alpha and e_alpha are passed through as given:
+    verify_lemma_ks passes its class indices."""
     words = [(ns, alpha, (-1, 1)),
              (ns[:j] + (ns[j + 1], ns[j]) + ns[j + 2:], alpha, (1, 1))]
     if ns[j] == -ns[j + 1]:
@@ -386,35 +387,38 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     probe family.
 
     The sweep runs in integer vectors (terms, den), on classes built once
-    per sweep, one object for equal ones: the representatives, their
-    products and their Euler multiples.  Each probe is lifted once, and a
-    word that acts on a probe itself runs once per sweep through
-    FockSpace.word_int.  Part (i) decides each instance (ns, ms, alpha,
-    beta) together with its swap (ms, ns, beta, alpha), which has the same
-    probes and the same two composed products W_ns(alpha) W_ms(beta) v and
-    W_ms(beta) W_ns(alpha) v.  The pair resolves its outer words' plans and
-    its contraction terms once, and builds each product once per probe,
-    summed by _compose from a table local to the sweep: for each outer
-    word and class, the integer image of each monomial it has met, each
-    filled once through FockSpace.run_word.  Each member counts its probes
-    up to its first failure, as it would alone, and part (i)'s failures are
-    put back in sweep order before part (ii)'s follow.  _defect decides a
-    defect of two nonempty pieces of one magnitude over one denominator by
-    comparing their term dicts, and any other from its integer sum.  Bounds
-    that leave no instance (ksum_max or weight_max below 2) are refused."""
+    per sweep and numbered, one index for equal ones: the representatives,
+    their products and their Euler multiples.  Each probe is lifted once,
+    and a word that acts on a probe itself runs once per sweep through
+    FockSpace.word_int, cached by (word, class index, probe).  Part (i)
+    decides each instance (ns, ms, alpha, beta) together with its swap (ms,
+    ns, beta, alpha), which has the same probes and the same two composed
+    products W_ns(alpha) W_ms(beta) v and W_ms(beta) W_ns(alpha) v.  The
+    pair resolves its outer words' plans and its contraction terms once,
+    and builds each product once per probe, summed by _compose from a
+    table local to the sweep: for each outer word and class, the integer
+    image of each monomial it has met, each filled once through
+    FockSpace.run_word.  Each member counts its probes up to its first
+    failure, as it would alone, and part (i)'s failures are put back in
+    sweep order before part (ii)'s follow.  _defect decides a defect of two
+    nonempty pieces of one magnitude over one denominator by comparing
+    their term dicts, and any other from its integer sum.  Bounds that
+    leave no instance (ksum_max or weight_max below 2) are refused."""
     from .fock import FockSpace
     fock = FockSpace(model, s)
     vecs = _probe_vectors(fock, weight_max)
     reps = _class_reps(model)
-    shared = {}
+    index = {}
 
     def one(cls):
-        # equal classes share one object, so the memos match them by identity
-        return shared.setdefault(cls, cls)
+        # equal classes share one index, so the probe cache keys on an int
+        return index.setdefault(cls, len(index))
 
-    classes = [one(model.basis_class(c)) for c in reps]
+    classes = [model.basis_class(c) for c in reps]
+    rep_ids = [one(a) for a in classes]
     products = [[one(model.mul(a, b)) for b in classes] for a in classes]
     euler = [one(model.mul(model.euler, a)) for a in classes]
+    pool = list(index)   # class index -> class
     parities = [model.class_parity(a) for a in classes]
     names = [model.basis[c].name for c in reps]
     witnesses = []
@@ -423,12 +427,12 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
     failures = []   # part (i): (sweep position, instance)
 
     @cache
-    def on_probes(word, cls, vi):
-        return fock.word_int(word, cls, lifted[vi])
+    def on_probes(word, ci, vi):
+        return fock.word_int(word, pool[ci], lifted[vi])
 
     @cache
-    def outer_images(word, ci):
-        # the image of each monomial met so far under word(classes[ci]) as
+    def outer_images(word, ai):
+        # the image of each monomial met so far under word(classes[ai]) as
         # an outer word, filled by _compose
         return {}
 
@@ -450,9 +454,9 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
             (fock.word_plan(ms, beta), outer_images(ms, bi))]
         count = 0
         for vi in todo:
-            nm = _compose(fock, plan_n, images_n, on_probes(ms, beta, vi))
+            nm = _compose(fock, plan_n, images_n, on_probes(ms, rep_ids[bi], vi))
             mn = nm if len(positions) == 1 else \
-                _compose(fock, plan_m, images_m, on_probes(ns, alpha, vi))
+                _compose(fock, plan_m, images_m, on_probes(ns, rep_ids[ai], vi))
             for member in list(live):
                 pos, inst, swapped, ab, contractions = member
                 count += 1
@@ -499,12 +503,12 @@ def verify_lemma_ks(model, ksum_max=5, weight_max=5, s=None):
             if not todo:
                 continue
             for j in range(m - 1):
-                for ai, alpha in enumerate(classes):
-                    words = _part_ii_words(fock, ns, j, alpha, euler[ai])
+                for ai, ci in enumerate(rep_ids):
+                    words = _part_ii_words(fock, ns, j, ci, euler[ai])
                     for vi in todo:
                         checked += 1
-                        if _defect([(on_probes(word, cls, vi), c)
-                                    for word, cls, c in words]):
+                        if _defect([(on_probes(word, cj, vi), c)
+                                    for word, cj, c in words]):
                             if len(witnesses) < MAX_WITNESSES:
                                 witnesses.append({"ns": ns, "j": j,
                                                   "alpha": names[ai], "part": "ii"})

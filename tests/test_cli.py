@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hilbfock
+from hilbfock import cli
 from hilbfock.cli import REGISTRY, VERIFY_OPTIONS, build_parser, main, parse_range
 from hilbfock.errors import EngineError
 from hilbfock.fock import FockSpace, verify_heisenberg
@@ -193,9 +194,10 @@ def _table_obj(table, model):
 
 
 def test_table_writer_bytes_equal_json_dump():
-    """StructureTable.render gives the bytes of json.dumps(indent=2,
-    sort_keys=True) and a newline for every built-in table that computes at
-    n <= 3, on the Hilbert side and on the orbifold side at s = 2."""
+    """StructureTable.render's chunks, joined, give the bytes of
+    json.dumps(indent=2, sort_keys=True) and a newline for every built-in
+    table that computes at n <= 3, on the Hilbert side and on the orbifold
+    side at s = 2."""
     written = empty_rows = with_s = 0
     for name in BUILTIN:
         model = builtin_model(name)
@@ -210,11 +212,58 @@ def test_table_writer_bytes_equal_json_dump():
                 except EngineError:
                     continue
                 obj = _table_obj(table, model)
-                assert table.render() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+                text = "".join(table.render())
+                assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
                 written += 1
                 empty_rows += sum(not row["entries"] for row in obj["table"])
                 with_s += "s" in obj
     assert written > 40 and empty_rows and with_s
+
+
+def test_table_streams_one_row_at_a_time(monkeypatch, capsys):
+    """render yields the head, one chunk per row rho and the tail, and --out
+    receives them one at a time as they come: no write to the file holds a
+    tenth of it, so the table's text is never joined in memory."""
+    table = RingEngine(builtin_model("toy_b2_1")).structure_constants(3)
+    chunks = list(table.render())
+    assert len(chunks) == len(table.basis) + 2
+    written = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            written.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kw: Recorder(), raising=False)
+    assert main(["structure-constants", "--model", "toy_b2_1", "--n", "3",
+                 "--out", "table.json"]) == 0
+    capsys.readouterr()
+    assert written == chunks
+    assert max(map(len, written)) < sum(map(len, written)) / 10
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_out_on_a_full_disk_is_usage_error():
+    """A disk that fills partway through the stream ends the run in one
+    error line; the table's text is larger than one write buffer."""
+    res = run_cli("structure-constants", "--model", "toy_b2_1", "--n", "3",
+                  "--out", "/dev/full")
+    assert_usage_error(res)
+
+
+@pytest.mark.parametrize("argv", [
+    ("structure-constants", "--model", "c2", "--n", "1", "--out"),
+    ("validate", "--model", "c2", "--out"),
+    ("verify", "ideal", "--model", "c2", "--n", "1", "--out"),
+    ("lehn-apply", "--k", "1", "--poly", "-", "--out"),
+    ("product", "--model", "c2", "--n", "1", "--rho", "{}", "--sigma", "{}", "--dump"),
+    ("verify", "polynomiality", "--model", "toy_b2_1", "--n", "3..5", "--triple"),
+])
+def test_empty_path_is_usage_error(argv):
+    """An empty path is a path that cannot be opened, not an absent option."""
+    res = subprocess.run(RUN + list(argv) + [""], input='{"terms": []}',
+                         capture_output=True, text=True, env=ENV)
+    assert_usage_error(res)
 
 
 def test_orb_structure_constants(tmp_path):

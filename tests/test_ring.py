@@ -339,7 +339,7 @@ def test_structure_table_shape_and_json(engines):
     assert table.basis == basis
     assert [len(row) for row in table.rows] == [len(basis)] * len(basis)
     assert all(table.get(r, s) == eng.b_product(r, s, 2) for r in basis for s in basis)
-    obj = json.loads(table.render())
+    obj = json.loads("".join(table.render()))
     assert obj["n"] == 2 and obj["side"] == "hilbert" and "s" not in obj
     assert len(obj["table"]) == len(basis) ** 2
 
