@@ -20,12 +20,11 @@ from .fock import FockSpace, verify_heisenberg
 from .models import load_model
 from .partitions import PartitionFunction
 from .rational import load_json, parse_int, parse_q, qstr
-from .reports import RunReport
 from .ring import (RingEngine, fit_polynomial_in_n, verify_a_homomorphism,
                    verify_affine_plane_quotient, verify_fh_ring,
                    verify_ideal_suite, verify_mod_h4_independence,
-                   verify_n_independence, verify_orb_n_independence,
-                   verify_polynomiality, verify_ring_isomorphism)
+                   verify_n_independence, verify_polynomiality,
+                   verify_ring_isomorphism)
 from .surface import validate_model
 from .vertex import (SparsePolynomial, lehn_apply, verify_lemma_ks,
                      verify_nonsense1)
@@ -141,7 +140,7 @@ def build_parser():
     # triple are None if unread)
     ids = sub.add_parser("verify", help="run a named theorem verifier (options "
                          "follow the id)").add_subparsers(dest="id", required=True)
-    for vid, (_, options, _) in REGISTRY.items():
+    for vid, (options, _) in REGISTRY.items():
         p = add_parser(ids, vid, cmd_verify, levels=False)
         p.set_defaults(n=None, triple=None)
         for option in options:
@@ -149,16 +148,25 @@ def build_parser():
     return top
 
 
+def _report(command, model_hash, params, status="pass", witnesses=(), details=None):
+    """The report of one command, deterministic given its model and
+    parameters: main adds the run's timing_ms only under --timing."""
+    return {"command": command, "model": model_hash, "params": params,
+            "status": status, "witnesses": list(witnesses), "details": details or {}}
+
+
 def _emit(report, args, chunks=None):
-    """Print the report; with --out, also write the chunks of text, or else
-    the indented report, to that path, each chunk as it comes."""
+    """Print the report, compact or indented under --pretty; with --out, also
+    write the chunks of text, or else the indented report, to that path, each
+    chunk as it comes."""
     if args.out is not None:
         if chunks is None:
-            chunks = [json.dumps(report.to_json(with_timing=args.timing), indent=2,
-                                 sort_keys=True) + "\n"]
+            chunks = [json.dumps(report, indent=2, sort_keys=True) + "\n"]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-    report.emit(pretty=args.pretty, with_timing=args.timing)
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    json.dump(report, sys.stdout, sort_keys=True, **layout)
+    sys.stdout.write("\n")
 
 
 def _engine(model, args):
@@ -182,10 +190,9 @@ def cmd_validate(args):
     diags = validate_model(model, check_euler=args.check_euler)
     errors = [d for d in diags if not d.startswith("warning:")]
     status = "pass" if not errors else "fail"
-    return RunReport("validate", model.content_hash,
-                     {"model": args.model, "check_euler": args.check_euler},
-                     status, witnesses=errors,
-                     details={"diagnostics": diags}), None
+    return _report("validate", model.content_hash,
+                   {"model": args.model, "check_euler": args.check_euler},
+                   status, errors, {"diagnostics": diags}), None
 
 
 def cmd_product(args):
@@ -202,10 +209,10 @@ def cmd_product(args):
             fh.write("\n")
     expansion = [{"nu": nu.to_json(model), "coeff": qstr(c)}
                  for nu, c in sorted(coords.items(), key=lambda t: t[0].key())]
-    return RunReport("product", model.content_hash,
-                     {"n": n, **_side_params(engine),
-                      "rho": rho.to_json(model), "sigma": sigma.to_json(model)},
-                     "pass", details={"expansion": expansion}), None
+    return _report("product", model.content_hash,
+                   {"n": n, **_side_params(engine),
+                    "rho": rho.to_json(model), "sigma": sigma.to_json(model)},
+                   details={"expansion": expansion}), None
 
 
 def cmd_structure_constants(args):
@@ -216,9 +223,9 @@ def cmd_structure_constants(args):
     # by _emit as it writes, one row at a time
     table = engine.structure_constants(n)
     chunks = table.render() if args.out is not None else None
-    return RunReport("structure-constants", model.content_hash,
-                     {"n": n, **_side_params(engine)}, "pass",
-                     details={"entries": len(engine.basis(n)) ** 2}), chunks
+    return _report("structure-constants", model.content_hash,
+                   {"n": n, **_side_params(engine)},
+                   details={"entries": len(engine.basis(n)) ** 2}), chunks
 
 
 def cmd_lehn(args):
@@ -227,14 +234,16 @@ def cmd_lehn(args):
     image = lehn_apply(k, SparsePolynomial.from_json(load_json(text, "--poly")))
     out = image.to_json()
     text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    return RunReport("lehn-apply", "-", {"k": k}, "pass",
-                     details={"image": out}), [text]
+    return _report("lehn-apply", "-", {"k": k}, details={"image": out}), [text]
 
 
 # -- verifiers: each id maps (model, levels, args) to one library call ---------
-# The library verifier owns its level loop, its preconditions and the refusal
-# of a run that would check nothing.  Its report is {"ok", "witnesses", ...}:
-# the keys after those two are the details printed.
+# The call builds the ring a single-ring verifier checks (the Fock space for
+# heisenberg) and hands it over; a verifier that derives or compares rings, or
+# checks the ambient side, takes the model.  The library verifier owns its
+# level loop and level count, its preconditions and the refusal of a run that
+# would check nothing.  Its report is {"ok", "witnesses", ...}: the keys after
+# those two are the details printed.
 
 
 def _fit_triple(model, levels, text):
@@ -264,31 +273,31 @@ VERIFY_OPTIONS = {
 }
 BOUNDS = ("--norm-bound", "--max-weight", "--max-index")
 
-# verifier id -> (least number of levels --n must give, options it reads,
-# call on (model, levels, args))
+# verifier id -> (options it reads, call on (model, levels, args))
 REGISTRY = {
-    "heisenberg": (0, ("--max-weight", "--max-index"), lambda m, ns, a:
+    "heisenberg": (("--max-weight", "--max-index"), lambda m, ns, a:
                    verify_heisenberg(FockSpace(m), a.max_weight, a.max_index)),
-    "lemma-ks": (0, ("--max-weight",), lambda m, ns, a: verify_lemma_ks(m, 5, a.max_weight)),
-    "nonsense1": (0, (), lambda m, ns, a: verify_nonsense1(m)),
-    "ideal": (1, ("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("absorb", "contains"))),
-    "ideal-generators": (1, ("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("generate",))),
-    "n-independence": (2, ("--n",), lambda m, ns, a: verify_n_independence(RingEngine(m), ns)),
-    "mod-h4-independence": (2, ("--n",), lambda m, ns, a: verify_mod_h4_independence(m, ns)),
-    "polynomiality": (1, ("--n", "--triple"), lambda m, ns, a: verify_polynomiality(m, ns)),
-    "fh-ring": (0, ("--norm-bound",), lambda m, ns, a: verify_fh_ring(m, a.norm_bound)),
-    "c2-quotient": (1, ("--n",), lambda m, ns, a: verify_affine_plane_quotient(m, ns)),
-    "a-homomorphism": (1, ("--n",), lambda m, ns, a: verify_a_homomorphism(RingEngine(m), ns)),
-    "ring-isom": (1, ("--n",), lambda m, ns, a: verify_ring_isomorphism(m, ns)),
-    "orb-n-independence": (2, ("--n", "--s"), lambda m, ns, a:
-                           verify_orb_n_independence(m, ns, parse_q(a.s, "--s"))),
+    "lemma-ks": (("--max-weight",), lambda m, ns, a: verify_lemma_ks(m, 5, a.max_weight)),
+    "nonsense1": ((), lambda m, ns, a: verify_nonsense1(m)),
+    "ideal": (("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("absorb", "contains"))),
+    "ideal-generators": (("--n",), lambda m, ns, a: verify_ideal_suite(m, ns, ("generate",))),
+    "n-independence": (("--n",), lambda m, ns, a: verify_n_independence(RingEngine(m), ns)),
+    "mod-h4-independence": (("--n",), lambda m, ns, a: verify_mod_h4_independence(m, ns)),
+    "polynomiality": (("--n", "--triple"), lambda m, ns, a:
+                      verify_polynomiality(RingEngine(m), ns)),
+    "fh-ring": (("--norm-bound",), lambda m, ns, a: verify_fh_ring(RingEngine(m), a.norm_bound)),
+    "c2-quotient": (("--n",), lambda m, ns, a: verify_affine_plane_quotient(m, ns)),
+    "a-homomorphism": (("--n",), lambda m, ns, a: verify_a_homomorphism(RingEngine(m), ns)),
+    "ring-isom": (("--n",), lambda m, ns, a: verify_ring_isomorphism(m, ns)),
+    "orb-n-independence": (("--n", "--s"), lambda m, ns, a:
+                           verify_n_independence(RingEngine(m, parse_q(a.s, "--s")), ns)),
 }
 
 
 def cmd_verify(args):
     model = load_model(args.model)
     vid = args.id
-    least, options, call = REGISTRY[vid]
+    options, call = REGISTRY[vid]
     # an integer bound is a level, a weight or an index: no run above REACH
     # would finish (lemma-ks alone checks about (2w)^5/120 words at weight w)
     for option in (o for o in options if o in BOUNDS):
@@ -299,17 +308,15 @@ def cmd_verify(args):
                              f"verifiers take at most {REACH}")
         setattr(args, dest, value)
     levels = parse_range(args.n) if args.n else None
-    if least and len(levels or ()) < least:
-        raise ValueError(f"verifier {vid!r} needs --n" +
-                         (f" with at least {least} levels" if least > 1 else ""))
+    if levels is None and "--n" in options:
+        raise ValueError(f"verifier {vid!r} needs --n")
     if args.triple is not None:
         rep = details = _fit_triple(model, levels, args.triple)  # printed whole
     else:
         rep = call(model, levels, args)
         details = {k: v for k, v in rep.items() if k not in ("ok", "witnesses")}
-    return RunReport("verify", model.content_hash, {"id": vid, "n": args.n},
-                     "pass" if rep["ok"] else "fail", witnesses=rep["witnesses"],
-                     details=details), None
+    return _report("verify", model.content_hash, {"id": vid, "n": args.n},
+                   "pass" if rep["ok"] else "fail", rep["witnesses"], details), None
 
 
 def main(argv=None):
@@ -322,7 +329,8 @@ def main(argv=None):
     started = time.monotonic()
     try:
         report, chunks = args.cmd(args)
-        report.timing_ms = int((time.monotonic() - started) * 1000)
+        if args.timing:
+            report["timing_ms"] = int((time.monotonic() - started) * 1000)
         _emit(report, args, chunks)
     except UnknownCoefficientsError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -333,7 +341,7 @@ def main(argv=None):
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 2
-    return 0 if report.ok else 1
+    return 0 if report["status"] == "pass" else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -425,11 +425,14 @@ class RingEngine:
 
 
 # -- verifiers -------------------------------------------------------------------
-# Each verifier takes the whole input of its command, a list of levels or its
-# bounds, and returns {"ok", "witnesses", ...}; the keys after those two are
-# the details the command prints.  An input on which a verifier would check
-# nothing raises ValueError, so no such run can pass: b_empty . b_empty =
-# b_empty holds by construction, and level 0 holds no other class.
+# A verifier that reads one ring takes that RingEngine and builds no engine or
+# Fock space of its own; one that derives a ring from the model, compares two
+# rings, or checks the ambient side takes the model.  Each takes the rest of
+# its command's input, a list of levels or its bounds, and returns {"ok",
+# "witnesses", ...}; the keys after those two are the details the command
+# prints.  An input on which a verifier would check nothing raises ValueError,
+# so no such run can pass: b_empty . b_empty = b_empty holds by construction,
+# and level 0 holds no other class.
 
 
 def _span(ns):
@@ -443,7 +446,8 @@ def _levels(n_values, least=1):
     two, or make a fit divide by zero."""
     ns = sorted(n_values)
     if len(ns) < least:
-        raise ValueError(f"{len(ns)} level(s) given; the check needs at least {least}")
+        raise ValueError(f"{len(ns)} level(s) given; the check needs at least "
+                         f"{least} levels")
     for a, b in zip(ns, ns[1:]):
         if a == b:
             raise ValueError(f"level {a} is given twice; the levels must be distinct")
@@ -483,8 +487,12 @@ def _require_polynomiality(model):
 def verify_n_independence(engine, n_values):
     """Exact cross-level equality of all structure constants defined on the
     whole range, compared in the integer table cells by index (a quotient
-    ring: the projective statement is verify_mod_h4_independence)."""
+    ring: the projective statement is verify_mod_h4_independence).  On the
+    deformed side the report names s."""
+    orbifold = engine.side == "orbifold"
     if not engine.model.has_ideal:
+        if orbifold:
+            raise ModelError("level-independence on the deformed side needs an ideal model")
         raise ModelError("level-independence needs a model with an ideal; "
                          "use mod-h4-independence for projective models")
     ns = _levels(n_values, 2)
@@ -506,7 +514,10 @@ def verify_n_independence(engine, n_values):
                         "values": {str(n): qstr(Q(t.get(k, 0), d))
                                    for n, (t, d) in zip(ns, cells)},
                     })
-    return {"ok": not witnesses, "triples_checked": m ** 3, "witnesses": witnesses}
+    report = {"ok": not witnesses, "triples_checked": m ** 3, "witnesses": witnesses}
+    if orbifold:
+        report["s"] = qstr(engine.fock.s)
+    return report
 
 
 def verify_mod_h4_independence(model, n_values):
@@ -581,11 +592,12 @@ def fit_report(values, bound):
     }
 
 
+@cache
 def divided_difference_weights(levels):
     """The integer weights W_t = L / prod_{s != t}(n_t - n_s) over distinct
     levels, with L the least positive integer that makes every W_t an
     integer: sum_t W_t * y_t is L times the top divided difference of the
-    values y_t."""
+    values y_t.  Cached, as a pure function of the tuple of levels."""
     prods = []
     for t, x in enumerate(levels):
         p = 1
@@ -596,24 +608,24 @@ def divided_difference_weights(levels):
     lcm = 1
     for p in prods:
         lcm = lcm * abs(p) // gcd(lcm, p)
-    return [lcm // p for p in prods]
+    return tuple(lcm // p for p in prods)
 
 
-def fits_in_integers(points, bound, weights=divided_difference_weights):
+def fits_in_integers(points, bound):
     """fit_report's ok, decided in ints on (level, num, den) points at distinct
     sorted levels.  The points lie on one polynomial of degree <= bound
     exactly when every window of bound + 2 consecutive points has a zero
     (bound + 1)-th divided difference: sum_t W_t * num_t * (D / den_t) = 0,
     with W the weights of the window's levels and D the lcm of its
-    denominators.  weights may be a cache of divided_difference_weights."""
+    denominators."""
     width = bound + 2
     for a in range(len(points) - width + 1):
         window = points[a:a + width]
         lcm = 1
         for _, _, d in window:
             lcm = lcm * d // gcd(lcm, d)
-        if sum(w * num * (lcm // d) for w, (_, num, d)
-               in zip(weights(tuple(n for n, _, _ in window)), window)):
+        weights = divided_difference_weights(tuple(n for n, _, _ in window))
+        if sum(w * num * (lcm // d) for w, (_, num, d) in zip(weights, window)):
             return False
     return True
 
@@ -621,7 +633,7 @@ def fits_in_integers(points, bound, weights=divided_difference_weights):
 POLY_BOUND_MAX = 4  # the largest degree bound of a fitted triple
 
 
-def verify_polynomiality(model, n_values):
+def verify_polynomiality(engine, n_values):
     """Fit every triple (rho, sigma, nu) whose degree bound is at most
     POLY_BOUND_MAX and which has bound + 3 levels from its start on.
 
@@ -633,13 +645,13 @@ def verify_polynomiality(model, n_values):
     basis(n) extends basis(ns[0]).  Only the nu in the support of a pair's
     products are fitted, by index, in basis order; every other triple is
     zero at all its levels, which the zero polynomial fits within any bound.
-    A fit is decided in ints by fits_in_integers, with the divided-difference
-    weights cached per sweep; only a triple that fails it is reported
-    through fit_report, which must agree.  A range in which no triple has
-    enough levels checks nothing and is refused, as are repeated levels."""
+    A fit is decided in ints by fits_in_integers; only a triple that fails
+    it is reported through fit_report, which must agree.  A range in which
+    no triple has enough levels checks nothing and is refused, as are
+    repeated levels."""
+    model = engine.model
     _require_polynomiality(model)
     ns = _levels(n_values)
-    engine = RingEngine(model)
     top = engine.basis(ns[-1])
     cost = [nu.cost(model.unit) for nu in top]
     degree = [engine.degree(nu) for nu in top]
@@ -649,7 +661,6 @@ def verify_polynomiality(model, n_values):
     levels_from = {c: sum(1 for n in ns if n >= c) for c in set(cost)}
     base = engine.basis(ns[0])
     _require_products(base, ns[0])
-    weights = cache(divided_difference_weights)
     witnesses = []
     fitted = 0
     for i, rho in enumerate(base):
@@ -677,7 +688,7 @@ def verify_polynomiality(model, n_values):
                 start, bound = starts[cost[k]], cost[i] + cost[j] - cost[k]
                 points = [(n, terms.get(k, 0), den) for n, (terms, den) in products
                           if n >= start]
-                if fits_in_integers(points, bound, weights):
+                if fits_in_integers(points, bound):
                     continue
                 rep = fit_report([(n, Q(num, den)) for n, num, den in points], bound)
                 triple = {"rho": rho.to_json(model), "sigma": base[j].to_json(model),
@@ -848,7 +859,7 @@ def monomial_vectors(engine, rhos, n_eval):
     return {rho: vector(rho) for rho in rhos}
 
 
-def verify_fh_ring(model, norm_bound=5):
+def verify_fh_ring(engine, norm_bound=5):
     """Build the stable ring and verify its structure: the structure
     constants stabilize between two probe levels, generation by the
     one-part symbols up to cost min(norm_bound, 5), linear independence of
@@ -860,7 +871,7 @@ def verify_fh_ring(model, norm_bound=5):
         raise ValueError("the bounds leave no monomial to check; need --norm-bound >= 0")
     n_eval = 2 * norm_bound
     cost_bound = min(norm_bound, 5)
-    engine = RingEngine(model)
+    model = engine.model
     if not model.has_ideal:
         raise ModelError("the stable ring needs a model with an ideal")
     n_probe = max(2, cost_bound // 2)
@@ -922,13 +933,6 @@ def verify_fh_ring(model, norm_bound=5):
 # with them) give identical structure constants at s = -1.
 
 
-def verify_orb_n_independence(model, n_values, s=-1):
-    """verify_n_independence on the deformed side; the report names s."""
-    if not model.has_ideal:
-        raise ModelError("level-independence on the deformed side needs an ideal model")
-    return {**verify_n_independence(RingEngine(model, s), n_values), "s": qstr(s)}
-
-
 def verify_ring_isomorphism(model, n_values):
     """At s = -1 the relabelling map is a ring isomorphism at each level: the
     two structure tables agree, the deformed distinguished classes map to the
@@ -972,28 +976,31 @@ def verify_ring_isomorphism(model, n_values):
         witnesses += found[:10]
     details = {"levels": ns}
     if model.has_ideal:
-        marker = verify_marker_vanishing(model, ns[-1])
+        marker = verify_marker_vanishing(hilb, ns[-1])
         witnesses += marker["witnesses"]
         details["marker_terms_checked"] = marker["terms_checked"]
     return {"ok": not witnesses, "witnesses": witnesses, **details}
 
 
-def verify_marker_vanishing(model, n):
-    """For an ideal model with K in the ideal: every canonical-family term of
-    every degree-shift operator, applied to every level-n monomial over the
-    working classes, reduces to zero."""
+def verify_marker_vanishing(engine, n):
+    """On the Hilbert side of an ideal model with K in the ideal: every
+    canonical-family term of every degree-shift operator, applied to every
+    level-n monomial over the working classes, reduces to zero.  The deformed
+    operators have no canonical family, so a deformed engine is refused."""
+    model, fock = engine.model, engine.fock
+    if engine.side != "hilbert":
+        raise ModelError("marker vanishing is a statement about the Hilbert side")
     if not model.has_ideal:
         raise ModelError("marker vanishing needs a model with an ideal")
     if not model.reduce_class(model.canonical).is_zero():
         raise UnknownCoefficientsError(
             "the canonical class is not contained in the restriction ideal")
-    fock = FockSpace(model)
     witnesses = []
     checked = 0
     monos = fock.enumerate_monomials(n, model.working_classes())
     for k in range(n):
         for c in model.working_classes():
-            op = chern_operator(fock, k, model.basis_class(c))
+            op = engine.operator(k, c)
             if not op.has_unknown_terms:
                 continue
             for mono in monos:

@@ -5,7 +5,7 @@ terminal summary."""
 from conftest import record_criterion
 from hilbfock.fock import FockSpace, verify_heisenberg
 from hilbfock.models import BUILTIN
-from hilbfock.ring import (verify_a_homomorphism,
+from hilbfock.ring import (RingEngine, verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
                            verify_ideal_suite,
                            verify_mod_h4_independence, verify_n_independence,
@@ -101,7 +101,7 @@ def test_criterion_06_polynomiality(models):
     failures = {}
     fitted = 0
     for name in ("k3_like", "toy_b2_1"):
-        rep = verify_polynomiality(models(name), range(3, 10))
+        rep = verify_polynomiality(RingEngine(models(name)), range(3, 10))
         fitted += rep["triples_fitted"]
         if not rep["ok"]:
             failures[name] = rep["witnesses"][:3]
@@ -117,7 +117,7 @@ def test_criterion_07_stable_ring(models, engines):
     pairs at n <= 4 and the evaluation tower commutes."""
     failures = {}
     for name in ("c2", "cotangent_g1"):
-        rep = verify_fh_ring(models(name), norm_bound=5)
+        rep = verify_fh_ring(RingEngine(models(name)), norm_bound=5)
         if not rep["ok"]:
             failures[(name, "fh")] = rep["witnesses"][:3]
         rep = verify_a_homomorphism(engines(name), [1, 2, 3, 4])

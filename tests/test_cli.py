@@ -651,8 +651,8 @@ _NO_WORK = [
     ("lemma-ks --model toy_b2_1 --max-weight 1",
      lambda: verify_lemma_ks(builtin_model("toy_b2_1"), 5, 1)),
     ("polynomiality --model k3_like --n 3..3",
-     lambda: verify_polynomiality(builtin_model("k3_like"), [3])),
-    ("fh-ring --model c2 --norm-bound -1", lambda: verify_fh_ring(_c2(), -1)),
+     lambda: verify_polynomiality(RingEngine(builtin_model("k3_like")), [3])),
+    ("fh-ring --model c2 --norm-bound -1", lambda: verify_fh_ring(RingEngine(_c2()), -1)),
     ("heisenberg --model c2 --max-index 0",
      lambda: verify_heisenberg(FockSpace(_c2()), max_index=0)),
     ("a-homomorphism --model c2 --n 0",
@@ -707,7 +707,7 @@ def test_unread_option_cases_cover_the_registry():
 
 
 @pytest.mark.parametrize("vid, option", [
-    (vid, option) for vid, (_, reads, _) in REGISTRY.items()
+    (vid, option) for vid, (reads, _) in REGISTRY.items()
     for option in VERIFY_OPTIONS if option not in reads])
 def test_verify_rejects_an_option_it_does_not_read(vid, option, capsys):
     base = ["verify", vid, *_VERIFY_BASE[vid].split()]

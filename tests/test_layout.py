@@ -190,3 +190,32 @@ def test_one_product_method_combines_word_images():
                     found.add(node.name)
     assert found == {"product_row", "express", "generator_on"}, \
         "word images combined outside product_row: " + ", ".join(sorted(found))
+
+
+def _callers(tree, callee):
+    """The top-level functions and methods (Class.method) of a module whose
+    bodies call callee(...), a nested closure counted with its outer
+    function and a call outside every def as '<module>'."""
+    found = set()
+    for top in tree.body:
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top]):
+            name = getattr(node, "name", "<module>")
+            if node is not top:
+                name = f"{top.name}.{name}"
+            if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == callee
+                   for sub in ast.walk(node)):
+                found.add(name)
+    return found
+
+
+def test_single_ring_verifiers_take_their_engine():
+    """A verifier that reads one ring is handed its RingEngine: inside
+    ring.py only the verifiers that derive a ring from the model or compare
+    two rings build an engine, and only the engine and the ambient ideal
+    suite, whose operators must not pass the engine's gate, build a Fock
+    space."""
+    tree = _trees()["ring.py"]
+    assert _callers(tree, "RingEngine") == {
+        "verify_mod_h4_independence", "verify_ring_isomorphism",
+        "verify_affine_plane_quotient"}
+    assert _callers(tree, "FockSpace") == {"RingEngine.__init__", "verify_ideal_suite"}

@@ -8,7 +8,7 @@ from hilbfock.fock import FockSpace
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
 from hilbfock.ring import (RingEngine, verify_a_homomorphism, verify_marker_vanishing,
-                           verify_orb_n_independence, verify_ring_isomorphism)
+                           verify_n_independence, verify_ring_isomorphism)
 from hilbfock.vertex import apply_operator, chern_class, chern_operator
 
 
@@ -211,22 +211,47 @@ def test_ring_isomorphism_gate(models):
 
 
 def test_orb_n_independence(models):
-    rep = verify_orb_n_independence(models("ale_2"), [2, 3], s=Q(1))
+    rep = verify_n_independence(RingEngine(models("ale_2"), Q(1)), [2, 3])
     assert rep["ok"], rep["witnesses"]
-    rep = verify_orb_n_independence(models("c2"), [2, 3, 4], s=Q(-1))
+    rep = verify_n_independence(RingEngine(models("c2"), Q(-1)), [2, 3, 4])
     assert rep["ok"]
     with pytest.raises(ModelError):
-        verify_orb_n_independence(models("k3_like"), [2, 3])
+        verify_n_independence(RingEngine(models("k3_like"), Q(-1)), [2, 3])
+
+
+def test_n_independence_names_s_on_the_deformed_side(models):
+    c2 = models("c2")
+    assert verify_n_independence(RingEngine(c2, Q(2, 4)), [2, 3])["s"] == "1/2"
+    assert "s" not in verify_n_independence(RingEngine(c2), [2, 3])
+    with pytest.raises(ModelError, match="on the deformed side needs an ideal model"):
+        verify_n_independence(RingEngine(models("k3_like"), Q(-1)), [2, 3])
+
+
+def test_ring_isomorphism_builds_one_fock_space_per_side(models, monkeypatch):
+    """The marker check reads the Hilbert engine's Fock space and operators
+    instead of building a third space."""
+    built = []
+    init = FockSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockSpace, "__init__", counted)
+    assert verify_ring_isomorphism(models("c2"), [2])["ok"]
+    assert len(built) == 2
 
 
 def test_marker_vanishing(models):
-    rep = verify_marker_vanishing(models("c2"), 3)
+    rep = verify_marker_vanishing(RingEngine(models("c2")), 3)
     assert rep["ok"] and rep["terms_checked"] > 0
-    rep = verify_marker_vanishing(models("ale_2"), 3)
+    rep = verify_marker_vanishing(RingEngine(models("ale_2")), 3)
     assert rep["ok"] and rep["terms_checked"] == 0   # K = 0: nothing to check
+    with pytest.raises(ModelError, match="Hilbert side"):
+        verify_marker_vanishing(RingEngine(models("c2"), -1), 3)
     with pytest.raises(UnknownCoefficientsError):
-        verify_marker_vanishing(models("cotangent_g1").with_ideal(
-            [models("cotangent_g1").point], suffix="tiny"), 2)
+        verify_marker_vanishing(RingEngine(models("cotangent_g1").with_ideal(
+            [models("cotangent_g1").point], suffix="tiny")), 2)
 
 
 @pytest.mark.parametrize("s", [Q(2, 3), Q(5), Q(-7, 2)])

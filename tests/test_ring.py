@@ -1,7 +1,6 @@
 """Cup products, generator expressions, stable-ring structure, verifiers."""
 
 import json
-from functools import cache
 from math import gcd
 
 import pytest
@@ -16,14 +15,13 @@ from hilbfock.linalg import combine, row_add_scaled
 from hilbfock.models import BUILTIN
 from hilbfock.partitions import PartitionFunction
 from hilbfock.rational import Q
-from hilbfock.ring import (LehnEngine, RingEngine, divided_difference_weights,
-                           fit_polynomial_in_n, fit_report, fits_in_integers,
+from hilbfock.ring import (LehnEngine, RingEngine, fit_polynomial_in_n, fit_report, fits_in_integers,
                            lagrange_coefficients,
                            monomial_vectors, poly_eval,
                            verify_a_homomorphism,
                            verify_affine_plane_quotient, verify_fh_ring,
                            verify_ideal_suite, verify_mod_h4_independence,
-                           verify_n_independence, verify_orb_n_independence,
+                           verify_n_independence,
                            verify_polynomiality, verify_ring_isomorphism)
 from hilbfock.vertex import apply_operator
 
@@ -645,9 +643,9 @@ def test_fit_polynomial_nontrivial(engines):
 
 def test_polynomiality_gate(models):
     with pytest.raises(ModelError):
-        verify_polynomiality(models("c2"), range(3, 10))
+        verify_polynomiality(RingEngine(models("c2")), range(3, 10))
     with pytest.raises(ValueError, match="level 0 has no class but b_empty"):
-        verify_polynomiality(models("toy_b2_1"), range(0, 3))
+        verify_polynomiality(RingEngine(models("toy_b2_1")), range(0, 3))
 
 
 def per_triple_polynomiality(model, n_values, bound_max=4):
@@ -683,7 +681,7 @@ def per_triple_polynomiality(model, n_values, bound_max=4):
 @pytest.mark.parametrize("name", ["toy_b2_1", "k3_like"])
 def test_polynomiality_sweep_matches_per_triple_fits(models, name):
     ns = range(3, 7)
-    assert verify_polynomiality(models(name), ns) == \
+    assert verify_polynomiality(RingEngine(models(name)), ns) == \
         per_triple_polynomiality(models(name), ns)
 
 
@@ -717,7 +715,7 @@ def test_polynomiality_reports_a_support_only_witness(models, monkeypatch):
     k = engine.position(ns[0])[nu]
     assert all(k not in product_index(engine, rho, rho, n)[0] for n in ns)
     perturb_square(monkeypatch, rho, engine.position(ns[0])[rho], bad, k)
-    got = verify_polynomiality(model, ns)
+    got = verify_polynomiality(RingEngine(model), ns)
     want = per_triple_polynomiality(model, ns)
     assert not got["ok"] and got["triples_fitted"] == want["triples_fitted"]
     assert [(w["rho"], w["sigma"], w["nu"]) for w in got["witnesses"]] == \
@@ -735,7 +733,7 @@ def test_polynomiality_catches_a_change_at_the_last_level(models, monkeypatch):
     engine = RingEngine(model)
     k = min(engine.product_index(rho, rho, ns[-1])[0])
     perturb_square(monkeypatch, rho, engine.position(ns[0])[rho], ns[-1], k)
-    got = verify_polynomiality(model, ns)
+    got = verify_polynomiality(RingEngine(model), ns)
     assert got == per_triple_polynomiality(model, ns)
     nu = engine.basis(ns[-1])[k].to_json(model)
     assert [(w["rho"], w["sigma"], w["nu"]) for w in got["witnesses"]] == \
@@ -753,7 +751,7 @@ def test_polynomial_fits_refuse_repeated_levels(models, ns):
     """A level given twice would divide by zero or count as a second check."""
     model = models("toy_b2_1")
     with pytest.raises(ValueError, match="level (3|6) is given twice"):
-        verify_polynomiality(model, ns)
+        verify_polynomiality(RingEngine(model), ns)
     with pytest.raises(ValueError, match="level (3|6) is given twice"):
         _fit_empty_triple(model, ns)
 
@@ -762,8 +760,8 @@ def test_polynomial_fits_refuse_repeated_levels(models, ns):
 LEVEL_CALLS = {
     "n-independence": ("c2", lambda m, ns: verify_n_independence(RingEngine(m), ns)),
     "mod-h4-independence": ("toy_b2_1", verify_mod_h4_independence),
-    "orb-n-independence": ("c2", verify_orb_n_independence),
-    "polynomiality": ("toy_b2_1", verify_polynomiality),
+    "orb-n-independence": ("c2", lambda m, ns: verify_n_independence(RingEngine(m, -1), ns)),
+    "polynomiality": ("toy_b2_1", lambda m, ns: verify_polynomiality(RingEngine(m), ns)),
     "fit": ("toy_b2_1", _fit_empty_triple),
     "ideal": ("c2", verify_ideal_suite),
     "a-homomorphism": ("c2", lambda m, ns: verify_a_homomorphism(RingEngine(m), ns)),
@@ -817,7 +815,6 @@ def test_integer_fit_decision_matches_fit_report(case):
     points, bound = case
     want = fit_report([(n, Q(num, den)) for n, num, den in points], bound)["ok"]
     assert fits_in_integers(points, bound) == want
-    assert fits_in_integers(points, bound, cache(divided_difference_weights)) == want
 
 
 def test_integer_fit_decision_catches_the_last_level():
@@ -896,7 +893,7 @@ def test_doubled_point_annihilation_is_caught(models, monkeypatch):
     images = [w["rho"] for w in rep["witnesses"] if w["part"] == "basis-image"]
     assert images == [rho.to_json(c2) for rho in eng.basis(2)]
     assert any(w["part"] == "ring-hom" for w in rep["witnesses"])
-    rep = verify_fh_ring(c2, norm_bound=1)
+    rep = verify_fh_ring(RingEngine(c2), norm_bound=1)
     assert not rep["ok"]
     assert {w["part"] for w in rep["witnesses"]} == {"tower"}
 
@@ -912,12 +909,12 @@ def test_fh_ring_basics(engines):
 
 
 def test_fh_odd_squares(models):
-    rep = verify_fh_ring(models("cotangent_g1"), norm_bound=2)
+    rep = verify_fh_ring(RingEngine(models("cotangent_g1")), norm_bound=2)
     assert rep["ok"], rep["witnesses"]
 
 
 def test_fh_ring_c2(models):
-    rep = verify_fh_ring(models("c2"), norm_bound=4)
+    rep = verify_fh_ring(RingEngine(models("c2")), norm_bound=4)
     assert rep["ok"]
     assert rep["monomials_checked"] == rep["independent"]
 
